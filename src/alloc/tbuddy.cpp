@@ -135,7 +135,6 @@ TBuddy::State TBuddy::state_of(std::uint32_t i) const {
 
 void TBuddy::lock_node(std::uint32_t i) {
   std::atomic_ref<std::uint8_t> b(node_state_[i]);
-  sync::Backoff bo;
   for (;;) {
     std::uint8_t cur = b.load(std::memory_order_relaxed);
     if ((cur & kLockBit) == 0 &&
@@ -146,7 +145,9 @@ void TBuddy::lock_node(std::uint32_t i) {
       return;
     }
     TOMA_CTR_INC("tbuddy.lock_contended");
-    bo.pause();
+    sync::spin_until([b] {
+      return (b.load(std::memory_order_acquire) & kLockBit) == 0;
+    });
   }
 }
 

@@ -23,10 +23,11 @@ namespace toma::gpu {
 /// true multi-worker parallelism.
 ///
 /// Scheduler integration (docs/INTERNALS.md §7): a waiting thread suspends
-/// through ThreadCtx::barrier_wait, which records a per-lane wait record
-/// {kBarrier, generation} the warp scheduler uses to *park* warps whose
-/// every lane is blocked instead of spuriously resuming them, and every
-/// release calls ThreadCtx::barrier_released to unpark the block's warps.
+/// through ThreadCtx::barrier_wait, which records the lane's wait record
+/// {releasable, generation, parkable} the warp scheduler uses to *park*
+/// warps whose every lane is blocked instead of spuriously resuming them,
+/// and every release calls ThreadCtx::barrier_released to unpark the
+/// block's warps.
 /// `releasable(gen)` is the scheduler's wake predicate; it is monotonic
 /// per waiting episode (a flipped generation never flips back, `live_`
 /// never grows), which is what makes a single unpark per event sufficient.
@@ -147,6 +148,7 @@ struct WarpCtx {
 ///   kQueued  -> kRunning   by the worker that dequeued it
 ///   kRunning -> kQueued    owner requeue (some lane still runnable)
 ///   kRunning -> kParked    owner, when every unfinished lane is blocked
+///                          on a parkable (barrier) wait
 ///   kParked  -> kQueued    unpark (CAS winner enqueues, exactly once)
 /// A finished warp is simply never requeued. `notify_epoch` closes the
 /// park/unpark sleep-wake race: every unpark bumps it *before* examining

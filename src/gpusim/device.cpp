@@ -129,6 +129,7 @@ void Device::launch(Dim3 grid, Dim3 block, const Kernel& kernel) {
     launch_stats.warp_parks = t.parks;
     launch_stats.warp_unparks = t.unparks;
     launch_stats.warp_steals = t.steals;
+    launch_stats.wait_skips = t.wait_skips;
     ls.sched = nullptr;
   }
 
@@ -142,6 +143,7 @@ void Device::launch(Dim3 grid, Dim3 block, const Kernel& kernel) {
     stats_.warp_parks += launch_stats.warp_parks;
     stats_.warp_unparks += launch_stats.warp_unparks;
     stats_.warp_steals += launch_stats.warp_steals;
+    stats_.wait_skips += launch_stats.wait_skips;
     stats_.last_launch = launch_stats;
   }
 

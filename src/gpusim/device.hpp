@@ -71,6 +71,9 @@ struct LaunchStats {
   std::uint64_t warp_parks = 0;
   std::uint64_t warp_unparks = 0;
   std::uint64_t warp_steals = 0;
+  /// Lanes a warp step skipped because their wait condition was still
+  /// false (warp-queue policy; round-robin resumes them instead).
+  std::uint64_t wait_skips = 0;
 };
 
 /// Aggregate execution counters. Every field is cumulative across
@@ -84,6 +87,7 @@ struct DeviceStats {
   std::uint64_t warp_parks = 0;
   std::uint64_t warp_unparks = 0;
   std::uint64_t warp_steals = 0;
+  std::uint64_t wait_skips = 0;
   LaunchStats last_launch;
 };
 

@@ -2,7 +2,7 @@
 //
 // ThreadCtx is the simulated analogue of CUDA's builtin variables
 // (threadIdx/blockIdx/blockDim/gridDim, %smid, %laneid) plus the scheduling
-// hooks a cooperative simulator needs (`yield`, `sync_block`).
+// hooks a cooperative simulator needs (`yield`, `wait_until`, `sync_block`).
 #pragma once
 
 #include <atomic>
@@ -45,6 +45,19 @@ struct Dim3 {
   }
 };
 
+/// A wait condition: `ready(arg)` says whether a waiting lane may proceed.
+/// The scheduler evaluates it on the lane's behalf, from whichever worker
+/// steps the warp, so it must be pure and cheap — acquire loads and
+/// compares only — and `arg` must outlive the wait (it lives on the
+/// waiting fiber's stack).
+using WaitReady = bool (*)(const void* arg);
+
+/// Adapts a `bool()` callable to a WaitReady whose arg is the callable.
+template <typename Pred>
+bool call_wait_pred(const void* pred) {
+  return (*static_cast<const Pred*>(pred))();
+}
+
 /// Execution context of one simulated GPU thread. Instances are owned by
 /// the SM scheduler; kernels receive a reference and must not store it
 /// beyond the kernel's lifetime.
@@ -64,9 +77,21 @@ class ThreadCtx {
   std::uint32_t lane_id() const { return lane_id_; }
 
   // --- scheduling ---------------------------------------------------------
-  /// Cooperatively give up the SM. Every spin loop in device code must
-  /// yield; this is what provides forward progress for other threads.
+  /// Cooperatively give up the SM for one scheduling round. Retry loops
+  /// and modeled latency yield; a loop that waits for other threads to
+  /// change shared state uses wait_until instead.
   void yield();
+
+  /// Suspend until `ready(arg)` holds; returns at once if it already
+  /// does. While the condition is false the warp scheduler skips this
+  /// lane instead of resuming it, so a waiter costs a predicate call per
+  /// warp step rather than a context switch. The condition is re-checked
+  /// after every resume, so spurious resumes (round-robin policy) are safe.
+  void wait_until(WaitReady ready, const void* arg);
+  template <typename Pred>
+  void wait_until(const Pred& pred) {
+    wait_until(&call_wait_pred<Pred>, &pred);
+  }
 
   /// Block-wide barrier (CUDA __syncthreads). All live threads of the
   /// block must reach it; calling it divergently is undefined (as in CUDA).
@@ -95,17 +120,17 @@ class ThreadCtx {
   friend class BlockBarrier;
   friend struct BlockRun;
 
-  /// Why this lane is suspended. The warp scheduler skips barrier-blocked
-  /// lanes (and parks warps whose every lane is blocked); plain yields
-  /// leave the lane runnable. Atomic because unparking workers read it
-  /// cross-thread; the protocol's CAS/deque edges order the accesses.
-  enum class Wait : std::uint8_t { kNone = 0, kBarrier = 1 };
-
   static void fiber_entry(void* arg);
 
-  /// Barrier wait-loop suspend: record the wait {kBarrier, gen} so the
-  /// scheduler can tell this lane must not be resumed until
-  /// BlockBarrier::releasable(gen), then suspend the fiber.
+  /// The one wait path behind wait_until and barrier_wait: publish the
+  /// wait record {ready, arg, parkable}, suspend, clear it, and loop until
+  /// the condition holds. A parkable wait lets the scheduler park the
+  /// whole warp when every lane is blocked; that is only sound for
+  /// conditions whose every change is followed by an unpark (barrier
+  /// transitions), so other conditions never park.
+  void wait_on(WaitReady ready, const void* arg, bool parkable);
+
+  /// Barrier wait: wait_on(BlockBarrier::releasable(gen), parkable).
   void barrier_wait(std::uint32_t gen);
 
   /// Called by every barrier release (and after thread_exited): unparks
@@ -122,8 +147,13 @@ class ThreadCtx {
   std::uint32_t sm_id_ = 0;
   std::uint32_t warp_rank_ = 0;
   std::uint32_t lane_id_ = 0;
-  std::atomic<Wait> wait_kind_{Wait::kNone};
-  std::atomic<std::uint32_t> wait_gen_{0};
+  /// The wait record: non-null while the lane is suspended in wait_on.
+  /// `wait_arg_` and `wait_parkable_` are written before the release
+  /// store of `wait_ready_`, and only the worker stepping the warp reads
+  /// them (warp hand-offs go through the deque's release/acquire edges).
+  std::atomic<WaitReady> wait_ready_{nullptr};
+  const void* wait_arg_ = nullptr;
+  bool wait_parkable_ = false;
   util::Xorshift rng_;
 };
 

@@ -51,21 +51,23 @@ Scheduler::Scheduler(Device& dev, LaunchState& ls, std::uint32_t num_workers)
 
 Scheduler::~Scheduler() = default;
 
-bool Scheduler::lane_blocked(const BlockRun& br, const ThreadCtx& ctx) {
-  if (ctx.wait_kind_.load(std::memory_order_acquire) !=
-      ThreadCtx::Wait::kBarrier) {
-    return false;
-  }
-  return !br.barrier.releasable(
-      ctx.wait_gen_.load(std::memory_order_acquire));
+bool Scheduler::lane_blocked(const ThreadCtx& ctx) {
+  const WaitReady ready = ctx.wait_ready_.load(std::memory_order_acquire);
+  return ready != nullptr && !ready(ctx.wait_arg_);
 }
 
-bool Scheduler::warp_has_runnable_lane(const WarpRun& w) {
+bool Scheduler::warp_stays_queued(const WarpRun& w) {
   const BlockRun& br = *w.block;
   for (std::uint32_t i = 0; i < w.nlanes; ++i) {
     const std::uint32_t t = w.lane_begin + i;
     if (br.fibers[t].finished()) continue;
-    if (!lane_blocked(br, br.ctxs[t])) return true;
+    const ThreadCtx& ctx = br.ctxs[t];
+    const WaitReady ready = ctx.wait_ready_.load(std::memory_order_acquire);
+    // A plain yield, a condition nothing would unpark us for, or a
+    // barrier that is already releasable.
+    if (ready == nullptr || !ctx.wait_parkable_ || ready(ctx.wait_arg_)) {
+      return true;
+    }
   }
   return false;
 }
@@ -139,7 +141,10 @@ void Scheduler::step_warp(Worker& me, WarpRun& w) {
     Fiber& f = br.fibers[t];
     if (f.finished()) continue;
     ThreadCtx& ctx = br.ctxs[t];
-    if (lane_blocked(br, ctx)) continue;  // would be a spurious resume
+    if (lane_blocked(ctx)) {  // would be a spurious resume
+      ++me.wait_skips;
+      continue;
+    }
     detail::set_current(&ctx);
     TOMA_OBS_SET_THREAD(w.sm_id, w.warp_rank);
     f.resume();
@@ -158,7 +163,7 @@ void Scheduler::step_warp(Worker& me, WarpRun& w) {
   // stale "all blocked" verdict always comes with a stale epoch and is
   // caught by the post-park re-read below.
   const std::uint32_t epoch = w.notify_epoch.load(std::memory_order_acquire);
-  if (warp_has_runnable_lane(w)) {
+  if (warp_stays_queued(w)) {
     requeue(me, w);
     return;
   }
@@ -236,6 +241,7 @@ void Scheduler::run_worker(std::uint32_t worker_id) {
   TOMA_CTR_ADD("gpusim.warp.parks", me.parks);
   TOMA_CTR_ADD("gpusim.warp.unparks", me.unparks);
   TOMA_CTR_ADD("gpusim.warp.steals", me.steals);
+  TOMA_CTR_ADD("gpusim.warp.wait_skips", me.wait_skips);
   TOMA_CTR_ADD("gpusim.fiber_resumes", me.resumes);
 }
 
@@ -247,6 +253,7 @@ Scheduler::Totals Scheduler::totals() const {
     t.parks += w->parks;
     t.unparks += w->unparks;
     t.steals += w->steals;
+    t.wait_skips += w->wait_skips;
   }
   return t;
 }

@@ -10,12 +10,15 @@
 //     victim's deque (round-robin victim scan)
 //
 // A stepped warp resumes each unfinished lane once, skipping lanes whose
-// wait record says "blocked at the block barrier and not releasable" —
-// the direct win over the old resume-everything round robin, which paid a
-// full context switch per blocked lane per round. A warp whose every
-// unfinished lane is blocked *parks*: it leaves the ready queues entirely
-// until a barrier release (or an early thread exit that drops the live
-// count) unparks it.
+// wait record {ready, arg, parkable} says the condition they wait on
+// (ThreadCtx::wait_until, or BlockBarrier::releasable for a barrier) is
+// still false — the direct win over the old resume-everything round
+// robin, which paid a full context switch per blocked lane per round. A
+// warp whose every unfinished lane is blocked on a *parkable* (barrier)
+// wait parks: it leaves the ready queues entirely until a barrier release
+// (or an early thread exit that drops the live count) unparks it. A warp
+// with a lane waiting on any other condition stays queued, because no
+// event would unpark it; stepping it again only re-evaluates predicates.
 //
 // The sleep-wake race is closed Dekker-style without locks: the parker
 // publishes kParked, fences seq_cst, then re-reads the warp's
@@ -63,6 +66,7 @@ class Scheduler {
     std::uint64_t parks = 0;
     std::uint64_t unparks = 0;
     std::uint64_t steals = 0;
+    std::uint64_t wait_skips = 0;
   };
 
   Scheduler(Device& dev, LaunchState& ls, std::uint32_t num_workers);
@@ -91,6 +95,7 @@ class Scheduler {
     std::uint64_t parks = 0;
     std::uint64_t unparks = 0;
     std::uint64_t steals = 0;
+    std::uint64_t wait_skips = 0;
     std::uint32_t victim_rr = 0;            // steal scan rotor
     std::vector<WarpRun*> admit_scratch;    // reused admission buffer
   };
@@ -114,11 +119,13 @@ class Scheduler {
   /// when it was the block's last, re-admitting onto the freed SM.
   void finish_warp(Worker& me, WarpRun& w);
 
-  /// Clear the notify flag and put the warp back on our deque.
+  /// Mark the warp kQueued and put it back on our deque.
   void requeue(Worker& me, WarpRun& w);
 
-  static bool lane_blocked(const BlockRun& br, const ThreadCtx& ctx);
-  static bool warp_has_runnable_lane(const WarpRun& w);
+  /// The lane waits on a condition that is still false.
+  static bool lane_blocked(const ThreadCtx& ctx);
+  /// False only when every unfinished lane is blocked on a parkable wait.
+  static bool warp_stays_queued(const WarpRun& w);
 
   Device& dev_;
   LaunchState& ls_;

@@ -66,8 +66,9 @@ void BlockRun::prepare(Device& dev, LaunchState& ls, std::uint64_t rank,
     ctx.sm_id_ = sm;
     ctx.warp_rank_ = t / cfg.warp_size;
     ctx.lane_id_ = t % cfg.warp_size;
-    ctx.wait_kind_.store(ThreadCtx::Wait::kNone, std::memory_order_relaxed);
-    ctx.wait_gen_.store(0, std::memory_order_relaxed);
+    ctx.wait_ready_.store(nullptr, std::memory_order_relaxed);
+    ctx.wait_arg_ = nullptr;
+    ctx.wait_parkable_ = false;
     ctx.rng_ = util::Xorshift(util::hash64(
         (rank * ls.threads_per_block + t) ^ 0x746f6d61ULL));
     fibers[t].reset(dev.stack_pool().acquire(), &ThreadCtx::fiber_entry,

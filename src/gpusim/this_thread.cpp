@@ -44,6 +44,14 @@ void yield() {
   }
 }
 
+void wait_until(WaitReady ready, const void* arg) {
+  if (ThreadCtx* ctx = tl_current) {
+    ctx->wait_until(ready, arg);
+    return;
+  }
+  while (!ready(arg)) std::this_thread::yield();
+}
+
 util::Xorshift& rng() {
   if (ThreadCtx* ctx = tl_current) return ctx->rng();
   return os_thread_rng();
@@ -80,17 +88,41 @@ void ThreadCtx::yield() {
   fiber_->suspend();
 }
 
-void ThreadCtx::barrier_wait(std::uint32_t gen) {
+void ThreadCtx::wait_on(WaitReady ready, const void* arg, bool parkable) {
   TOMA_DASSERT(tl_current == this);
-  // Publish the wait record before suspending: gen first, then the kind
-  // with release, so a scheduler that acquire-reads kBarrier always sees
-  // the matching generation.
-  wait_gen_.store(gen, std::memory_order_relaxed);
-  wait_kind_.store(Wait::kBarrier, std::memory_order_release);
-  fiber_->suspend();
-  // Resumed: either releasable (warp scheduler) or a round-robin
-  // spurious resume; the barrier wait loop re-checks either way.
-  wait_kind_.store(Wait::kNone, std::memory_order_relaxed);
+  while (!ready(arg)) {
+    // Publish the record before suspending: arg and flag first, then the
+    // predicate with release, so a scheduler that acquire-reads a
+    // non-null predicate always sees the matching argument.
+    wait_arg_ = arg;
+    wait_parkable_ = parkable;
+    wait_ready_.store(ready, std::memory_order_release);
+    fiber_->suspend();
+    // Resumed: the warp scheduler saw ready(arg), or the round-robin
+    // policy resumed us regardless; the loop re-checks either way.
+    wait_ready_.store(nullptr, std::memory_order_relaxed);
+  }
+}
+
+void ThreadCtx::wait_until(WaitReady ready, const void* arg) {
+  wait_on(ready, arg, /*parkable=*/false);
+}
+
+namespace {
+struct BarrierWait {
+  const BlockBarrier* barrier;
+  std::uint32_t gen;
+};
+
+bool barrier_releasable(const void* arg) {
+  const auto* w = static_cast<const BarrierWait*>(arg);
+  return w->barrier->releasable(w->gen);
+}
+}  // namespace
+
+void ThreadCtx::barrier_wait(std::uint32_t gen) {
+  const BarrierWait w{&block_->barrier, gen};
+  wait_on(&barrier_releasable, &w, /*parkable=*/true);
 }
 
 void ThreadCtx::barrier_released() {

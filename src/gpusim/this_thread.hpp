@@ -1,10 +1,13 @@
 // Access to the current simulated thread, usable from any code.
 //
-// The synchronization primitives (bulk semaphores, RCU, mutexes) call
-// `this_thread::yield()` in their wait loops. Inside a kernel this
-// suspends the calling fiber; outside (plain unit tests on OS threads) it
-// falls back to std::this_thread::yield(). This keeps every primitive
-// testable both under gpusim and under ordinary preemptive threads.
+// The synchronization primitives (bulk semaphores, RCU, mutexes) wait
+// through `this_thread::wait_until(pred)` (usually via
+// sync::spin_until); retry loops and modeled latency call
+// `this_thread::yield()`. Inside a kernel both suspend the calling fiber
+// — a condition waiter is then skipped by the scheduler until its
+// predicate holds. Outside a kernel (plain unit tests on OS threads) both
+// fall back to std::this_thread::yield(), so every primitive stays
+// testable under gpusim and under ordinary preemptive threads alike.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,14 @@ bool in_kernel();
 
 /// Cooperative yield (fiber suspend in-kernel, OS yield otherwise).
 void yield();
+
+/// Wait until `ready(arg)` holds: ThreadCtx::wait_until in-kernel, an
+/// OS-yield poll otherwise. The predicate rules of WaitReady apply.
+void wait_until(WaitReady ready, const void* arg);
+template <typename Pred>
+void wait_until(const Pred& pred) {
+  wait_until(&call_wait_pred<Pred>, &pred);
+}
 
 /// Per-thread PRNG (fiber-local in-kernel, thread_local otherwise).
 util::Xorshift& rng();

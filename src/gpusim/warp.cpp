@@ -67,9 +67,9 @@ CoalescedGroup coalesce_warp(ThreadCtx& ctx, const void* tag) {
     if (state == WarpCtx::kOpen &&
         w.rv_tag.load(std::memory_order_relaxed) == tag) {
       w.rv_mask.fetch_or(mybit, std::memory_order_acq_rel);
-      while (w.rv_state.load(std::memory_order_acquire) == WarpCtx::kOpen) {
-        ctx.yield();
-      }
+      ctx.wait_until([&w] {
+        return w.rv_state.load(std::memory_order_acquire) != WarpCtx::kOpen;
+      });
       const std::uint64_t final_mask =
           w.rv_final.load(std::memory_order_acquire);
       if (final_mask & mybit) {
@@ -106,23 +106,27 @@ std::uint64_t warp_broadcast(ThreadCtx& ctx, const CoalescedGroup& g,
                                              std::memory_order_acq_rel,
                                              std::memory_order_acquire)) {
       expected = 0;
-      ctx.yield();
+      ctx.wait_until([&w] {
+        return w.bc_owner.load(std::memory_order_acquire) == 0;
+      });
     }
     w.bc_value.store(value, std::memory_order_relaxed);
     w.bc_acks.store(0, std::memory_order_relaxed);
     w.bc_token.store(g.token(), std::memory_order_release);  // publish
     // Wait for every member to consume before releasing the slot, so a
     // subsequent group on this warp can broadcast safely.
-    while (w.bc_acks.load(std::memory_order_acquire) != g.size() - 1) {
-      ctx.yield();
-    }
+    const std::uint32_t members = g.size() - 1;
+    ctx.wait_until([&w, members] {
+      return w.bc_acks.load(std::memory_order_acquire) == members;
+    });
     w.bc_token.store(0, std::memory_order_relaxed);
     w.bc_owner.store(0, std::memory_order_release);
     return value;
   }
-  while (w.bc_token.load(std::memory_order_acquire) != g.token()) {
-    ctx.yield();
-  }
+  const std::uint64_t token = g.token();
+  ctx.wait_until([&w, token] {
+    return w.bc_token.load(std::memory_order_acquire) == token;
+  });
   const std::uint64_t v = w.bc_value.load(std::memory_order_relaxed);
   w.bc_acks.fetch_add(1, std::memory_order_acq_rel);
   return v;

@@ -65,7 +65,6 @@ class BulkSemaphore {
   /// Algorithm 1. Acquire `n` units with grow batch size `b` (b > n).
   WaitResult wait(std::uint64_t n, std::uint64_t b) {
     TOMA_DASSERT(n > 0 && b >= n);
-    Backoff bo;
     std::uint64_t w = word_.load(std::memory_order_acquire);
     for (;;) {
       const std::uint64_t c = unpack_c(w), e = unpack_e(w), r = unpack_r(w);
@@ -102,17 +101,23 @@ class BulkSemaphore {
                                         std::memory_order_acquire)) {
           TOMA_CTR_INC("sync.bsem.reserve");
           [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
-          w = word_.load(std::memory_order_acquire);
-          while (unpack_c(w) < n &&
-                 unpack_r(w) <= unpack_c(w) + unpack_e(w)) {
-            bo.pause();
-            w = word_.load(std::memory_order_acquire);
-          }
+          spin_until([this, n] {
+            const std::uint64_t v = load();
+            return unpack_c(v) >= n ||
+                   unpack_r(v) > unpack_c(v) + unpack_e(v);
+          });
           TOMA_HIST("sync.bsem.wait_ns", TOMA_NOW_NS() - t0);
           // Drop the reservation and re-decide from scratch.
           w = word_.fetch_sub(pack(0, 0, n), std::memory_order_acq_rel) -
               pack(0, 0, n);
-          bo.pause();  // fairness: let signals land before re-deciding
+          if (unpack_c(w) < n) {
+            // Released by a shortfall (a failed grow, or a unit a
+            // try_wait borrowed), not by units landing: yield once so a
+            // borrowed unit can come back before we re-decide, rather
+            // than electing ourselves a grower on a transient dip.
+            gpu::this_thread::yield();
+            w = word_.load(std::memory_order_acquire);
+          }
         }
       }
     }
@@ -134,9 +139,10 @@ class BulkSemaphore {
     return false;
   }
 
-  /// Algorithm 2: C += n, E -= b. Wait-free (single fetch_add). Waiters
-  /// observe the change on their next spin iteration; there is no separate
-  /// wake-up step in a yield-based environment.
+  /// Algorithm 2: C += n, E -= b. Wait-free (single fetch_add). There is
+  /// no separate wake-up step: the scheduler re-evaluates each reserved
+  /// waiter's condition before it would resume it, so the next warp step
+  /// after this fetch_add lets the waiters whose condition now holds run.
   void signal(std::uint64_t n, std::uint64_t b = 0) {
     const std::uint64_t delta = pack(n, 0, 0) - pack(0, b, 0);
     const std::uint64_t prev =

@@ -47,10 +47,10 @@ class Collective {
       // Publishing the token is the release point that lets members in.
       owner_token_.store(g.token(), std::memory_order_release);
     } else {
-      Backoff bo;
-      while (owner_token_.load(std::memory_order_acquire) != g.token()) {
-        bo.pause();
-      }
+      const std::uint64_t token = g.token();
+      spin_until([this, token] {
+        return owner_token_.load(std::memory_order_acquire) == token;
+      });
     }
   }
 

@@ -41,7 +41,6 @@ class CountingSemaphore {
   std::int64_t wait(std::int64_t n) {
     TOMA_DASSERT(n > 0);
     std::int64_t s = value_.load(std::memory_order_acquire);
-    Backoff bo;
     for (;;) {
       if (s >= n) {
         if (value_.compare_exchange_weak(s, s - n, std::memory_order_acq_rel,
@@ -54,7 +53,8 @@ class CountingSemaphore {
           return s;
         }
       } else {
-        bo.pause();
+        // Someone is growing: wait for its signal.
+        spin_until([this] { return value() >= 0; });
         s = value_.load(std::memory_order_acquire);
       }
     }

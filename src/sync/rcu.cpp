@@ -40,10 +40,9 @@ void SrcuDomain::synchronize() {
 
   // Grace-period length: epoch flip until the last old-epoch reader leaves.
   [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
-  Backoff bo;
-  while (readers_[old_idx].load(std::memory_order_acquire) != 0) {
-    bo.pause();
-  }
+  spin_until([this, old_idx] {
+    return readers_[old_idx].load(std::memory_order_acquire) == 0;
+  });
   TOMA_HIST("sync.rcu.grace_ns", TOMA_NOW_NS() - t0);
   writer_mu_.unlock();
 

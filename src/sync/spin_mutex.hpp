@@ -1,4 +1,5 @@
-// Test-and-test-and-set spin mutex with cooperative backoff.
+// Test-and-test-and-set spin mutex; a contended locker waits on the lock
+// bit through spin_until.
 //
 // This is the GPU-style mutex the paper treats as the scalability baseline:
 // correct, simple, and serializing. The allocator uses it only where the
@@ -21,13 +22,8 @@ class SpinMutex {
   SpinMutex& operator=(const SpinMutex&) = delete;
 
   void lock() {
-    Backoff bo;
-    for (;;) {
-      if (!locked_.load(std::memory_order_relaxed) &&
-          !locked_.exchange(true, std::memory_order_acquire)) {
-        return;
-      }
-      bo.pause();
+    while (!try_lock()) {
+      spin_until([this] { return !locked_.load(std::memory_order_acquire); });
     }
   }
 

@@ -1,7 +1,9 @@
 // Warp-queue scheduler tests: determinism of the single-worker mode,
 // park/unpark correctness around barriers (including early exit), the
 // fewer-spurious-resumes acceptance bound against the legacy round-robin
-// policy, and multi-worker completion with stealing.
+// policy, condition waits (skipped, not resumed; harmless under
+// round-robin; multi-worker hand-offs), and multi-worker completion with
+// stealing.
 #include "gpusim/sched.hpp"
 
 #include <gtest/gtest.h>
@@ -123,6 +125,92 @@ TEST(Scheduler, RoundRobinPolicyStillWorks) {
   const DeviceStats s = dev.stats();
   EXPECT_GT(s.last_launch.sched_rounds, 0u);
   EXPECT_EQ(s.last_launch.warp_parks, 0u);  // RR never parks
+}
+
+/// One block of `waiters + 1` threads: lane 0 yields `setter_yields` times
+/// and then raises `flag`; every other lane waits for the flag, through
+/// wait_until or, with `as_yield_loop`, a plain yield loop.
+Kernel flag_wait_kernel(std::atomic<std::uint32_t>& flag,
+                        std::atomic<std::uint32_t>& saw_flag,
+                        std::uint32_t setter_yields, bool as_yield_loop) {
+  return [&flag, &saw_flag, setter_yields, as_yield_loop](ThreadCtx& t) {
+    if (t.thread_rank() == 0) {
+      for (std::uint32_t i = 0; i < setter_yields; ++i) t.yield();
+      flag.store(1, std::memory_order_release);
+      return;
+    }
+    if (as_yield_loop) {
+      while (flag.load(std::memory_order_acquire) == 0) t.yield();
+    } else {
+      t.wait_until(
+          [&flag] { return flag.load(std::memory_order_acquire) != 0; });
+    }
+    saw_flag.fetch_add(1, std::memory_order_relaxed);
+  };
+}
+
+TEST(Scheduler, ConditionWaitersAreNotResumed) {
+  // N waiters on a flag that lane 0 raises after K yields. Beyond each
+  // lane's first resume (which starts it), the setter costs K resumes and
+  // each waiter exactly one — when the flag is up. The same kernel as a
+  // yield loop resumes every waiter once per setter yield.
+  constexpr std::uint32_t kWaiters = 63;
+  constexpr std::uint32_t kSetterYields = 16;
+  const Dim3 block{kWaiters + 1};
+
+  auto run = [&](bool as_yield_loop) {
+    Device dev(test::small_device(1, 512, /*workers=*/1));
+    std::atomic<std::uint32_t> flag{0}, saw{0};
+    dev.launch(Dim3{1}, block,
+               flag_wait_kernel(flag, saw, kSetterYields, as_yield_loop));
+    EXPECT_EQ(saw.load(), kWaiters);
+    return dev.stats().last_launch;
+  };
+  const LaunchStats cond = run(false);
+  const LaunchStats spin = run(true);
+
+  const std::uint64_t starts = kWaiters + 1;
+  EXPECT_LE(cond.fiber_resumes, starts + kWaiters + kSetterYields + 2);
+  EXPECT_LT(cond.fiber_resumes, spin.fiber_resumes);
+  EXPECT_GT(cond.wait_skips, 0u);    // the waiters were skipped, not resumed
+  EXPECT_EQ(spin.wait_skips, 0u);    // plain yields leave lanes runnable
+  EXPECT_EQ(cond.warp_parks, 0u);    // condition waits never park
+  std::printf("[  INFO  ] fiber resumes: wait_until=%llu yield-loop=%llu "
+              "(wait_skips=%llu)\n",
+              static_cast<unsigned long long>(cond.fiber_resumes),
+              static_cast<unsigned long long>(spin.fiber_resumes),
+              static_cast<unsigned long long>(cond.wait_skips));
+}
+
+TEST(Scheduler, ConditionWaitSurvivesRoundRobin) {
+  // Round-robin resumes every lane every round regardless of its wait
+  // record; wait_until must re-check and re-suspend, never return early.
+  DeviceConfig cfg = test::small_device(2, 512);
+  cfg.sched = SchedPolicy::kRoundRobin;
+  Device dev(cfg);
+  std::atomic<std::uint32_t> flag{0}, saw{0};
+  dev.launch(Dim3{1}, Dim3{64}, flag_wait_kernel(flag, saw, 16, false));
+  EXPECT_EQ(saw.load(), 63u);
+  const LaunchStats s = dev.stats().last_launch;
+  EXPECT_GT(s.fiber_resumes, 63u * 16u);  // the spurious resumes happened
+  EXPECT_EQ(s.wait_skips, 0u);
+}
+
+TEST(Scheduler, ConditionWaitMultiWorkerCompletes) {
+  // A ticket chain across blocks on four workers: thread r waits until
+  // the shared counter reaches r, then advances it. Every hand-off is a
+  // condition wait that another worker may satisfy (blocks admit in rank
+  // order, so the lowest waiting rank is always resident).
+  Device dev(test::small_device(4, 512, /*workers=*/4));
+  constexpr std::uint64_t kThreads = 8 * 128;
+  std::atomic<std::uint64_t> next{0};
+  dev.launch(Dim3{8}, Dim3{128}, [&](ThreadCtx& t) {
+    const std::uint64_t me = t.global_rank();
+    t.wait_until(
+        [&next, me] { return next.load(std::memory_order_acquire) == me; });
+    next.store(me + 1, std::memory_order_release);
+  });
+  EXPECT_EQ(next.load(), kThreads);
 }
 
 TEST(Scheduler, StatsAreCumulativeWithLastLaunch) {

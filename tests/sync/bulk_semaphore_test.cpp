@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 
 #include "gpusim/gpusim.hpp"
 #include "support/test_support.hpp"
@@ -138,6 +139,62 @@ INSTANTIATE_TEST_SUITE_P(
                       BatchProtocolParam{1000, 7},
                       BatchProtocolParam{4096, 512},
                       BatchProtocolParam{333, 2}));
+
+TEST(BulkSemaphore, GrowWaitStormHasBoundedResumes) {
+  // A storm of fibers each acquiring one unit, with growers that take
+  // kGrowYields scheduling rounds to produce their batch. Reserved
+  // waiters wait on the semaphore word, so the scheduler skips them while
+  // a batch is in flight: resumes stay a small multiple of the thread
+  // count plus the growers' own latency, instead of every waiter polling
+  // once per grower yield.
+  constexpr std::uint32_t kThreads = 2048;
+  constexpr std::uint32_t kBatch = 64;
+  constexpr std::uint32_t kGrowYields = 8;
+  gpu::Device dev(test::small_device(2, 1024, 1));
+  BulkSemaphore sem(0);
+  std::atomic<std::uint64_t> batches{0}, acquired{0};
+
+  dev.launch_linear(kThreads, 128, [&](gpu::ThreadCtx& t) {
+    if (sem.wait(1, kBatch) == WaitResult::kMustGrow) {
+      batches.fetch_add(1, std::memory_order_relaxed);
+      for (std::uint32_t i = 0; i < kGrowYields; ++i) t.yield();
+      sem.signal(kBatch - 1, kBatch - 1);
+    }
+    acquired.fetch_add(1, std::memory_order_relaxed);
+  });
+
+  EXPECT_EQ(acquired.load(), kThreads);
+  EXPECT_EQ(sem.value(), batches.load() * kBatch - kThreads);
+  EXPECT_EQ(sem.expected(), 0u);
+  EXPECT_EQ(sem.reserved(), 0u);
+  const gpu::LaunchStats s = dev.stats().last_launch;
+  // Per thread: the resume that starts it and one wake per reservation;
+  // per grower: its modeled latency.
+  EXPECT_LE(s.fiber_resumes, 2ull * kThreads + batches.load() * kGrowYields);
+  EXPECT_GT(s.wait_skips, 0u);
+  std::printf("[  INFO  ] storm: %llu resumes, %llu wait skips, %llu batches\n",
+              static_cast<unsigned long long>(s.fiber_resumes),
+              static_cast<unsigned long long>(s.wait_skips),
+              static_cast<unsigned long long>(batches.load()));
+}
+
+TEST(SpinUntil, OsThreadsHandOffTickets) {
+  // Off-kernel, spin_until polls with cpu_relax and then
+  // std::this_thread::yield: a ticket passed round-robin between
+  // preemptive threads must reach every holder in order.
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kRounds = 200;
+  std::atomic<std::uint64_t> next{0};
+  test::run_os_threads(kThreads, [&](unsigned id) {
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      const std::uint64_t mine = r * kThreads + id;
+      spin_until(
+          [&next, mine] { return next.load(std::memory_order_acquire) == mine; });
+      next.store(mine + 1, std::memory_order_release);
+    }
+  });
+  EXPECT_EQ(next.load(), kThreads * kRounds);
+}
 
 TEST(BulkSemaphore, MixedProducersConsumersOnGpu) {
   // Producer/consumer flow without growth: producers signal, consumers
