@@ -15,11 +15,12 @@
 // Protocol: identical geometry and allocation sequence, defrag off vs on
 // (both with vmm growth, shrink, and release_threshold=0 — the OFF arm
 // is "shrink alone", so the measured gap is compaction, not trimming).
-// The relocation callback rekeys the survivor table, exactly as a host
-// application tolerating relocation would. Report live bytes, mapped
-// bytes, live/mapped occupancy (1.0 = perfectly dense), and defrag
-// moves. Acceptance: defrag ON holds live/mapped >= 2x better than OFF
-// at the final round.
+// The ON arm runs DefragMode::kSync with a commit-only relocation hook
+// that rekeys the survivor table, exactly as a host application
+// tolerating relocation would. Report live bytes, mapped bytes,
+// live/mapped occupancy (1.0 = perfectly dense), and bytes moved.
+// Acceptance: defrag ON holds live/mapped >= 2x better than OFF at the
+// final round.
 #include <cinttypes>
 #include <unordered_map>
 #include <vector>
@@ -38,7 +39,7 @@ struct Out {
   double live_mb;
   double mapped_mb;
   double occupancy;  // live / mapped, 1.0 = perfectly dense
-  std::uint64_t moves;
+  std::uint64_t moved_bytes;
   double peak_mapped_mb;
 };
 
@@ -53,23 +54,25 @@ Out run(const Options& opt, bool defrag_on) {
   // round the footprint to whole chunks, and the interesting signal is
   // how closely mapped tracks live.
   cfg.chunk_bytes = 1u << 20;
-  cfg.defrag = defrag_on;
+  cfg.defrag_mode =
+      defrag_on ? alloc::DefragMode::kSync : alloc::DefragMode::kOff;
   cfg.release_threshold = 0;  // trim (and defrag, when on) at every sync
   alloc::Pool pool(defrag_on ? "frag-on" : "frag-off", cfg);
   gpu::Stream stream;
 
   // Survivors keyed by *current* address: defrag moves blocks, and the
-  // relocation callback rekeys — the contract a relocation-tolerant
-  // tenant runtime implements.
+  // commit hook rekeys — the contract a relocation-tolerant tenant
+  // runtime implements. No prepare: the quiescent driver admits every
+  // move.
   std::unordered_map<void*, std::uint32_t> live;
-  pool.allocator().set_relocation_callback(
-      [&live](void* from, void* to, std::size_t) {
+  pool.set_relocation_hooks(alloc::RelocationHooks{
+      .commit = [&live](void* from, void* to, std::size_t) {
         const auto it = live.find(from);
         if (it == live.end()) return;  // short-lived block mid-batch
         const std::uint32_t id = it->second;
         live.erase(it);
         live.emplace(to, id);
-      });
+      }});
 
   util::Xorshift rng(0x5eed);
   std::uint32_t next_id = 0;
@@ -96,14 +99,14 @@ Out run(const Options& opt, bool defrag_on) {
   const alloc::PoolStats st = pool.stats();
   const double live_b = static_cast<double>(st.bytes_in_use);
   const double mapped_b = static_cast<double>(st.alloc.mapped_bytes);
-  std::printf("  [%s] passes=%" PRIu64 " moves=%" PRIu64 " grows=%" PRIu64
+  std::printf("  [%s] passes=%" PRIu64 " moved=%" PRIu64 "B grows=%" PRIu64
               " shrinks=%" PRIu64 "\n",
               defrag_on ? "on" : "off", st.alloc.defrag_passes,
-              st.alloc.defrag_moves, st.alloc.vmm.grows,
+              st.alloc.defrag_moved_bytes, st.alloc.vmm.grows,
               st.alloc.vmm.shrinks);
   const Out out{live_b / (1 << 20), mapped_b / (1 << 20),
                 mapped_b == 0 ? 0.0 : live_b / mapped_b,
-                st.alloc.defrag_moves,
+                st.alloc.defrag_moved_bytes,
                 static_cast<double>(peak_mapped) / (1 << 20)};
   std::vector<void*> drain;
   drain.reserve(live.size());
@@ -119,20 +122,19 @@ int main_impl(int argc, char** argv) {
   util::Table table(
       "Ablation A11: elastic backing defrag on/off (fragmentation)");
   table.set_header({"defrag", "live (MB)", "mapped (MB)", "live/mapped",
-                    "moves", "peak mapped (MB)"});
+                    "moved (B)", "peak mapped (MB)"});
   const Out off = run(opt, false);
   const Out on = run(opt, true);
-  table.add("off", off.live_mb, off.mapped_mb, off.occupancy, off.moves,
-            off.peak_mapped_mb);
-  table.add("on", on.live_mb, on.mapped_mb, on.occupancy, on.moves,
+  table.add("off", off.live_mb, off.mapped_mb, off.occupancy,
+            off.moved_bytes, off.peak_mapped_mb);
+  table.add("on", on.live_mb, on.mapped_mb, on.occupancy, on.moved_bytes,
             on.peak_mapped_mb);
   const double gap = off.occupancy == 0 ? 0.0 : on.occupancy / off.occupancy;
   table.set_meta("occupancy_gap", std::to_string(gap));
   std::printf("  off: live=%.1fMB mapped=%.1fMB occ=%.3f\n", off.live_mb,
               off.mapped_mb, off.occupancy);
-  std::printf("  on:  live=%.1fMB mapped=%.1fMB occ=%.3f moves=%" PRIu64
-              "\n",
-              on.live_mb, on.mapped_mb, on.occupancy, on.moves);
+  std::printf("  on:  live=%.1fMB mapped=%.1fMB occ=%.3f moved=%" PRIu64
+              "B\n", on.live_mb, on.mapped_mb, on.occupancy, on.moved_bytes);
   std::printf("  defrag holds live/mapped %.2fx denser\n", gap);
   finish_table(opt, table);
   return 0;

@@ -8,7 +8,8 @@
 // allocation sequence:
 //
 //   off          shrink-only baseline (trim at sync points, no moves)
-//   sync         whole quiescent passes at the periodic sync points
+//   sync         the evacuation state machine run to completion at
+//                each periodic sync point (the quiescent driver)
 //   incremental  bounded defrag_step slices piggybacked on the async
 //                surface while traffic keeps flowing (two-phase
 //                prepare/commit hooks, forwarding for in-flight frees)
@@ -172,11 +173,9 @@ Out run(const Options& opt, alloc::DefragMode mode, const char* name) {
   const alloc::PoolStats st = pool.stats();
   const double live_b = static_cast<double>(st.bytes_in_use);
   const double mapped_b = static_cast<double>(st.alloc.mapped_bytes);
-  std::printf("  [%s] steps=%" PRIu64 " moved=%" PRIu64 "B passes=%" PRIu64
-              " moves=%" PRIu64 " forwarded=%" PRIu64 " pin_stalls=%" PRIu64
-              "\n",
+  std::printf("  [%s] steps=%" PRIu64 " moved=%" PRIu64 "B forwarded=%" PRIu64
+              " pin_stalls=%" PRIu64 "\n",
               name, st.alloc.defrag_steps, st.alloc.defrag_moved_bytes,
-              st.alloc.defrag_passes, st.alloc.defrag_moves,
               st.alloc.defrag_forwarded, st.alloc.defrag_pin_stalls);
   const Out out{live_b / (1 << 20),
                 mapped_b / (1 << 20),

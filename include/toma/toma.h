@@ -103,16 +103,14 @@ typedef struct toma_pool_config {
                              * shrink floor); 0 = library default (1)    */
   unsigned max_chunks;      /* growth ceiling in chunks; 0 = the whole
                              * reservation                               */
-  int defrag;               /* DEPRECATED (use defrag_mode): run the
-                             * defragmentation pass at sync points
-                             * (moved blocks change address — only for
-                             * hosts that tolerate relocation).
-                             * -1/0 = off (the default), 1 = on.
-                             * Consulted only when defrag_mode is -1    */
-  int defrag_mode;          /* defragmentation driver:
-                             *  -1 = legacy (honour `defrag` above),
+  int defrag_mode;          /* defragmentation driver (moved blocks
+                             * change address — only for hosts that
+                             * tolerate relocation):
+                             *  -1 = library default (off),
                              *   0 = off,
-                             *   1 = sync (whole pass at sync points),
+                             *   1 = sync (evacuation run to completion
+                             *       at sync points; relocation hooks
+                             *       need only a commit callback),
                              *   2 = incremental (bounded concurrent
                              *       slices; requires relocation hooks
                              *       with a prepare callback, see
@@ -242,7 +240,7 @@ toma_status_t toma_pool_set_relocation_hooks(
 
 typedef struct toma_defrag_stats {
   uint64_t steps;       /* defrag_step slices that ran */
-  uint64_t moved_bytes; /* bytes evacuated incrementally */
+  uint64_t moved_bytes; /* bytes evacuated (sync and incremental) */
   uint64_t forwarded;   /* frees/reallocs resolved via forwarding */
   uint64_t pin_stalls;  /* retirement waits on in-flight operations */
 } toma_defrag_stats_t;

@@ -491,17 +491,6 @@ void GpuAllocator::set_relocation_hooks(RelocationHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-void GpuAllocator::set_relocation_callback(RelocateFn cb) {
-  // Legacy shim: prepare admits every move (the quiescent-pass contract,
-  // where nothing races the pass), commit is the old callback.
-  RelocationHooks hooks;
-  if (cb) {
-    hooks.commit = [cb = std::move(cb)](void* from, void* to,
-                                        std::size_t n) { cb(from, to, n); };
-  }
-  set_relocation_hooks(std::move(hooks));
-}
-
 void GpuAllocator::set_incremental_defrag(bool on) {
   if (on) {
     pins_on_.store(true, std::memory_order_seq_cst);
@@ -516,13 +505,9 @@ void GpuAllocator::set_incremental_defrag(bool on) {
   }
 }
 
-std::size_t GpuAllocator::defrag(std::size_t max_moves) {
+std::size_t GpuAllocator::defrag() {
   if (!vmm_enabled()) return 0;
   sync::LockGuard<sync::SpinMutex> defrag_lock(defrag_mu_);
-  // A quiescent pass over outstanding incremental state would census the
-  // held slots as live and (under permissive hooks) double-free them —
-  // the two drivers are mutually exclusive until the queue drains.
-  if (active_ != nullptr || !forwarding_.empty()) return 0;
   st_defrag_passes_.fetch_add(1, std::memory_order_relaxed);
   TOMA_CTR_INC("vmm.defrag_passes");
   // Quiescent-point preamble: every cached block must re-enter the bin
@@ -531,154 +516,65 @@ std::size_t GpuAllocator::defrag(std::size_t max_moves) {
   if (san_->engaged()) san_->flush_quarantine();
   lane_->flush();
   ualloc_->release_cached();
-  // Unmapping happens at backing-chunk granularity, so bin-level
-  // compaction only pays off when whole chunks empty. Group the census by
-  // owning chunk and evacuate chunks in ascending live-byte order,
-  // blacklisting every evacuating chunk as a destination: blocks flow out
-  // of the emptiest chunks into the fullest ones, instead of the
-  // allocator re-scattering them (class-list order interleaves bins from
-  // every chunk) so that each chunk keeps one live bin and none unmap.
-  struct ChunkGroup {
-    std::uintptr_t base = 0;
-    std::size_t live_bytes = 0;
-    std::vector<UAlloc::BinOccupancy> bins;
-  };
-  const std::size_t chunk_bytes = vmm_->chunk_bytes();
-  std::map<std::uintptr_t, ChunkGroup> groups;
-  for (const UAlloc::BinOccupancy& bo : ualloc_->snapshot_bins()) {
-    const std::uintptr_t base = static_cast<std::uintptr_t>(
-        util::align_down(reinterpret_cast<std::uintptr_t>(bo.bin),
-                         chunk_bytes));
-    ChunkGroup& g = groups[base];
-    g.base = base;
-    g.live_bytes += bo.live * size_of_class(bo.bin->size_class);
-    g.bins.push_back(bo);
-  }
-  // The occupancy threshold (Num/Den, default 1/2) applies at *chunk*
-  // granularity: a chunk below it is evacuated wholesale, dense bins
-  // included — copying a few full bins is cheap next to unmapping a
-  // whole chunk, and sparing them would leave the chunk pinned. Chunks
-  // at or above the threshold are keepers (compaction destinations).
-  bool have_keeper = false;
-  std::vector<const ChunkGroup*> evac_order;
-  for (const auto& [base, g] : groups) {
-    if (g.live_bytes * kVmmDefragOccupancyDen >=
-        chunk_bytes * kVmmDefragOccupancyNum) {
-      have_keeper = true;
-    } else {
-      evac_order.push_back(&g);
+  select_backoff_ = 0;
+  // The incremental state machine, run to completion. Nothing else runs,
+  // so nothing changes between sweeps: each victim is swept once and
+  // forwarded, a failed extraction abandons it at once, and the loop ends
+  // within one victim per mapped chunk (see QuiescentRun).
+  std::size_t moved_bytes = 0;
+  QuiescentRun run;
+  for (;;) {
+    if (active_ != nullptr) {
+      run.tried.insert(active_->chunk);
+      moved_bytes += step_evacuate(SIZE_MAX, &run.tried);
+      // Blocks the sweep left behind (vetoed, or no destination) make
+      // retirement's extraction fail, which hands the chunk back.
+      if (active_ != nullptr) begin_forwarding();
     }
-  }
-  std::sort(evac_order.begin(), evac_order.end(),
-            [](const ChunkGroup* a, const ChunkGroup* b) {
-              return a->live_bytes != b->live_bytes
-                         ? a->live_bytes < b->live_bytes
-                         : a->base < b->base;
-            });
-  // With no dense chunk anywhere, keep the fullest sparse chunk as the
-  // landing zone — evacuating every chunk would only push blocks into
-  // freshly mapped ones.
-  if (!have_keeper && !evac_order.empty()) evac_order.pop_back();
-  std::size_t moved = 0;
-  std::set<std::uintptr_t> evac;
-  std::vector<std::pair<BinHeader*, std::uint32_t>> pinned;
-  std::set<const void*> pinned_addrs;
-  for (const ChunkGroup* g : evac_order) {
-    if (moved >= max_moves) break;
-    evac.insert(g->base);
-    for (const UAlloc::BinOccupancy& bo : g->bins) {
-      if (moved >= max_moves) break;
-      if (bo.live == 0) continue;
-      moved += migrate_bin(bo.bin, max_moves - moved, evac, pinned,
-                           pinned_addrs);
+    while (step_retire(/*max_retries=*/0)) {
     }
+    // A pin that has not drained leaves its chunk queued for a later
+    // call (or step) to retire; never spin on it here.
+    if (!forwarding_.empty() || !select_victim(&run)) break;
   }
-  // Release the parked destination blocks: the evacuated chunks they kept
-  // alive empty out and retire in the trim below.
-  for (const auto& [bin, idx] : pinned) ualloc_->free_for_defrag(bin, idx);
-  // Epilogue: emptied bins and chunks retire to the buddy, coalesce, and
-  // the freed chunks unmap back to the OS.
   ualloc_->trim();
   buddy_->trim();
   shrink_backing();
-  if (moved != 0) {
-    st_defrag_moves_.fetch_add(moved, std::memory_order_relaxed);
-    TOMA_CTR_ADD("vmm.defrag_moves", moved);
+  if (moved_bytes != 0) {
+    st_defrag_moved_bytes_.fetch_add(moved_bytes, std::memory_order_relaxed);
+    TOMA_CTR_ADD("vmm.defrag.moved_bytes", moved_bytes);
   }
-  return moved;
-}
-
-std::size_t GpuAllocator::migrate_bin(
-    BinHeader* bin, std::size_t budget, const std::set<std::uintptr_t>& evac,
-    std::vector<std::pair<BinHeader*, std::uint32_t>>& pinned,
-    std::set<const void*>& pinned_addrs) {
-  const std::size_t cls_bytes = size_of_class(bin->size_class);
-  const std::size_t chunk_bytes = vmm_->chunk_bytes();
-  std::size_t moved = 0;
-  // No occupancy re-check here: a bin in an evacuating chunk can only
-  // have *gained* occupancy from this pass's own pins (destinations never
-  // land inside `evac`), and pinned slots are skipped individually below
-  // — the remaining live blocks must still move or the chunk never
-  // empties.
-  util::AtomicBitmapRef bitmap = bin->bitmap();
-  // Destination blocks that decode into an evacuating chunk stay claimed
-  // (parked in `pinned`) until the pass finishes, so the allocator cannot
-  // hand the migration an evacuating chunk as a target — a drained bin
-  // relists at the *front* of its class list, so without the parking the
-  // pass would ping-pong blocks between sparse bins instead of
-  // compacting. A pinned slot reads as live in the bitmap, so the scan
-  // must skip pinned slots: a pin can land ahead of the cursor in this
-  // very bin (or in a later bin of the same chunk) and would otherwise
-  // be migrated AND released at pass end, a double free.
-  for (std::uint32_t idx = 0; idx < bin->capacity && moved < budget; ++idx) {
-    if (!bitmap.test(idx)) continue;
-    void* old_block = ualloc_->block_address(bin, idx);
-    if (pinned_addrs.count(old_block) != 0) continue;
-    const MoveResult r = move_block(bin, idx, cls_bytes, evac, pinned,
-                                    pinned_addrs, /*hold_source=*/false);
-    if (r == MoveResult::kNoDest) break;  // no compaction target left
-    if (r == MoveResult::kMoved) ++moved;
-  }
-  (void)chunk_bytes;
-  return moved;
+  return moved_bytes;
 }
 
 GpuAllocator::MoveResult GpuAllocator::move_block(
-    BinHeader* bin, std::uint32_t idx, std::size_t cls_bytes,
-    const std::set<std::uintptr_t>& evac,
-    std::vector<std::pair<BinHeader*, std::uint32_t>>& pinned,
-    std::set<const void*>& pinned_addrs, bool hold_source) {
-  const std::size_t chunk_bytes = vmm_->chunk_bytes();
+    EvacState& ev, BinHeader* bin, std::uint32_t idx, std::size_t cls_bytes,
+    const std::set<std::uint32_t>* no_landing) {
   void* old_block = ualloc_->block_address(bin, idx);
-  // In the incremental path the held vectors are shared with tenant-side
-  // evac_park and need park_mu_; the sync pass runs quiescent and must
-  // not pay (or re-enter) the lock. Never held across the hooks — a host
-  // holding its own lock in prepare may be mallocing on another thread
-  // that is parking under park_mu_ at that very moment.
-  const auto park = [&](BinHeader* b, std::uint32_t i, const void* addr) {
-    if (hold_source) {
-      sync::LockGuard<sync::SpinMutex> g(park_mu_);
-      pinned.emplace_back(b, i);
-      pinned_addrs.insert(addr);
-    } else {
-      pinned.emplace_back(b, i);
-      pinned_addrs.insert(addr);
-    }
+  // The held set is shared with tenant-side evac_park, hence park_mu_.
+  // Never held across the hooks — a host holding its own lock in prepare
+  // may be mallocing on another thread that is parking under park_mu_ at
+  // that very moment.
+  const auto hold = [&](BinHeader* b, std::uint32_t i, const void* addr) {
+    sync::LockGuard<sync::SpinMutex> g(park_mu_);
+    ev.held.emplace_back(b, i);
+    ev.held_addrs.insert(addr);
   };
   void* dest;
-  // Bounded: every rejected probe parks one free slot of an evacuating
-  // chunk, so the allocator strictly runs down their free space and
-  // eventually hands out a block outside `evac` (or nullptr).
+  // Bounded: every rejected probe holds one free slot of the victim (or
+  // of a `no_landing` chunk), so the allocator strictly runs down their
+  // free space and eventually hands out a block elsewhere (or nullptr).
   for (;;) {
     dest = ualloc_->allocate(cls_bytes);
     if (dest == nullptr) break;
-    const std::uintptr_t dbase = static_cast<std::uintptr_t>(
-        util::align_down(reinterpret_cast<std::uintptr_t>(dest),
-                         chunk_bytes));
-    if (evac.count(dbase) == 0) break;
+    const std::uint32_t dc = vmm_->chunk_index(dest);
+    if (dc != ev.chunk &&
+        (no_landing == nullptr || no_landing->count(dc) == 0)) {
+      break;
+    }
     std::uint32_t didx;
     BinHeader* dbin = ualloc_->decode_block(dest, &didx);
-    park(dbin, didx, dest);
+    hold(dbin, didx, dest);
   }
   if (dest == nullptr) return MoveResult::kNoDest;
   // Prospective user pointers for the two-phase contract: under HeapSan
@@ -718,20 +614,13 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
   // event — block ids name logical allocations, so record->replay
   // stays bit-identical whether or not defrag ran.
   obs::Recorder::instance().on_move(old_user, new_user);
-  if (hold_source) {
-    // Incremental: the forward entry must exist before commit returns —
-    // from that moment the host may free/realloc at either name — and
-    // the source slot stays claimed until the chunk's pin epoch drains,
-    // so the forwarded old address can never be reallocated while its
-    // entry is live.
-    vmm_->forward().insert(old_user, new_user);
-  }
+  // The forward entry must exist before commit returns — from that moment
+  // the host may free/realloc at either name — and the source slot stays
+  // claimed until the chunk's pin epoch drains, so the forwarded old
+  // address can never be reallocated while its entry is live.
+  vmm_->forward().insert(old_user, new_user);
   if (hooks_.commit) hooks_.commit(old_user, new_user, user_bytes);
-  if (hold_source) {
-    park(bin, idx, old_block);
-  } else {
-    ualloc_->free_for_defrag(bin, idx);
-  }
+  hold(bin, idx, old_block);
   return MoveResult::kMoved;
 }
 
@@ -753,7 +642,7 @@ std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
   st_defrag_steps_.fetch_add(1, std::memory_order_relaxed);
   TOMA_CTR_INC("vmm.defrag.steps");
   if (budget_bytes == 0) budget_bytes = kVmmDefragStepBytes;
-  step_retire();
+  step_retire(kVmmDefragExtractRetries);
   std::size_t moved_bytes = 0;
   if (hooks_.prepare) {
     if (active_ == nullptr) select_victim();
@@ -767,7 +656,7 @@ std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
   return moved_bytes;
 }
 
-bool GpuAllocator::select_victim() {
+bool GpuAllocator::select_victim(QuiescentRun* run) {
   if (select_backoff_ > 0) {
     --select_backoff_;
     return false;
@@ -782,16 +671,20 @@ bool GpuAllocator::select_victim() {
     select_backoff_ = kVmmDefragSelectBackoff;
     return false;
   }
-  // Same census the sync pass runs, grouped by backing chunk — but here
-  // it is only paid once per victim selection, not per step.
+  // Whole-heap census grouped by backing chunk — paid once per victim
+  // selection, not per step.
   std::map<std::uint32_t, std::size_t> live_by_chunk;
   for (const UAlloc::BinOccupancy& bo : ualloc_->snapshot_bins()) {
     live_by_chunk[vmm_->chunk_index(bo.bin)] +=
         bo.live * size_of_class(bo.size_class);
   }
-  // Keep-fullest rule (as in the sync pass): if no populated chunk meets
-  // the occupancy threshold, the fullest one is the landing zone and
-  // must not be a victim.
+  if (run != nullptr && run->candidates.empty()) {
+    for (const auto& [ci, lb] : live_by_chunk) run->candidates.insert(ci);
+  }
+  // Keep-fullest rule: if no populated chunk meets the occupancy
+  // threshold, the fullest one is the landing zone and must not be a
+  // victim — evacuating every chunk would only push blocks into freshly
+  // mapped ones.
   bool have_keeper = false;
   std::uint32_t fullest = UINT32_MAX;
   std::size_t fullest_live = 0;
@@ -811,6 +704,10 @@ bool GpuAllocator::select_victim() {
     }
     if (!have_keeper && ci == fullest) continue;
     if (vmm_->chunk_state(ci) != vmm::ChunkState::kLive) continue;
+    if (run != nullptr &&
+        (run->candidates.count(ci) == 0 || run->tried.count(ci) != 0)) {
+      continue;
+    }
     if (lb < best_live) {
       best = ci;
       best_live = lb;
@@ -838,11 +735,11 @@ bool GpuAllocator::select_victim() {
   return true;
 }
 
-std::size_t GpuAllocator::step_evacuate(std::size_t budget_bytes) {
+std::size_t GpuAllocator::step_evacuate(
+    std::size_t budget_bytes, const std::set<std::uint32_t>* no_landing) {
   EvacState& ev = *active_;
   char* lo = static_cast<char*>(vmm_->chunk_addr(ev.chunk));
   char* hi = lo + vmm_->chunk_bytes();
-  const std::set<std::uintptr_t> evac{reinterpret_cast<std::uintptr_t>(lo)};
   std::size_t moved_bytes = 0;
   std::size_t remaining = 0;  // live blocks left behind this sweep
   std::size_t vetoed = 0;
@@ -875,8 +772,7 @@ std::size_t GpuAllocator::step_evacuate(std::size_t budget_bytes) {
         ++remaining;
         continue;
       }
-      const MoveResult r = move_block(bin, idx, cls_bytes, evac, ev.held,
-                                      ev.held_addrs, /*hold_source=*/true);
+      const MoveResult r = move_block(ev, bin, idx, cls_bytes, no_landing);
       if (r == MoveResult::kMoved) {
         moved_bytes += cls_bytes;
       } else if (r == MoveResult::kVetoed) {
@@ -931,8 +827,8 @@ void GpuAllocator::begin_forwarding() {
   TOMA_CTR_INC("vmm.defrag.forwarding");
 }
 
-void GpuAllocator::step_retire() {
-  if (forwarding_.empty()) return;
+bool GpuAllocator::step_retire(std::uint32_t max_retries) {
+  if (forwarding_.empty()) return false;
   EvacState& head = *forwarding_.front();
   if (head.token == 0) {
     // Serialized retirement: only the queue head ever holds a token,
@@ -944,7 +840,7 @@ void GpuAllocator::step_retire() {
   if (!pins_.quiesced(head.token)) {
     st_defrag_pin_stalls_.fetch_add(1, std::memory_order_relaxed);
     TOMA_CTR_INC("vmm.defrag.pin_stalls");
-    return;
+    return false;
   }
   char* chunk_base = static_cast<char*>(vmm_->chunk_addr(head.chunk));
   const std::size_t chunk_bytes = vmm_->chunk_bytes();
@@ -968,7 +864,7 @@ void GpuAllocator::step_retire() {
   // out of the tree. Extraction is the safety authority: it succeeds
   // only when the chunk really is one free block, so a tenant
   // allocation that slipped in after the release simply fails the claim
-  // and we retry (bounded).
+  // and we retry, at most `max_retries` times.
   ualloc_->trim();
   buddy_->trim();
   bool done = false;
@@ -1000,7 +896,7 @@ void GpuAllocator::step_retire() {
         }
       }
       done = true;
-    } else if (++head.extract_retries > kVmmDefragExtractRetries) {
+    } else if (++head.extract_retries > max_retries) {
       // Tenants reclaimed the chunk's space faster than we could claim
       // it (or vetoed blocks still live there): back into service.
       vmm_->set_state(head.chunk, vmm::ChunkState::kLive);
@@ -1014,8 +910,10 @@ void GpuAllocator::step_retire() {
     if (san_->engaged()) san_->flush_quarantine();
     lane_->flush();
     ualloc_->release_cached();
+    return false;
   }
-  if (done) forwarding_.erase(forwarding_.begin());
+  forwarding_.erase(forwarding_.begin());
+  return true;
 }
 
 GpuAllocatorStats GpuAllocator::stats() const {
@@ -1027,7 +925,6 @@ GpuAllocatorStats GpuAllocator::stats() const {
   if (vmm_ != nullptr) s.vmm = vmm_->stats();
   s.mapped_bytes = mapped_bytes();
   s.defrag_passes = st_defrag_passes_.load(std::memory_order_relaxed);
-  s.defrag_moves = st_defrag_moves_.load(std::memory_order_relaxed);
   s.defrag_steps = st_defrag_steps_.load(std::memory_order_relaxed);
   s.defrag_moved_bytes =
       st_defrag_moved_bytes_.load(std::memory_order_relaxed);

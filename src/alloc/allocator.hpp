@@ -43,16 +43,19 @@ enum class AllocStatus : std::uint8_t {
 /// `release_threshold` value meaning "never auto-trim on stream sync".
 inline constexpr std::size_t kReleaseRetainAll = SIZE_MAX;
 
-/// How (and whether) a pool compacts its elastic backing.
+/// How (and whether) a pool compacts its elastic backing. Both compacting
+/// modes drive the same per-chunk evacuation state machine; they differ
+/// only in when it runs.
 ///   kOff          no compaction (shrink alone reclaims whole-free chunks)
-///   kSync         PR 9's quiescent-point pass at Pool::sync
-///   kIncremental  concurrent per-chunk evacuation driven by
-///                 defrag_step() — piggybacked on async traffic and
-///                 scheduler idle slots, zero stop-the-world phases
+///   kSync         defrag() at Pool::sync: the state machine run to
+///                 completion at the quiescent point
+///   kIncremental  bounded defrag_step() slices concurrent with traffic —
+///                 piggybacked on async ops and scheduler idle slots, zero
+///                 stop-the-world phases
 enum class DefragMode : std::uint8_t { kOff = 0, kSync = 1, kIncremental = 2 };
 
-/// Two-phase relocation contract (replaces the single fire-and-forget
-/// RelocateFn). For every block compaction wants to move:
+/// Two-phase relocation contract. For every block compaction wants to
+/// move:
 ///
 ///   prepare(old, new, size) -> bool   asked *before* any bytes move. The
 ///       host locks its references to `old` and returns true to admit the
@@ -72,13 +75,13 @@ enum class DefragMode : std::uint8_t { kOff = 0, kSync = 1, kIncremental = 2 };
 ///       contract for future use and for symmetric host bookkeeping.)
 ///
 /// Hooks run under the allocator's defrag lock: they must be quick and
-/// must not call back into this pool. An unset prepare admits every move
-/// (the legacy single-callback behaviour, valid only for kSync's
-/// quiescent passes).
+/// must not call back into this pool. An unset prepare admits every move,
+/// which only the quiescent defrag() accepts: a host that tolerates
+/// relocation at sync points registers `RelocationHooks{.commit = f}`.
 struct RelocationHooks {
-  std::function<bool(void*, void*, std::size_t)> prepare;
-  std::function<void(void*, void*, std::size_t)> commit;
-  std::function<void(void*)> abort;
+  std::function<bool(void*, void*, std::size_t)> prepare = nullptr;
+  std::function<void(void*, void*, std::size_t)> commit = nullptr;
+  std::function<void(void*)> abort = nullptr;
 };
 
 /// Construction parameters for a heap/pool. Replaces the positional
@@ -136,21 +139,10 @@ struct HeapConfig {
   std::uint32_t initial_chunks = 1;
   /// Growth ceiling in chunks; 0 = the whole reservation.
   std::uint32_t max_chunks = 0;
-  /// Run the defragmentation pass at pool sync points (quiescent-point
-  /// bin migration; moved blocks change address, so only opt in when
-  /// every consumer tolerates relocation — see
-  /// GpuAllocator::set_relocation_callback). Legacy toggle: equivalent
-  /// to defrag_mode = kSync; superseded by defrag_mode below.
-  bool defrag = false;
-  /// Compaction driver (see DefragMode). kOff here defers to the legacy
-  /// `defrag` bool, so existing configs keep their behaviour.
+  /// Compaction driver (see DefragMode). Moved blocks change address, so
+  /// only opt in when every consumer tolerates relocation (see
+  /// RelocationHooks).
   DefragMode defrag_mode = DefragMode::kOff;
-
-  /// The mode the two knobs above resolve to.
-  DefragMode effective_defrag_mode() const {
-    if (defrag_mode != DefragMode::kOff) return defrag_mode;
-    return defrag ? DefragMode::kSync : DefragMode::kOff;
-  }
 
   /// Constructible without asserting? (The C facade validates before
   /// constructing; the constructor itself still asserts.)
@@ -187,10 +179,9 @@ struct GpuAllocatorStats {
   std::size_t quota_bytes = 0;         // 0 = unlimited
   std::size_t mapped_bytes = 0;        // resident footprint (= pool size
                                        // when fixed)
-  std::uint64_t defrag_passes = 0;     // defrag() calls that scanned
-  std::uint64_t defrag_moves = 0;      // blocks migrated across all passes
+  std::uint64_t defrag_passes = 0;     // quiescent defrag() runs
   std::uint64_t defrag_steps = 0;      // defrag_step() calls that ran
-  std::uint64_t defrag_moved_bytes = 0;  // bytes evacuated incrementally
+  std::uint64_t defrag_moved_bytes = 0;  // bytes evacuated (both drivers)
   std::uint64_t defrag_forwarded = 0;  // frees/reallocs resolved via the
                                        // forward table
   std::uint64_t defrag_pin_stalls = 0;  // retirement waits on pin epochs
@@ -320,17 +311,18 @@ class GpuAllocator {
   /// blocks through the ordinary two-stage protocol).
   std::size_t shrink_backing();
 
-  /// Quiescent-point defragmentation: migrate every sparse UAlloc bin's
-  /// live blocks (occupancy < 1/2) into compact destinations, then trim
+  /// Quiescent-point defragmentation: the incremental evacuation state
+  /// machine (see defrag_step) run to completion. Flushes the caches,
+  /// finishes any evacuation an earlier defrag_step left in flight, then
+  /// evacuates sparse chunks (live bytes < 1/2) one victim at a time —
+  /// one sweep each, forwarded and retired at once — and ends with trim
   /// and shrink so the emptied chunks unmap. The caller must guarantee no
-  /// concurrent allocator activity (pool sync points qualify). HeapSan
-  /// shadow records and flight-recorder interning follow moved blocks;
-  /// hosts holding raw pointers must register a relocation callback.
-  /// Returns blocks moved. No-op unless vmm_enabled(). Refuses to run
-  /// (returns 0) while incremental evacuation state is outstanding — the
-  /// quiescent pass would double-free slots the incremental machinery
-  /// holds.
-  std::size_t defrag(std::size_t max_moves = SIZE_MAX);
+  /// concurrent allocator activity (pool sync points qualify). Needs no
+  /// prepare hook but honours one (vetoed blocks stay put); hosts holding
+  /// raw pointers register at least a commit hook. HeapSan shadow records
+  /// and flight-recorder interning follow moved blocks. Returns bytes
+  /// moved. No-op unless vmm_enabled().
+  std::size_t defrag();
 
   /// One bounded slice of *incremental* compaction, safe concurrently
   /// with allocator traffic (docs/INTERNALS.md §8): advances the
@@ -345,14 +337,8 @@ class GpuAllocator {
   std::size_t defrag_step(std::size_t budget_bytes = 0);
 
   /// Register the two-phase relocation hooks (replaces any previous
-  /// hooks or legacy callback).
+  /// hooks).
   void set_relocation_hooks(RelocationHooks hooks);
-
-  /// Legacy single-callback registration, adapted onto the two-phase
-  /// interface (prepare admits every move, commit = cb, no abort).
-  /// Deprecated — see docs/API.md; valid only for kSync passes.
-  using RelocateFn = std::function<void(void*, void*, std::size_t)>;
-  void set_relocation_callback(RelocateFn cb);
 
   /// Arm/disarm the epoch-pin facility for incremental compaction.
   /// Arming is implicit in defrag_step(); disarming only takes effect
@@ -417,20 +403,7 @@ class GpuAllocator {
   };
   GrowOutcome grow_backing(std::uint64_t& epoch);
 
-  /// Migrate one sparse bin's live blocks; returns blocks moved (0 when
-  /// the bin was skipped). Part of defrag(). `evac` holds the UAlloc
-  /// chunk bases being evacuated this pass: destination blocks that
-  /// decode into one are parked in `pinned`/`pinned_addrs` (instead of
-  /// receiving migrated data) so the allocator cannot hand an
-  /// evacuating chunk back as a target; all three live for the whole
-  /// pass (defrag() releases the pins at the end).
-  std::size_t migrate_bin(BinHeader* bin, std::size_t budget,
-                          const std::set<std::uintptr_t>& evac,
-                          std::vector<std::pair<BinHeader*, std::uint32_t>>&
-                              pinned,
-                          std::set<const void*>& pinned_addrs);
-
-  // --- incremental compaction (docs/INTERNALS.md §8) -----------------------
+  // --- compaction (docs/INTERNALS.md §8) -----------------------------------
 
   /// One chunk's evacuation in flight: parked destination slots, held
   /// (already-moved) source slots, and — once forwarding — the retire
@@ -464,23 +437,38 @@ class GpuAllocator {
   /// the victim's free space instead of racing tenant traffic for it.
   bool evac_park(void* p);
 
-  void step_retire();            // forwarding-queue head retirement
-  bool select_victim();          // census + CAS kLive -> kEvacuating
-  std::size_t step_evacuate(std::size_t budget_bytes);  // one sweep slice
+  /// Forwarding-queue head retirement. A quiesced head whose chunk still
+  /// fails whole-chunk extraction after `max_retries` further attempts is
+  /// abandoned back to kLive. Returns true when the head left the queue
+  /// (retired or abandoned).
+  bool step_retire(std::uint32_t max_retries);
+  /// One quiescent defrag() run's victim bookkeeping. Victims come only
+  /// from the chunks the run's first census saw populated: a chunk carved
+  /// during the run to receive moved blocks is not evacuated again in it.
+  /// A chunk already tried is neither taken again nor a landing zone for
+  /// later victims: blocks moved into an abandoned chunk would only move
+  /// back out at the next call.
+  struct QuiescentRun {
+    std::set<std::uint32_t> candidates;  // filled by the first census
+    std::set<std::uint32_t> tried;
+  };
+  /// Census + CAS kLive -> kEvacuating on the sparsest eligible chunk,
+  /// within `run`'s rules when given.
+  bool select_victim(QuiescentRun* run = nullptr);
+  /// One sweep slice over the active victim; moves land outside the
+  /// victim and outside the chunks in `no_landing` (when given).
+  std::size_t step_evacuate(
+      std::size_t budget_bytes,
+      const std::set<std::uint32_t>* no_landing = nullptr);
   void begin_forwarding();       // kEvacuating -> kForwarding transition
-  /// Move one block through the two-phase hooks; shared by the sync pass
-  /// and the incremental sweep. `hold_source` keeps the source slot
-  /// claimed (incremental) instead of freeing it, and installs a forward
-  /// entry. Returns false when prepare vetoed the move or no destination
-  /// exists.
+  /// Move one block of the victim `ev` through the two-phase hooks. The
+  /// source slot stays held in `ev` (released at retirement) behind a
+  /// forward entry; destination probes that land in the victim or in a
+  /// `no_landing` chunk are held too, so compaction never ping-pongs.
   enum class MoveResult : std::uint8_t { kMoved, kVetoed, kNoDest };
-  MoveResult move_block(BinHeader* bin, std::uint32_t idx,
+  MoveResult move_block(EvacState& ev, BinHeader* bin, std::uint32_t idx,
                         std::size_t cls_bytes,
-                        const std::set<std::uintptr_t>& evac,
-                        std::vector<std::pair<BinHeader*, std::uint32_t>>&
-                            pinned,
-                        std::set<const void*>& pinned_addrs,
-                        bool hold_source);
+                        const std::set<std::uint32_t>* no_landing);
 
   std::size_t pool_bytes_;
   void* pool_;
@@ -518,7 +506,6 @@ class GpuAllocator {
   mutable std::atomic<std::uint64_t> st_reallocs_inplace_{0};
   mutable std::atomic<std::uint64_t> st_quota_rejects_{0};
   mutable std::atomic<std::uint64_t> st_defrag_passes_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_moves_{0};
   mutable std::atomic<std::uint64_t> st_defrag_steps_{0};
   mutable std::atomic<std::uint64_t> st_defrag_moved_bytes_{0};
   mutable std::atomic<std::uint64_t> st_defrag_forwarded_{0};

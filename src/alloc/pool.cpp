@@ -85,7 +85,7 @@ Pool::Pool(std::string name, const HeapConfig& cfg)
       streams_(alloc_),
       release_threshold_(cfg.release_threshold),
       slo_ns_(cfg.slo_latency_ns) {
-  set_defrag_mode(cfg.effective_defrag_mode());
+  set_defrag_mode(cfg.defrag_mode);
 #if TOMA_TELEMETRY
   h_malloc_ns_ =
       &obs::registry().histogram(pool_series("pool.malloc_ns", name_));
@@ -343,7 +343,7 @@ void Pool::maybe_release() {
   // The sync-point defrag runs before the threshold check: compaction is
   // what turns "stranded in sparse bins" into whole free chunks the trim
   // and shrink below can actually return. Under kIncremental a sync
-  // point pays one bounded slice instead of a whole pass.
+  // point pays one bounded slice instead of a run to completion.
   const DefragMode mode = defrag_mode();
   if (mode == DefragMode::kSync) {
     alloc_.defrag();

@@ -72,10 +72,8 @@ HeapConfig to_cpp(const toma_pool_config_t& c) {
   cfg.chunk_bytes = c.chunk_bytes;
   if (c.initial_chunks != 0) cfg.initial_chunks = c.initial_chunks;
   cfg.max_chunks = c.max_chunks;
-  cfg.defrag = c.defrag > 0;
-  // defrag_mode -1 is "legacy": HeapConfig::effective_defrag_mode falls
-  // back to the boolean above. Range validation happens in
-  // toma_pool_create before this conversion runs.
+  // defrag_mode -1 keeps the library default (off). Range validation
+  // happens in toma_pool_create before this conversion runs.
   if (c.defrag_mode >= 0) {
     cfg.defrag_mode = static_cast<DefragMode>(c.defrag_mode);
   }
@@ -123,7 +121,6 @@ toma_pool_config_t toma_pool_config_default(void) {
   c.chunk_bytes = 0;
   c.initial_chunks = 0;
   c.max_chunks = 0;
-  c.defrag = -1;
   c.defrag_mode = -1;
   return c;
 }

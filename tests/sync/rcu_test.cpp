@@ -98,6 +98,7 @@ TEST(Srcu, ConditionalBarrierDelegatesToPendingBarrier) {
   CountingCb::fired = 0;
   CountingCb cb_a, cb_c;
 
+  std::atomic<bool> reader_in{false};
   std::atomic<bool> c_returned{false};
   std::atomic<bool> a_done{false}, b_done{false};
 
@@ -105,6 +106,7 @@ TEST(Srcu, ConditionalBarrierDelegatesToPendingBarrier) {
     if (tid == 0) {
       // Orchestrator + reader.
       const unsigned idx = d.read_lock();
+      reader_in.store(true);
       // (A) starts once we are inside the read-side critical section.
       // Wait for A to flip the epoch: it now holds the mutex, waiting us.
       while (d.epoch() == 0) std::this_thread::yield();
@@ -117,7 +119,10 @@ TEST(Srcu, ConditionalBarrierDelegatesToPendingBarrier) {
       EXPECT_EQ(CountingCb::fired.load(), 0);  // grace period still open
       d.read_unlock(idx);
     } else if (tid == 1) {
-      // Barrier A.
+      // Barrier A. It must not flip before the reader is inside: a flip
+      // that precedes read_lock leaves A nothing to wait for, so A would
+      // complete at once and B would never be seen pending.
+      while (!reader_in.load()) std::this_thread::yield();
       d.call(&cb_a);
       d.synchronize();
       a_done.store(true);

@@ -1,6 +1,6 @@
 // Elastic virtual backing store: chunk-table mechanics, grow-on-
-// exhaustion, shrink-at-trim, the mapped-footprint quota gate, and the
-// quiescent-point defragmentation pass (docs/INTERNALS.md §8).
+// exhaustion, shrink-at-trim, the mapped-footprint quota gate, and
+// defragmentation, quiescent and incremental (docs/INTERNALS.md §8).
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -283,13 +283,10 @@ TEST(Vmm, QuotaHeadroomRecoversAfterShrink) {
   for (void* p : second) ga.free(p);
 }
 
-TEST(Vmm, DefragCompactsSparseBinsAndShrinks) {
-  HeapConfig cfg = elastic_cfg();
-  GpuAllocator ga(cfg);
-
-  // Fill many 256 B bins, then free 15 of every 16 blocks: every bin is
-  // left sparse, live bytes fit one chunk, but the survivors pin pages
-  // across every chunk — exactly the footprint defrag exists to fix.
+// Fills 4096 x 256 B, keeps every 16th block (recorded in `cur` as
+// address -> index, contents 0x40 + index % 64) and frees the rest, then
+// trims and shrinks: every mapped chunk is left sparse.
+void make_sparse_survivors(GpuAllocator& ga, std::map<void*, int>& cur) {
   constexpr int kBlocks = 4096;
   std::vector<void*> held(kBlocks);
   for (int i = 0; i < kBlocks; ++i) {
@@ -297,10 +294,6 @@ TEST(Vmm, DefragCompactsSparseBinsAndShrinks) {
     ASSERT_NE(held[i], nullptr);
     std::memset(held[i], 0x40 + (i % 64), 256);
   }
-  // current address -> index into `held`; the relocation callback
-  // re-keys entries as blocks move, so multi-hop moves (a compaction
-  // destination migrated again by a later bin) resolve correctly.
-  std::map<void*, int> cur;
   for (int i = 0; i < kBlocks; ++i) {
     if (i % 16 == 0) {
       cur[held[i]] = i;
@@ -310,33 +303,62 @@ TEST(Vmm, DefragCompactsSparseBinsAndShrinks) {
   }
   ga.trim();
   ga.shrink_backing();
+}
+
+// Checks every survivor's contents at its current address, frees them
+// all, and checks the heap drained cleanly.
+void verify_and_free_survivors(GpuAllocator& ga,
+                               const std::map<void*, int>& cur) {
+  for (const auto& [p, orig] : cur) {
+    std::vector<unsigned char> want(
+        256, static_cast<unsigned char>(0x40 + orig % 64));
+    EXPECT_EQ(std::memcmp(p, want.data(), 256), 0) << "block " << orig;
+    ga.free(p);
+  }
+  if (ga.heapsan_enabled()) ga.heapsan().flush_quarantine();
+  EXPECT_EQ(ga.bytes_in_use(), 0u);
+  EXPECT_TRUE(ga.check_consistency());
+}
+
+std::uint32_t chunks_in(GpuAllocator& ga, vmm::ChunkState state) {
+  std::uint32_t n = 0;
+  for (std::uint32_t i = 0; i < ga.backing().chunk_count(); ++i) {
+    if (ga.backing().chunk_state(i) == state) ++n;
+  }
+  return n;
+}
+
+TEST(Vmm, DefragCompactsSparseBinsAndShrinks) {
+  GpuAllocator ga(elastic_cfg());
+  // Every bin is left sparse: live bytes fit one chunk, but the survivors
+  // pin pages across every chunk — exactly the footprint defrag exists
+  // to fix.
+  std::map<void*, int> cur;
+  make_sparse_survivors(ga, cur);
   const std::size_t mapped_before = ga.mapped_bytes();
 
-  ga.set_relocation_callback([&cur](void* from, void* to, std::size_t) {
-    const auto it = cur.find(from);
-    ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
-    const int idx = it->second;
-    cur.erase(it);
-    cur[to] = idx;
-  });
+  // Commit-only hooks: the quiescent driver admits every move. Entries
+  // are re-keyed as blocks move, so multi-hop moves (a destination
+  // evacuated again by a later victim) resolve correctly.
+  ga.set_relocation_hooks(alloc::RelocationHooks{
+      .commit = [&cur](void* from, void* to, std::size_t) {
+        const auto it = cur.find(from);
+        ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
+        const int idx = it->second;
+        cur.erase(it);
+        cur[to] = idx;
+      }});
   const std::size_t n = ga.defrag();
   EXPECT_GT(n, 0u);
-  EXPECT_EQ(ga.stats().defrag_moves, n);
+  EXPECT_EQ(ga.stats().defrag_moved_bytes, n);
   EXPECT_EQ(ga.stats().defrag_passes, 1u);
+  EXPECT_EQ(ga.stats().defrag_steps, 0u);
   EXPECT_LT(ga.mapped_bytes(), mapped_before);
   EXPECT_TRUE(ga.check_consistency());
 
   // Contents follow the move, and the new pointers are live allocations.
-  for (const auto& [p, orig] : cur) {
-    std::vector<unsigned char> want(256,
-                                    static_cast<unsigned char>(0x40 +
-                                                               orig % 64));
-    EXPECT_EQ(std::memcmp(p, want.data(), 256), 0) << "block " << orig;
-    EXPECT_EQ(ga.usable_size(p), 256u);
-    ga.free(p);
-  }
-  EXPECT_TRUE(ga.check_consistency());
-  EXPECT_EQ(ga.bytes_in_use(), 0u);
+  for (const auto& [p, orig] : cur) EXPECT_EQ(ga.usable_size(p), 256u);
+  verify_and_free_survivors(ga, cur);
 }
 
 TEST(ForwardTable, ResolvesConsumesAndPurges) {
@@ -376,9 +398,8 @@ TEST(ForwardTable, ResolvesConsumesAndPurges) {
 
 // Drive one full incremental evacuation cycle on a quiescent heap via
 // defrag_step alone: census -> evacuate (two-phase hooks) -> forwarding
-// -> pin-drained retirement -> unmap. The footprint must converge to
-// the same place the sync pass reaches, without a single stop-the-world
-// pass.
+// -> pin-drained retirement -> unmap. The footprint must shrink without
+// a single stop-the-world defrag() run.
 TEST(Vmm, IncrementalDefragCompactsAndRetires) {
   HeapConfig cfg = elastic_cfg();
   GpuAllocator ga(cfg);
@@ -608,16 +629,17 @@ TEST(Vmm, DefragFollowsHeapSanShadow) {
     }
   }
 
-  ga.set_relocation_callback([&cur](void* from, void* to, std::size_t bytes) {
-    // With HeapSan engaged the callback carries *user* pointers and the
-    // exact recorded request size, not the class capacity.
-    EXPECT_EQ(bytes, kSize);
-    const auto it = cur.find(from);
-    ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
-    const int idx = it->second;
-    cur.erase(it);
-    cur[to] = idx;
-  });
+  ga.set_relocation_hooks(alloc::RelocationHooks{
+      .commit = [&cur](void* from, void* to, std::size_t bytes) {
+        // With HeapSan engaged the hook carries *user* pointers and the
+        // exact recorded request size, not the class capacity.
+        EXPECT_EQ(bytes, kSize);
+        const auto it = cur.find(from);
+        ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
+        const int idx = it->second;
+        cur.erase(it);
+        cur[to] = idx;
+      }});
   const std::size_t n = ga.defrag();
   EXPECT_GT(n, 0u);
 
@@ -633,6 +655,98 @@ TEST(Vmm, DefragFollowsHeapSanShadow) {
   EXPECT_EQ(ga.stats().heapsan.live_blocks, 0u);
   ga.heapsan().flush_quarantine();
   EXPECT_TRUE(ga.check_consistency());
+}
+
+// The quiescent driver takes over whatever defrag_step left in flight —
+// a victim mid-sweep (kEvacuating) or a swept one awaiting retirement
+// (kForwarding) — and finishes it, instead of refusing to run.
+TEST(Vmm, DefragFinishesAnInFlightEvacuation) {
+  for (const bool swept : {false, true}) {
+    SCOPED_TRACE(swept ? "kForwarding" : "kEvacuating");
+    GpuAllocator ga(elastic_cfg());
+    std::map<void*, int> cur;
+    ga.set_relocation_hooks(alloc::RelocationHooks{
+        [&](void* from, void*, std::size_t) { return cur.count(from) != 0; },
+        [&](void* from, void* to, std::size_t) {
+          const auto it = cur.find(from);
+          ASSERT_NE(it, cur.end());
+          const int idx = it->second;
+          cur.erase(it);
+          cur[to] = idx;
+        },
+        nullptr});
+    make_sparse_survivors(ga, cur);
+    const std::size_t mapped_before = ga.mapped_bytes();
+
+    // One slice: a one-block budget stops mid-sweep; an unbounded one
+    // sweeps the victim clean and forwards it.
+    ga.defrag_step(swept ? std::size_t{1} << 30 : 256);
+    ASSERT_EQ(chunks_in(ga, swept ? vmm::ChunkState::kForwarding
+                                  : vmm::ChunkState::kEvacuating),
+              1u);
+    const std::uint64_t step_bytes = ga.stats().defrag_moved_bytes;
+    ASSERT_GT(step_bytes, 0u);
+
+    const std::size_t n = ga.defrag();
+    EXPECT_GT(n, 0u);
+    EXPECT_EQ(ga.stats().defrag_moved_bytes, step_bytes + n);
+    EXPECT_EQ(ga.stats().defrag_passes, 1u);
+    EXPECT_EQ(chunks_in(ga, vmm::ChunkState::kEvacuating), 0u);
+    EXPECT_EQ(chunks_in(ga, vmm::ChunkState::kForwarding), 0u);
+    EXPECT_LT(ga.mapped_bytes(), mapped_before);
+    EXPECT_TRUE(ga.check_consistency());
+    verify_and_free_survivors(ga, cur);
+  }
+}
+
+// defrag() needs no prepare hook, but honours a registered one: vetoed
+// blocks keep their address and contents, the admitted ones move, and
+// the run still ends — a victim its vetoes keep alive is abandoned and
+// never chosen again within the call.
+TEST(Vmm, DefragHonoursPrepareVetoes) {
+  GpuAllocator ga(elastic_cfg());
+  std::map<void*, int> cur;
+  make_sparse_survivors(ga, cur);
+  // The host refuses to move every other survivor.
+  std::map<void*, int> pinned;
+  for (const auto& [p, i] : cur) {
+    if ((i / 16) % 2 == 0) pinned.emplace(p, i);
+  }
+  ASSERT_FALSE(pinned.empty());
+  std::size_t vetoes = 0;
+  std::size_t commits = 0;
+  ga.set_relocation_hooks(alloc::RelocationHooks{
+      [&](void* from, void*, std::size_t) {
+        if (pinned.count(from) != 0) {
+          ++vetoes;
+          return false;
+        }
+        return cur.count(from) != 0;
+      },
+      [&](void* from, void* to, std::size_t) {
+        const auto it = cur.find(from);
+        ASSERT_NE(it, cur.end());
+        const int idx = it->second;
+        cur.erase(it);
+        cur[to] = idx;
+        ++commits;
+      },
+      nullptr});
+
+  const std::size_t n = ga.defrag();
+  EXPECT_GT(n, 0u);
+  EXPECT_GT(commits, 0u);
+  EXPECT_GT(vetoes, 0u);
+  EXPECT_EQ(ga.stats().defrag_moved_bytes, n);
+  for (const auto& [p, i] : pinned) {
+    const auto it = cur.find(p);
+    ASSERT_NE(it, cur.end()) << "vetoed block " << i << " moved";
+    EXPECT_EQ(it->second, i);
+  }
+  EXPECT_EQ(chunks_in(ga, vmm::ChunkState::kEvacuating), 0u);
+  EXPECT_EQ(chunks_in(ga, vmm::ChunkState::kForwarding), 0u);
+  EXPECT_TRUE(ga.check_consistency());
+  verify_and_free_survivors(ga, cur);
 }
 
 TEST(Vmm, FixedPoolIsUnaffected) {
@@ -656,22 +770,22 @@ TEST(Vmm, FixedPoolIsUnaffected) {
 
 TEST(Vmm, PoolSyncRunsDefragWhenEnabled) {
   HeapConfig cfg = elastic_cfg();
-  cfg.defrag = true;
+  cfg.defrag_mode = alloc::DefragMode::kSync;
   cfg.release_threshold = 0;
   alloc::Pool pool("vmm-defrag-sync", cfg);
   gpu::Stream s;
 
   // Survivors WILL move (that is the opt-in): track current addresses
-  // through the relocation callback, as a defrag-tolerating host must.
+  // through a commit hook, as a defrag-tolerating host must.
   std::map<void*, int> cur;
-  pool.allocator().set_relocation_callback(
-      [&cur](void* from, void* to, std::size_t) {
+  pool.set_relocation_hooks(alloc::RelocationHooks{
+      .commit = [&cur](void* from, void* to, std::size_t) {
         const auto it = cur.find(from);
         ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
         const int idx = it->second;
         cur.erase(it);
         cur[to] = idx;
-      });
+      }});
 
   std::vector<void*> held;
   for (int i = 0; i < 2048; ++i) held.push_back(pool.malloc(256));
@@ -685,7 +799,7 @@ TEST(Vmm, PoolSyncRunsDefragWhenEnabled) {
   const std::size_t mapped_before = pool.stats().alloc.mapped_bytes;
   pool.sync(s);  // quiescent point: defrag + threshold trim + shrink
   EXPECT_GE(pool.stats().alloc.defrag_passes, 1u);
-  EXPECT_GT(pool.stats().alloc.defrag_moves, 0u);
+  EXPECT_GT(pool.stats().alloc.defrag_moved_bytes, 0u);
   // Compaction turned sparse bins into whole unmapped chunks.
   EXPECT_LT(pool.stats().alloc.mapped_bytes, mapped_before);
   for (const auto& [p, i] : cur) pool.free(p);

@@ -14,9 +14,18 @@ With --require=PREFIX (repeatable), additionally fails unless at least one
 sampled metric starts with each PREFIX — CI uses this to prove a subsystem
 (e.g. the fixed-lane counters, toma_ualloc_lane_*) actually exported.
 
-Usage: lint_prometheus.py [--require=PREFIX ...] FILE [FILE...]
+With --catalog=DOC (e.g. docs/OBSERVABILITY.md), checks that the metric
+catalog table in DOC names exactly the metrics the library registers: every
+name literal under src/ passed to TOMA_CTR_INC/ADD, TOMA_CTRV_INC,
+TOMA_HIST/HISTV or registry().counter/histogram (directly or through
+pool_series). Fails on a name missing from either side. In the table's
+first column, `a.b.c` / `d` is shorthand for a.b.c and a.b.d (a bare name
+inherits the first name's prefix); `[i]` and `{...}` suffixes are dropped.
+
+Usage: lint_prometheus.py [--require=PREFIX ...] [--catalog=DOC] [FILE...]
 """
 
+import pathlib
 import re
 import sys
 
@@ -141,18 +150,77 @@ def lint(path: str, require=()) -> int:
     return errors
 
 
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+SRC_METRIC_RE = re.compile(
+    r"(?:TOMA_(?:CTR_INC|CTR_ADD|CTRV_INC|HIST|HISTV)"
+    r"|registry\(\)\.(?:counter|histogram))"
+    r'\(\s*(?:pool_series\(\s*)?"([^"]+)"')
+CATALOG_NAME_RE = re.compile(r"`([^`]+)`")
+
+
+def source_metrics(src_dir: pathlib.Path) -> set:
+    names = set()
+    for path in sorted(src_dir.rglob("*")):
+        if path.suffix in (".cpp", ".hpp", ".h"):
+            names.update(SRC_METRIC_RE.findall(path.read_text("utf-8")))
+    return names
+
+
+def catalog_metrics(doc: str) -> set:
+    names = set()
+    in_catalog = False
+    with open(doc, encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("#"):
+                in_catalog = line.strip() == "## Metric catalog"
+                continue
+            if not in_catalog or not line.startswith("|"):
+                continue
+            first = line.split("|")[1]
+            prefix = ""
+            for i, raw in enumerate(CATALOG_NAME_RE.findall(first)):
+                name = re.sub(r"\[[^]]*\]|\{[^}]*\}", "", raw).strip()
+                if i == 0:
+                    prefix = name[: name.rfind(".") + 1]
+                elif "." not in name:
+                    name = prefix + name
+                names.add(name)
+    return names
+
+
+def lint_catalog(doc: str) -> int:
+    code = source_metrics(SRC_DIR)
+    documented = catalog_metrics(doc)
+    errors = 0
+    for name in sorted(code - documented):
+        print(f"{doc}: {name} is registered in src/ but not in the catalog",
+              file=sys.stderr)
+        errors += 1
+    for name in sorted(documented - code):
+        print(f"{doc}: {name} is in the catalog but never registered in src/",
+              file=sys.stderr)
+        errors += 1
+    if errors == 0:
+        print(f"{doc}: catalog OK ({len(code)} metrics)")
+    return errors
+
+
 def main() -> int:
     require = []
     files = []
+    catalogs = []
     for arg in sys.argv[1:]:
         if arg.startswith("--require="):
             require.append(arg[len("--require="):])
+        elif arg.startswith("--catalog="):
+            catalogs.append(arg[len("--catalog="):])
         else:
             files.append(arg)
-    if not files:
+    if not files and not catalogs:
         print(__doc__, file=sys.stderr)
         return 2
     total = sum(lint(p, require) for p in files)
+    total += sum(lint_catalog(d) for d in catalogs)
     return 1 if total else 0
 
 
