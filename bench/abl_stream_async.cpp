@@ -47,12 +47,10 @@ alloc::HeapConfig churn_cfg(bool fastpaths) {
   alloc::HeapConfig cfg;
   cfg.pool_bytes = 64u << 20;
   cfg.num_arenas = 8;
+  // The magazines also re-route 8..64 B async frees around the pending
+  // list entirely; the OFF arm is the paper's exact front-end.
   cfg.magazines = fastpaths;
   cfg.quicklist = fastpaths;
-  // The fixed lane is a fast path too (it re-routes sub-64 B async frees
-  // around the pending list entirely); the OFF arm must be the paper's
-  // exact front-end or the 16 B leg measures the lane, not the batching.
-  cfg.fixed_lane = fastpaths;
   return cfg;
 }
 

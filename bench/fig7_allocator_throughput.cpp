@@ -91,15 +91,11 @@ Result run_case(gpu::Device& dev, const Options& opt, const SizeCase& c,
 
 int main_impl(int argc, char** argv) {
   // Local pre-scan: --only=BYTES restricts the sweep to one size case,
-  // --ours-only skips the two baseline allocators (iterating/profiling a
-  // single row without the 17-case three-allocator sweep), and
-  // --refill=N overrides the fixed-lane refill slab depth for the "ours"
-  // arm (0 = per-class default) — the cold-exhaustion counterpart of the
-  // abl_fixed_lane churn sweep. Stripped before the shared parser sees
-  // them.
+  // and --ours-only skips the two baseline allocators (iterating/profiling
+  // a single row without the 17-case three-allocator sweep). Stripped
+  // before the shared parser sees them.
   std::size_t only = 0;
   bool ours_only = false;
-  std::uint32_t refill = 0;
   {
     int w = 1;
     for (int i = 1; i < argc; ++i) {
@@ -107,8 +103,6 @@ int main_impl(int argc, char** argv) {
         only = static_cast<std::size_t>(std::atoll(argv[i] + 7));
       } else if (std::strcmp(argv[i], "--ours-only") == 0) {
         ours_only = true;
-      } else if (std::strncmp(argv[i], "--refill=", 9) == 0) {
-        refill = static_cast<std::uint32_t>(std::atoll(argv[i] + 9));
       } else {
         argv[w++] = argv[i];
       }
@@ -171,7 +165,6 @@ int main_impl(int argc, char** argv) {
     {
       alloc::HeapConfig hc;
       hc.num_arenas = dev.num_sms();
-      hc.fixed_lane_refill_depth = refill;
       hc.pool_bytes = c.pool_bytes;
       if (hc.vmm) {
         // Elastic backing (build default): map the nominal budget up

@@ -71,19 +71,15 @@ typedef struct toma_pool_config {
                              * everything (the CUDA default),
                              * TOMA_RELEASE_RETAIN_ALL = never           */
   int heapsan;              /* -1 = build default, 0 = off, 1 = on       */
-  int magazines;            /* -1 = build default, 0 = off, 1 = on       */
+  int magazines;            /* the small-block cache (per-SM magazines,
+                             * slab-refilled at 8-64 B): -1 = build
+                             * default, 0 = off (the paper's exact
+                             * path), 1 = on                             */
   int quicklist;            /* -1 = build default, 0 = off, 1 = on       */
   int stream_async;         /* -1 = build default, 0 = off, 1 = on       */
   uint64_t slo_latency_ns;  /* per-op latency SLO target in ns; an op
                              * slower than this bumps the pool's
                              * SLO-violation counter. 0 = no SLO         */
-  int fixed_lane;           /* constant-time 8-64 B fast lane:
-                             * -1 = build default, 0 = off, 1 = on       */
-  unsigned fixed_lane_refill_depth;
-                            /* blocks fetched per lane refill slab;
-                             * 0 = per-class default (one bin's worth,
-                             * capped). Larger values are clamped to the
-                             * library's transfer-array bound (256)      */
   unsigned num_workers;     /* simulator scheduler worker threads for
                              * subsequent kernel launches; 0 = keep the
                              * current process default (TOMA_WORKERS env

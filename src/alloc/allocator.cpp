@@ -66,8 +66,6 @@ GpuAllocator::GpuAllocator(const HeapConfig& cfg)
   }
   ualloc_ = std::make_unique<UAlloc>(*buddy_, cfg.num_arenas);
   ualloc_->set_magazines(cfg.magazines);
-  lane_ = std::make_unique<FixedLane>(*ualloc_, cfg.fixed_lane,
-                                      cfg.fixed_lane_refill_depth);
   san_ = std::make_unique<san::HeapSan>(
       san::HeapSanConfig{}, [this](void* base) { free_base(base); });
   san_->set_enabled(cfg.heapsan);
@@ -84,7 +82,6 @@ GpuAllocator::~GpuAllocator() {
   // alive: teardown drains the quarantine through the real free paths.
   if (san_->engaged()) san_->teardown_check();
   san_.reset();
-  lane_.reset();
   ualloc_.reset();
   buddy_.reset();
   // An elastic pool's mapping belongs to the backing store (munmap'd by
@@ -109,21 +106,8 @@ void* GpuAllocator::route_alloc(std::size_t rounded) {
   // and the request is served from elsewhere. Bounded — each park
   // consumes victim space the allocator can never hand out again.
   for (;;) {
-    void* p;
-    if (rounded <= kMaxUAllocSize) {
-      // Fixed-lane first hop: a hot small class is served by a
-      // constant-time lane pop (or a slab-grained refill). A lane miss
-      // whose refill found no memory still falls through — a single
-      // block can succeed where a slab could not, so the failure rate
-      // stays truthful.
-      p = nullptr;
-      if (FixedLane::eligible_size(rounded) && lane_->enabled()) {
-        p = lane_->allocate(rounded);
-      }
-      if (p == nullptr) p = ualloc_->allocate(rounded);
-    } else {
-      p = buddy_->allocate_bytes(rounded);
-    }
+    void* p = rounded <= kMaxUAllocSize ? ualloc_->allocate(rounded)
+                                        : buddy_->allocate_bytes(rounded);
     if (p == nullptr || !evac_park(p)) return p;
   }
 }
@@ -179,16 +163,12 @@ void GpuAllocator::free_base(void* base) {
     charged = buddy_->allocation_size(base);
     buddy_->free(base);
   } else {
-    // Decode once, then route: lane-served classes are cached on the
-    // freeing SM's lane (bitmap bit stays claimed — the block is a
-    // pool-level cache, so the quota charge is still released);
-    // everything else takes the ordinary UAlloc free.
+    // A magazine-cached block keeps its bitmap bit, but it is a
+    // pool-level cache, not tenant usage: the charge is released here.
     std::uint32_t idx;
     BinHeader* bin = ualloc_->decode_block(base, &idx);
     charged = size_of_class(bin->size_class);
-    if (!lane_->try_free_decoded(base, bin)) {
-      ualloc_->free_decoded(bin, idx, base);
-    }
+    ualloc_->free_decoded(bin, idx, base);
   }
   in_use_.fetch_sub(charged, std::memory_order_relaxed);
   if (vmm_ != nullptr) TOMA_CTR_ADD("vmm.live_bytes.freed", charged);
@@ -276,12 +256,13 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
     return nullptr;
   }
   void* p = route_alloc(rounded);
-  if (p == nullptr && lane_->enabled()) {
-    // Lane-resident blocks pin bins (and thus chunks) in other classes'
-    // way; under pool pressure they are republished before OOM is
-    // declared — so the exhaustion point with the lane on is the same as
-    // without it.
-    if (lane_->flush() > 0) p = route_alloc(rounded);
+  if (p == nullptr &&
+      ualloc_->release_cached(0, kMagazineRefillClasses) > 0) {
+    // The 8..64 B magazines hold prefetched slab stock that pins bins
+    // (and thus chunks) in other classes' and other SMs' way; under pool
+    // pressure it is republished before OOM is declared, so the stock
+    // never turns a satisfiable request into an OOM.
+    p = route_alloc(rounded);
   }
   if (p == nullptr && san_->engaged() && san_->flush_quarantine() > 0) {
     // Quarantined blocks pin real memory; under pool pressure they are
@@ -511,10 +492,9 @@ std::size_t GpuAllocator::defrag() {
   st_defrag_passes_.fetch_add(1, std::memory_order_relaxed);
   TOMA_CTR_INC("vmm.defrag_passes");
   // Quiescent-point preamble: every cached block must re-enter the bin
-  // accounting or the occupancy census undercounts (a lane/magazine/
-  // quarantine resident keeps its bitmap bit claimed but is dead weight).
+  // accounting or the occupancy census undercounts (a magazine/quarantine
+  // resident keeps its bitmap bit claimed but is dead weight).
   if (san_->engaged()) san_->flush_quarantine();
-  lane_->flush();
   ualloc_->release_cached();
   select_backoff_ = 0;
   // The incremental state machine, run to completion. Nothing else runs,
@@ -565,7 +545,7 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
   // of a `no_landing` chunk), so the allocator strictly runs down their
   // free space and eventually hands out a block elsewhere (or nullptr).
   for (;;) {
-    dest = ualloc_->allocate(cls_bytes);
+    dest = ualloc_->allocate(cls_bytes, /*refill=*/false);
     if (dest == nullptr) break;
     const std::uint32_t dc = vmm_->chunk_index(dest);
     if (dc != ev.chunk &&
@@ -792,11 +772,10 @@ std::size_t GpuAllocator::step_evacuate(
   if (moved_bytes == 0) {
     ++ev.stall_sweeps;
     if (ev.stall_sweeps % 4 == 3) {
-      // Vetoes usually mean cache-parked blocks (lane, magazines,
-      // quarantine): flush them back into the bin accounting so the
-      // next sweep sees them freed.
+      // Vetoes usually mean cache-parked blocks (magazines, quarantine):
+      // flush them back into the bin accounting so the next sweep sees
+      // them freed.
       if (san_->engaged()) san_->flush_quarantine();
-      lane_->flush();
       ualloc_->release_cached();
     }
     if (ev.stall_sweeps > kVmmDefragStallLimit) {
@@ -908,7 +887,6 @@ bool GpuAllocator::step_retire(std::uint32_t max_retries) {
     // A failed claim is often a pool cache pinning one of the chunk's
     // bins; flush them so the next attempt can retire those bins.
     if (san_->engaged()) san_->flush_quarantine();
-    lane_->flush();
     ualloc_->release_cached();
     return false;
   }
@@ -920,7 +898,7 @@ GpuAllocatorStats GpuAllocator::stats() const {
   GpuAllocatorStats s;
   s.buddy = buddy_->stats();
   s.ualloc = ualloc_->stats();
-  s.lane = lane_->stats();
+  s.lane = ualloc_->magazine_stats(0, kMagazineRefillClasses);
   s.heapsan = san_->stats();
   if (vmm_ != nullptr) s.vmm = vmm_->stats();
   s.mapped_bytes = mapped_bytes();

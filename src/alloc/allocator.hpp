@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "alloc/config.hpp"
-#include "alloc/fixed_lane.hpp"
 #include "alloc/tbuddy.hpp"
 #include "alloc/ualloc.hpp"
 #include "san/heapsan.hpp"
@@ -63,8 +62,8 @@ enum class DefragMode : std::uint8_t { kOff = 0, kSync = 1, kIncremental = 2 };
 ///       A vetoed block stays at `old` untouched. Incremental compaction
 ///       REQUIRES a prepare hook that returns false for pointers the host
 ///       does not own live: blocks parked in pool-level caches
-///       (magazines, lanes, HeapSan quarantine) census as live but must
-///       not be moved-and-committed blindly.
+///       (magazines, HeapSan quarantine) census as live but must not be
+///       moved-and-committed blindly.
 ///   commit(old, new, size)            the payload now lives at `new`;
 ///       the host rewrites its references and unlocks. From the moment
 ///       commit returns, the host uses `new` only — frees/reallocs
@@ -113,19 +112,12 @@ struct HeapConfig {
   /// (`pool.slo_violation{pool="..."}`). 0 = no SLO. Telemetry-off
   /// builds never observe violations (the clock is compiled out).
   std::uint64_t slo_latency_ns = 0;
-  /// Fixed-lane refill slab depth: blocks fetched from UAlloc per bulk
-  /// transaction on a lane miss/top-up. 0 = the per-class default
-  /// (fixed_lane_refill(cls), one bin's worth capped at
-  /// kFixedLaneMaxRefill). A nonzero depth decouples the slab size from
-  /// the bin capacity — the abl_fixed_lane ablation sweeps this to find
-  /// where deeper refills stop paying (values above kFixedLaneMaxRefill
-  /// are clamped to it; the transfer array bounds a single transaction).
-  std::uint32_t fixed_lane_refill_depth = 0;
   bool heapsan = TOMA_HEAPSAN != 0;
+  /// The small-block cache (UAlloc's per-(SM, class) magazines, with slab
+  /// refill for 8..64 B). OFF = the paper's exact UAlloc path.
   bool magazines = TOMA_UALLOC_MAGAZINES != 0;
   bool quicklist = TOMA_TBUDDY_QUICKLIST != 0;
   bool cas_claim = TOMA_TBUDDY_CAS_CLAIM != 0;
-  bool fixed_lane = TOMA_FIXED_LANE != 0;
 
   // --- elastic virtual backing (docs/INTERNALS.md §8) ----------------------
   /// Back the pool with an elastic chunked mapping: `pool_bytes` becomes a
@@ -166,7 +158,7 @@ struct HeapConfig {
 struct GpuAllocatorStats {
   TBuddyStats buddy;
   UAllocStats ualloc;
-  FixedLaneStats lane;
+  MagazineStats lane;  // the 8..64 B (slab-refill) slice of the magazines
   san::HeapSanStats heapsan;
   vmm::BackingStats vmm;  // zeroed when the pool is fixed-size
   std::uint64_t mallocs = 0;
@@ -261,23 +253,7 @@ class GpuAllocator {
 
   TBuddy& buddy() { return *buddy_; }
   UAlloc& ualloc() { return *ualloc_; }
-  FixedLane& fixed_lane() { return *lane_; }
   san::HeapSan& heapsan() { return *san_; }
-
-  /// Runtime switch for the fixed-size fast lane (default: the
-  /// compile-time TOMA_FIXED_LANE option). Disabling flushes every
-  /// lane-resident block back into the bin accounting.
-  void set_fixed_lane(bool on) { lane_->set_enabled(on); }
-  bool fixed_lane_enabled() const { return lane_->enabled(); }
-
-  /// Would free(p) route through the fixed lane? True for lane-served
-  /// UAlloc blocks while the lane is on — Pool::free_async uses this to
-  /// skip the per-(pool, stream) pending-block machinery for blocks the
-  /// lane recycles in O(1) anyway.
-  bool lane_routable(void* p) const {
-    return lane_->enabled() && !util::is_aligned(p, kPageSize) &&
-           ualloc_->usable_size(p) <= kFixedLaneMaxSize;
-  }
 
   /// Runtime switch for the HeapSan layer (default: the compile-time
   /// TOMA_HEAPSAN option). Enabling sanitizes subsequent allocations;
@@ -353,25 +329,21 @@ class GpuAllocator {
   /// coalesce back into maximal blocks. Returns chunks released.
   std::size_t trim() {
     if (san_->engaged()) san_->flush_quarantine();
-    lane_->flush();  // lane-resident blocks pin bins exactly like magazines
     const std::size_t chunks = ualloc_->trim();
     buddy_->trim();
     return chunks;
   }
 
-  /// Flush the fixed lanes and UAlloc magazines only (cached blocks
-  /// re-enter the bin accounting; no chunk is returned to the buddy).
-  /// Returns blocks flushed.
-  std::size_t release_cached() {
-    return lane_->flush() + ualloc_->release_cached();
-  }
+  /// Flush the UAlloc magazines only (cached blocks re-enter the bin
+  /// accounting; no chunk is returned to the buddy). Returns blocks
+  /// flushed.
+  std::size_t release_cached() { return ualloc_->release_cached(); }
 
   GpuAllocatorStats stats() const;
 
   /// Combined quiescent consistency check (tests).
   bool check_consistency() const {
-    return buddy_->check_consistency() && ualloc_->check_consistency() &&
-           lane_->check_consistency();
+    return buddy_->check_consistency() && ualloc_->check_consistency();
   }
 
  private:
@@ -494,7 +466,6 @@ class GpuAllocator {
   std::uint32_t select_backoff_ = 0;  // steps to skip after a dry census
   std::unique_ptr<TBuddy> buddy_;
   std::unique_ptr<UAlloc> ualloc_;
-  std::unique_ptr<FixedLane> lane_;
   std::unique_ptr<san::HeapSan> san_;
   std::atomic<std::size_t> quota_{0};
   std::atomic<std::size_t> in_use_{0};

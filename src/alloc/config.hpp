@@ -74,14 +74,18 @@ constexpr std::uint32_t order_for_bytes(std::size_t bytes) {
 /// TBuddy order of one UAlloc chunk (256 KB / 4 KB = 64 pages = order 6).
 inline constexpr std::uint32_t kChunkOrder = 6;
 
-// --- magazine front-end (not in the paper; see docs/INTERNALS.md §4b) ------
+// --- magazines: the small-block cache (not in the paper; INTERNALS.md §4b) -
 //
-// Each (arena, size class) keeps a bounded LIFO of recently freed blocks in
-// front of the bulk-semaphore/RCU bin machinery. A cached block's bitmap
-// bit stays *claimed*, so the invariant "semaphore value == claimable
-// blocks in listed bins" never sees cached blocks at all.
+// Each (arena, size class) keeps a bounded LIFO of claimed blocks in front
+// of the bulk-semaphore/RCU bin machinery. A cached block's bitmap bit
+// stays *claimed*, so the invariant "semaphore value == claimable blocks
+// in listed bins" never sees cached blocks at all. The hot small classes
+// (8..64 B) also stock their magazine ahead of demand with slab-grained
+// refills, after Blelloch & Wei, "Concurrent Fixed-Size Allocation and
+// Free in Constant Time" (arXiv:2008.04296): one bulk-semaphore
+// transaction buys a whole slab of blocks.
 
-/// Compile-time default for the magazine front-end (CMake option
+/// Compile-time default for the magazines (CMake option
 /// TOMA_UALLOC_MAGAZINES, default ON). UAlloc::set_magazines() toggles at
 /// runtime; this macro only selects the starting state, so a magazines-OFF
 /// build still compiles (and tests) the machinery.
@@ -89,93 +93,59 @@ inline constexpr std::uint32_t kChunkOrder = 6;
 #define TOMA_UALLOC_MAGAZINES 1
 #endif
 
-/// Magazine depth as a multiple of the class's bin capacity. Two bins'
-/// worth lets a class absorb a full bin of churn plus a warp-sized burst
-/// without touching the semaphore, while bounding how much memory a
-/// magazine can strand (overflow spills through the paper's free path).
-inline constexpr std::uint32_t kMagazineBinFactor = 2;
+/// Per-class magazine policy.
+struct MagazinePolicy {
+  /// Cached-block bound. A push that crosses it spills the magazine.
+  std::uint32_t capacity;
+  /// A spill drains the magazine down to this mark through the paper's
+  /// free path; a refill stocks it up to here, no further.
+  std::uint32_t low_water;
+  /// Blocks fetched per bulk-semaphore transaction by a refill; 0 = the
+  /// class never refills (its stock comes from frees only).
+  std::uint32_t slab;
+  /// A hit that leaves fewer blocks cached than this restocks the
+  /// magazine (top-up); 0 = never.
+  std::uint32_t top_up;
+};
 
-/// Cached-block bound of one (arena, class) magazine.
-constexpr std::uint32_t magazine_capacity(std::uint32_t cls) {
-  return kMagazineBinFactor * bin_capacity(cls);
-}
+/// The policy table, one row per size class.
+///
+///   8..64 B   capacity two bins' worth but never under 256 blocks (a
+///             magazine that buffers only a few warps' worth drains empty
+///             between refills); spill hysteresis to half capacity, so one
+///             crossing buys cap/2 further O(1) frees; a slab is one bin,
+///             at most kMagazineMaxSlab blocks, so a refill claims a
+///             freshly grown bin outright; top-up below a quarter.
+///   128 B+    capacity two bins' worth, stocked by frees only. A push past
+///             capacity spills exactly the block just pushed.
+inline constexpr MagazinePolicy kMagazinePolicy[kNumSizeClasses] = {
+    //  cap  low  slab  top-up     bin capacity
+    {1024, 512, 256, 256},  //  8 B     512
+    {512, 256, 256, 128},   //  16 B    256
+    {256, 128, 128, 64},    //  32 B    128
+    {256, 128, 64, 64},     //  64 B     64
+    {64, 64, 0, 0},         //  128 B    32
+    {30, 30, 0, 0},         //  256 B    15
+    {14, 14, 0, 0},         //  512 B     7
+    {6, 6, 0, 0},           //  1 KiB     3
+};
 
-// --- fixed-size fast lane (not in the paper; docs/INTERNALS.md §4d) --------
-//
-// A per-(SM, size-class) constant-time allocation lane for the hottest
-// small classes (8..64 B), after Blelloch & Wei, "Concurrent Fixed-Size
-// Allocation and Free in Constant Time" (arXiv:2008.04296): each lane is a
-// LIFO block stack with O(1) push/pop, backed by bounded *slabs* carved
-// out of the UAlloc bins in one batched semaphore transaction. A
-// lane-resident block keeps its bitmap bit claimed and owns no semaphore
-// unit — the same claimed-while-cached invariant the magazines, the
-// quicklists, and the HeapSan quarantine rely on — so the lane commutes
-// with every accounting invariant below it.
+/// Largest refill slab: sizes the stack-local transfer array of a refill
+/// (256 pointers = 2 KB on a fiber stack).
+inline constexpr std::uint32_t kMagazineMaxSlab = 256;
 
-/// Compile-time default for the fixed-size fast lane (CMake option
-/// TOMA_FIXED_LANE, default ON). GpuAllocator::set_fixed_lane() toggles at
-/// runtime; this macro only selects the starting state, so a lane-OFF
-/// build still compiles (and tests) the machinery.
-#ifndef TOMA_FIXED_LANE
-#define TOMA_FIXED_LANE 1
-#endif
+/// Bulk transactions per refill. The loop stops early once the magazine
+/// reaches its low-water mark, so this is a ceiling, not a quota.
+inline constexpr std::uint32_t kMagazineRefillBatches = 4;
 
-/// Largest block size the lane serves. Classes 0..3 (8, 16, 32, 64 B) are
-/// the paper's hottest sizes (Figure 7) and the ones whose bins hold
-/// enough blocks for slab-grained refill to amortize well.
-inline constexpr std::size_t kFixedLaneMaxSize = 64;
+/// Size classes whose magazines refill by slabs (8, 16, 32, 64 B).
+inline constexpr std::uint32_t kMagazineRefillClasses = 4;
 
-/// Number of lane-served size classes (8, 16, 32, 64 B -> 4).
-inline constexpr std::uint32_t kFixedLaneClasses =
-    size_class_of(kFixedLaneMaxSize) + 1;
-
-/// Largest refill slab: bound on blocks fetched per bulk-semaphore
-/// transaction, sizing the stack-local transfer array in the refill path
-/// (256 pointers = 2 KB, safe on 32 KB fiber stacks).
-inline constexpr std::uint32_t kFixedLaneMaxRefill = 256;
-
-/// Refill slab size: blocks fetched from UAlloc in ONE bulk-semaphore
-/// transaction. A whole bin where the transfer array allows it — the
-/// batch then claims a freshly grown bin outright instead of leaving it
-/// half-listed.
-constexpr std::uint32_t fixed_lane_refill(std::uint32_t cls) {
-  return bin_capacity(cls) < kFixedLaneMaxRefill ? bin_capacity(cls)
-                                                 : kFixedLaneMaxRefill;
-}
-
-/// Bulk transactions per refill: each batch reuses the same stack-local
-/// array (the slab is spliced into the lane between batches), and the
-/// loop stops early once the lane reaches its low-water stock, so this
-/// is a ceiling, not a quota.
-inline constexpr std::uint32_t kFixedLaneRefillBatches = 4;
-
-/// Cached-block bound of one (SM, class) lane. Two bins' worth, but
-/// never less than 256 blocks: the larger lane classes have small bins
-/// (64 x 64 B), and a lane that can buffer only a couple of warps' worth
-/// of stock drains to empty between refills — the stock-ahead that makes
-/// pops sync-free needs headroom in blocks, not bins. 256 blocks of the
-/// largest lane class is 16 KB per (SM, class): still magazine-scale.
-constexpr std::uint32_t fixed_lane_capacity(std::uint32_t cls) {
-  const std::uint32_t two_bins = 2 * bin_capacity(cls);
-  return two_bins < 256 ? 256 : two_bins;
-}
-
-/// Hysteresis: a push that crosses the capacity spills the lane down to
-/// the low-water mark through the real free path, so one crossing buys
-/// cap/2 further O(1) frees before the next spill. The low-water mark is
-/// also the refill target: a refill stocks to here, no further.
-constexpr std::uint32_t fixed_lane_low_water(std::uint32_t cls) {
-  return fixed_lane_capacity(cls) / 2;
-}
-
-/// Proactive top-up trigger: a *successful* pop that leaves the stock
-/// below this mark refills the lane in the background of its own hit —
-/// the popper already holds its block, so the batch transaction adds
-/// latency to one hit in ~low_water rather than a rendezvous for a whole
-/// stalled warp. This is what keeps the lane from oscillating between
-/// full and empty under allocation-only bursts.
-constexpr std::uint32_t fixed_lane_top_trigger(std::uint32_t cls) {
-  return fixed_lane_capacity(cls) / 4;
+/// Does a request of rounded size `rounded` land in a class whose magazine
+/// refills by slabs? (Pool's stream routing keys on this.)
+constexpr bool magazine_refills(std::size_t rounded) {
+  return rounded >= kMinAlloc && rounded <= kMaxUAllocSize &&
+         kMagazinePolicy[size_class_of(rounded)].slab != 0;
 }
 
 // --- TBuddy quicklist front-end (not in the paper; docs/INTERNALS.md §4c) --

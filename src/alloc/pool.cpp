@@ -206,12 +206,13 @@ void* Pool::malloc_async(std::size_t size, gpu::Stream& s,
   // shadow bookkeeping would blind the sanitizer.
   if (async_enabled() && size != 0 && !alloc_.heapsan().engaged()) {
     const std::size_t effective = GpuAllocator::effective_size(size);
-    // Sub-64 B requests skip the per-(pool, stream) pending-block scan:
-    // the fixed lane recycles them in O(1) through alloc_.malloc below,
-    // and the linear probe was *slower* than a plain malloc at these
-    // sizes (the 16 B async regression).
-    if (!(alloc_.fixed_lane_enabled() &&
-          FixedLane::eligible_size(effective))) {
+    // Requests in the magazines' refill classes (8..64 B) skip the
+    // per-(pool, stream) pending-block scan: the magazines recycle them
+    // in O(1) through alloc_.malloc below, and the linear probe was
+    // *slower* than a plain malloc at these sizes (the 16 B async
+    // regression).
+    if (!(alloc_.ualloc().magazines_enabled() &&
+          magazine_refills(effective))) {
       p = streams_.try_reuse(effective, s);
     }
   }
@@ -242,13 +243,15 @@ void Pool::free_async(void* p, gpu::Stream& s) {
     // trivially because the free completes before free_async returns.
     TOMA_CTR_INC("pool.stream.passthrough");
     alloc_.free(p);
-  } else if (alloc_.lane_routable(p)) {
-    // Small lane-served blocks bypass the pending-block machinery: the
-    // free completes now (the ordering contract again holds trivially)
-    // and the block lands on the freeing SM's lane, where the next small
-    // malloc_async picks it up in O(1) instead of scanning the stream's
-    // pending list.
-    TOMA_CTR_INC("pool.stream.lane_route");
+  } else if (alloc_.ualloc().magazines_enabled() &&
+             !util::is_aligned(p, kPageSize) &&
+             magazine_refills(alloc_.usable_size(p))) {
+    // Blocks of the refill classes bypass the pending-block machinery:
+    // the free completes now (the ordering contract again holds
+    // trivially) and the block lands in the freeing SM's magazine, where
+    // the next small malloc_async picks it up in O(1) instead of scanning
+    // the stream's pending list.
+    TOMA_CTR_INC("pool.stream.magazine_route");
     alloc_.free(p);
   } else {
     streams_.free_async(p, s);

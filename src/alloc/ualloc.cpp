@@ -33,26 +33,51 @@ Arena::Arena(UAlloc& parent, std::uint32_t index)
   classes_.reserve(kNumSizeClasses);
   for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
     classes_.push_back(std::make_unique<SizeClassState>(rcu_));
-    magazines_[c].set_capacity(magazine_capacity(c));
   }
 }
 
-void* Arena::allocate(std::uint32_t cls) {
-  // Magazine front-end: recently freed blocks of this (arena, class) are
-  // served in constant time, touching neither the semaphore nor the RCU
-  // bin lists. Each lane pops for itself *before* the warp rendezvous, so
-  // a coalesced group is formed only by the lanes the magazine could not
-  // satisfy — the group falls through smaller, exactly as many blocks
-  // short as the magazine provided.
+void* Arena::allocate(std::uint32_t cls, bool may_refill) {
+  // Magazine front-end: cached blocks of this (arena, class) are served
+  // in constant time, touching neither the semaphore nor the RCU bin
+  // lists. Each lane pops for itself *before* any warp rendezvous, so a
+  // coalesced group is formed only by the lanes the magazine could not
+  // satisfy.
   if (parent_->magazines_enabled()) {
-    if (void* p = magazines_[cls].pop()) {
-      TOMA_CTR_INC("ualloc.magazine.hit");
-      parent_->st_mag_hits_.fetch_add(1, std::memory_order_relaxed);
-      parent_->st_allocs_.fetch_add(1, std::memory_order_relaxed);
+    Magazine& mag = magazines_[cls];
+    const MagazinePolicy& pol = kMagazinePolicy[cls];
+    if (void* p = mag.pop()) {
+      parent_->count_hit(cls);
+      // Proactive top-up: this pop drained the stock below the trigger,
+      // so restock before the magazine runs empty. The popper already
+      // holds its block — no caller is stalled on this slab — and a
+      // magazine that never empties serves every other thread with a
+      // plain pop instead of a warp rendezvous.
+      if (may_refill && mag.count() < pol.top_up &&
+          mag.try_begin_refill()) {
+        TOMA_CTR_INC("ualloc.magazine.topup");
+        parent_->st_mag_[cls].topups.fetch_add(1, std::memory_order_relaxed);
+        void* extra = refill(cls, kMagazineRefillBatches);
+        if (extra != nullptr && !mag.push(extra, pol.capacity)) {
+          // Frees filled the magazine while the slab was fetched.
+          parent_->publish(extra);
+          parent_->spill(mag, cls, 1);
+        }
+        mag.end_refill();
+      }
       return p;
     }
-    TOMA_CTR_INC("ualloc.magazine.miss");
-    parent_->st_mag_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (may_refill && pol.slab != 0) {
+      // Miss on a refill class: fetch a slab. In-kernel, the lanes of
+      // this warp that missed the same magazine share one transaction.
+      // A refill that found no memory (or lost the gate) falls through to
+      // the per-block path below.
+      gpu::ThreadCtx* ctx = gpu::this_thread::current();
+      void* p = ctx != nullptr ? refill_coalesced(cls, *ctx)
+                               : refill_gated(cls);
+      if (p != nullptr) return p;
+    } else {
+      parent_->count_miss(cls);
+    }
   }
   // Transparent request coalescing (paper §2.2): warp-mates concurrently
   // allocating the same class take a specialized group path. Only when
@@ -64,6 +89,99 @@ void* Arena::allocate(std::uint32_t cls) {
     }
   }
   return allocate_individual(cls);
+}
+
+void* Arena::refill_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
+  Magazine& mag = magazines_[cls];
+  const gpu::CoalescedGroup g = gpu::coalesce_warp(ctx, &mag);
+  if (g.size() == 1) return refill_gated(cls);
+  constexpr std::uint64_t kFailed = 0, kStocked = 1;
+  if (g.is_leader()) {
+    // The rendezvous takes scheduling rounds; another warp's leader may
+    // have stocked the magazine meanwhile. Only fetch a slab if the stock
+    // cannot cover this group. One batch, ungated: a stampede of leaders
+    // briefly over-stocks and the spill hysteresis reclaims the excess.
+    void* lead = nullptr;
+    bool ok = mag.count() >= g.size();
+    if (!ok) {
+      parent_->count_miss(cls);
+      lead = refill(cls, /*max_batches=*/1);
+      ok = lead != nullptr;
+    }
+    gpu::warp_broadcast(ctx, g, ok ? kStocked : kFailed);
+    if (lead != nullptr) return lead;
+    if (!ok) return nullptr;
+  } else if (gpu::warp_broadcast(ctx, g, kFailed) == kFailed) {
+    // The leader's slab found no memory; every member falls through to
+    // the per-block path, which can succeed where a slab could not.
+    parent_->count_miss(cls);
+    return nullptr;
+  }
+  if (void* p = mag.pop()) {
+    parent_->count_hit(cls);
+    return p;
+  }
+  // Stock stolen between the broadcast and our pop — rare, harmless.
+  parent_->count_miss(cls);
+  return nullptr;
+}
+
+void* Arena::refill_gated(std::uint32_t cls) {
+  parent_->count_miss(cls);
+  Magazine& mag = magazines_[cls];
+  // Another thread already fetching this magazine's slab: don't pile on,
+  // so an empty magazine costs at most one slab transaction no matter
+  // how many threads miss it together.
+  if (!mag.try_begin_refill()) return nullptr;
+  void* p = refill(cls, kMagazineRefillBatches);
+  mag.end_refill();
+  return p;
+}
+
+void* Arena::refill(std::uint32_t cls, std::uint32_t max_batches) {
+  // Each bulk transaction buys a whole slab: the semaphore wait, the RCU
+  // traversal (or the fresh bin), and the listing dance are paid once per
+  // slab instead of once per block.
+  Magazine& mag = magazines_[cls];
+  const MagazinePolicy& pol = kMagazinePolicy[cls];
+  UAlloc::MagazineCounters& st = parent_->st_mag_[cls];
+  void* blocks[kMagazineMaxSlab];
+  void* first = nullptr;
+  for (std::uint32_t b = 0; b < max_batches; ++b) {
+    // Stock to the low-water mark, not just one slab: consumers drain the
+    // magazine while the batch claim runs, and a magazine that stays
+    // stocked serves the next warps with a plain pop.
+    if (first != nullptr && mag.count() >= pol.low_water) break;
+    const std::uint32_t got =
+        parent_->allocate_batch(index_, cls, blocks, pol.slab);
+    if (got == 0) break;
+    TOMA_CTR_INC("ualloc.magazine.refill");
+    TOMA_CTR_ADD("ualloc.magazine.refill_blocks", got);
+    st.refills.fetch_add(1, std::memory_order_relaxed);
+    st.refill_blocks.fetch_add(got, std::memory_order_relaxed);
+    std::uint32_t keep = 0;
+    if (first == nullptr) {
+      first = blocks[0];
+      keep = 1;
+    }
+    if (got > keep) {
+      // Link the surplus outside the magazine lock, splice in O(1).
+      for (std::uint32_t i = keep; i + 1 < got; ++i) {
+        *static_cast<void**>(blocks[i]) = blocks[i + 1];
+      }
+      const std::uint32_t cnt =
+          mag.push_chain(blocks[keep], blocks[got - 1], got - keep);
+      // Frees may have piled on while the batch claim waited; keep the
+      // capacity bound honest (and stop deepening into it).
+      if (cnt > pol.capacity) {
+        parent_->spill(mag, cls, 0);
+        break;
+      }
+    }
+    // A short batch means the pool is tight; don't pound it for depth.
+    if (got < pol.slab) break;
+  }
+  return first;
 }
 
 void* Arena::allocate_individual(std::uint32_t cls) {
@@ -95,7 +213,7 @@ std::uint32_t Arena::allocate_batch(std::uint32_t cls, void** out,
 
   // One bulk-semaphore transaction for the whole slab — the same
   // amortization the warp-coalesced path buys for a group, here bought
-  // for a FixedLane refill.
+  // for a magazine refill.
   const auto res = cs.blocks.wait(n, cap);
   if (res == sync::BulkSemaphore::WaitResult::kAcquired) {
     TOMA_CTR_INC("ualloc.bin_hit");
@@ -407,29 +525,31 @@ UAlloc::UAlloc(TBuddy& buddy, std::uint32_t num_arenas, bool use_tails)
 
 UAlloc::~UAlloc() = default;
 
-void* UAlloc::allocate(std::size_t size) {
+void* UAlloc::allocate(std::size_t size, bool refill) {
   const std::uint32_t a = gpu::this_thread::sm_id_or_hash(
       static_cast<std::uint32_t>(arenas_.size()));
-  return allocate_from(a, size);
+  return allocate_from(a, size, refill);
 }
 
-void* UAlloc::allocate_from(std::uint32_t home_arena, std::size_t size) {
+void* UAlloc::allocate_from(std::uint32_t home_arena, std::size_t size,
+                            bool refill) {
   TOMA_DASSERT(util::is_pow2(size));
   TOMA_DASSERT(size >= kMinAlloc && size <= kMaxUAllocSize);
   TOMA_DASSERT(home_arena < arenas_.size());
   const std::uint32_t cls = size_class_of(size);
-  void* p = arenas_[home_arena]->allocate(cls);
+  void* p = arenas_[home_arena]->allocate(cls, refill);
   if (p != nullptr) return p;
   // The home arena is out: its chunk lists are drained and TBuddy refused
   // it a new chunk. Chunks are arena-private, so pool memory is not
-  // fungible across SMs — another arena may still hold half-empty chunks
-  // (or win a freshly coalesced one). Sweep the siblings before reporting
-  // OOM; without this, a small pool degenerates to "whichever arena
-  // grabbed the last chunk serves its SM, every other SM fails 100%".
+  // fungible across SMs — another arena may still hold half-empty chunks,
+  // a magazine stock of this class (or win a freshly coalesced chunk).
+  // Sweep the siblings before reporting OOM; without this, a small pool
+  // degenerates to "whichever arena grabbed the last chunk serves its SM,
+  // every other SM fails 100%".
   for (std::uint32_t off = 1; off < arenas_.size(); ++off) {
     const std::uint32_t a =
         (home_arena + off) % static_cast<std::uint32_t>(arenas_.size());
-    p = arenas_[a]->allocate(cls);
+    p = arenas_[a]->allocate(cls, /*may_refill=*/false);
     if (p != nullptr) {
       st_arena_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       TOMA_CTR_INC("ualloc.arena_fallback");
@@ -469,7 +589,6 @@ void UAlloc::free(void* p) {
 }
 
 void UAlloc::free_decoded(BinHeader* bin, std::uint32_t idx, void* p) {
-  st_frees_.fetch_add(1, std::memory_order_relaxed);
   if (magazines_enabled()) {
     // Cache into the *freeing* SM's arena (cheapest locality for the next
     // malloc here), whatever arena owns the bin — the block carries its
@@ -478,11 +597,48 @@ void UAlloc::free_decoded(BinHeader* bin, std::uint32_t idx, void* p) {
     // block is still allocated.
     const std::uint32_t a = gpu::this_thread::sm_id_or_hash(
         static_cast<std::uint32_t>(arenas_.size()));
-    if (arenas_[a]->magazines_[bin->size_class].push(p)) return;
-    TOMA_CTR_INC("ualloc.magazine.spill");
-    st_mag_spills_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint32_t cls = bin->size_class;
+    Magazine& mag = arenas_[a]->magazines_[cls];
+    if (mag.push(p, kMagazinePolicy[cls].capacity)) return;
+    // Full: this block spills, and the hysteresis drains the magazine to
+    // its low-water mark (nothing more where the two marks meet).
+    free_slow(bin, idx);
+    spill(mag, cls, 1);
+    return;
   }
   free_slow(bin, idx);
+}
+
+void UAlloc::spill(Magazine& mag, std::uint32_t cls, std::uint64_t spilled) {
+  // Hysteresis: drain to the low-water mark, so one crossing buys
+  // capacity - low_water further O(1) frees.
+  const std::uint32_t low = kMagazinePolicy[cls].low_water;
+  while (mag.count() > low) {
+    void* p = mag.pop();
+    if (p == nullptr) break;
+    publish(p);
+    ++spilled;
+  }
+  TOMA_CTR_INC("ualloc.magazine.spill");
+  TOMA_CTR_ADD("ualloc.magazine.spill_blocks", spilled);
+  st_mag_[cls].spills.fetch_add(1, std::memory_order_relaxed);
+  st_mag_[cls].spill_blocks.fetch_add(spilled, std::memory_order_relaxed);
+}
+
+void UAlloc::publish(void* p) {
+  std::uint32_t idx;
+  BinHeader* bin = decode(p, &idx);
+  free_slow(bin, idx);
+}
+
+void UAlloc::count_hit(std::uint32_t cls) {
+  TOMA_CTR_INC("ualloc.magazine.hit");
+  st_mag_[cls].hits.fetch_add(1, std::memory_order_relaxed);
+}
+
+void UAlloc::count_miss(std::uint32_t cls) {
+  TOMA_CTR_INC("ualloc.magazine.miss");
+  st_mag_[cls].misses.fetch_add(1, std::memory_order_relaxed);
 }
 
 void UAlloc::free_slow(BinHeader* bin, std::uint32_t idx) {
@@ -492,6 +648,7 @@ void UAlloc::free_slow(BinHeader* bin, std::uint32_t idx) {
                   idx, static_cast<void*>(bin), bin->size_class,
                   size_of_class(bin->size_class),
                   static_cast<void*>(bin->chunk), bin->chunk->arena->index());
+  st_frees_.fetch_add(1, std::memory_order_relaxed);
   publish_free_block(bin);
 }
 
@@ -716,21 +873,25 @@ void UAlloc::maybe_retire_chunk(ChunkHeader* chunk) {
   buddy_->free(chunk);
 }
 
-std::size_t UAlloc::release_cached() {
+std::size_t UAlloc::release_cached(std::uint32_t first_cls,
+                                  std::uint32_t end_cls) {
   std::size_t flushed = 0;
   for (auto& arena : arenas_) {
-    for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
-      while (void* p = arena->magazines_[c].pop()) {
-        std::uint32_t idx;
-        BinHeader* bin = decode(p, &idx);
-        free_slow(bin, idx);
-        ++flushed;
+    for (std::uint32_t c = first_cls; c < end_cls; ++c) {
+      std::uint64_t n = 0;
+      void* p = arena->magazines_[c].pop_all();
+      while (p != nullptr) {
+        void* next = *static_cast<void**>(p);
+        publish(p);
+        p = next;
+        ++n;
+      }
+      if (n > 0) {
+        TOMA_CTR_ADD("ualloc.magazine.flush", n);
+        st_mag_[c].flushes.fetch_add(n, std::memory_order_relaxed);
+        flushed += n;
       }
     }
-  }
-  if (flushed > 0) {
-    TOMA_CTR_ADD("ualloc.magazine.flush", flushed);
-    st_mag_flushes_.fetch_add(flushed, std::memory_order_relaxed);
   }
   return flushed;
 }
@@ -935,15 +1096,34 @@ UAllocStats UAlloc::stats() const {
   s.bin_unlinks = st_bin_unlinks_.load(std::memory_order_relaxed);
   s.bin_relists = st_bin_relists_.load(std::memory_order_relaxed);
   s.list_retries = st_list_retries_.load(std::memory_order_relaxed);
-  s.magazine_hits = st_mag_hits_.load(std::memory_order_relaxed);
-  s.magazine_misses = st_mag_misses_.load(std::memory_order_relaxed);
-  s.magazine_spills = st_mag_spills_.load(std::memory_order_relaxed);
-  s.magazine_flushes = st_mag_flushes_.load(std::memory_order_relaxed);
+  const MagazineStats m = magazine_stats();
+  s.magazine_hits = m.hits;
+  s.magazine_misses = m.misses;
+  s.magazine_refills = m.refills;
+  s.magazine_refill_blocks = m.refill_blocks;
+  s.magazine_topups = m.topups;
+  s.magazine_spills = m.spills;
+  s.magazine_spill_blocks = m.spill_blocks;
+  s.magazine_flushes = m.flushes;
+  s.magazine_cached = m.cached;
   s.arena_fallbacks = st_arena_fallbacks_.load(std::memory_order_relaxed);
-  for (const auto& arena : arenas_) {
-    for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
-      s.magazine_cached += arena->magazines_[c].count();
-    }
+  return s;
+}
+
+MagazineStats UAlloc::magazine_stats(std::uint32_t first_cls,
+                                     std::uint32_t end_cls) const {
+  MagazineStats s;
+  for (std::uint32_t c = first_cls; c < end_cls; ++c) {
+    const MagazineCounters& m = st_mag_[c];
+    s.hits += m.hits.load(std::memory_order_relaxed);
+    s.misses += m.misses.load(std::memory_order_relaxed);
+    s.refills += m.refills.load(std::memory_order_relaxed);
+    s.refill_blocks += m.refill_blocks.load(std::memory_order_relaxed);
+    s.topups += m.topups.load(std::memory_order_relaxed);
+    s.spills += m.spills.load(std::memory_order_relaxed);
+    s.spill_blocks += m.spill_blocks.load(std::memory_order_relaxed);
+    s.flushes += m.flushes.load(std::memory_order_relaxed);
+    for (const auto& arena : arenas_) s.cached += arena->magazines_[c].count();
   }
   return s;
 }
@@ -1002,12 +1182,12 @@ bool UAlloc::check_consistency() const {
     for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
       const Magazine& mag = arena->magazines_[c];
       const std::vector<void*> cached = mag.snapshot();
-      if (cached.size() != mag.count() || mag.count() > mag.capacity()) {
+      const std::uint32_t cap = kMagazinePolicy[c].capacity;
+      if (cached.size() != mag.count() || mag.count() > cap) {
         std::fprintf(stderr,
                      "UAlloc: arena %u class %u magazine chain %zu vs "
                      "count %u (cap %u)\n",
-                     arena->index_, c, cached.size(), mag.count(),
-                     mag.capacity());
+                     arena->index_, c, cached.size(), mag.count(), cap);
         ok = false;
       }
       for (void* p : cached) {

@@ -44,11 +44,13 @@
 //     try_wait so accounting never goes negative (no false starvation,
 //     no phantom units).
 //   * In front of all of the above sits a per-(arena, class) *magazine*
-//     (not in the paper): a bounded LIFO of freed blocks whose bitmap
+//     (not in the paper): a bounded LIFO of claimed blocks whose bitmap
 //     bits stay claimed while cached. Steady-state malloc/free churn on
 //     one SM becomes a constant-time push/pop that never touches the
-//     semaphore, the RCU lists, or the parked-unit protocol; magazine
-//     overflow spills through the normal free path and release_cached()
+//     semaphore, the RCU lists, or the parked-unit protocol. The hot
+//     small classes (8..64 B) also stock their magazine by slab-grained
+//     refills (one bulk-semaphore transaction per slab). A push past the
+//     capacity spills through the normal free path, and release_cached()
 //     (called by trim) flushes everything back into the accounting.
 #pragma once
 
@@ -129,9 +131,10 @@ struct ChunkHeader {
 static_assert(sizeof(ChunkHeader) <= kBinHeaderSize,
               "chunk header must fit in 128 bytes");
 
-/// Bounded per-(arena, size-class) LIFO cache of freed blocks — the
+/// Bounded per-(arena, size-class) LIFO cache of claimed blocks — the
 /// constant-time front end of the allocator (not in the paper; see
-/// docs/INTERNALS.md §4b).
+/// docs/INTERNALS.md §4b). Its bound, spill mark and refill policy come
+/// from kMagazinePolicy; the owning Arena and UAlloc apply them.
 ///
 /// A cached block is, to the bin machinery, still *allocated*: its bitmap
 /// bit stays claimed, its bin's free_count excludes it, and no semaphore
@@ -146,22 +149,28 @@ static_assert(sizeof(ChunkHeader) <= kBinHeaderSize,
 /// it is uncontended and the whole operation is constant-time. All next-
 /// pointer accesses happen under the lock, which also orders them against
 /// the application's own stores into a block it just obtained (the popping
-/// thread's acquire pairs with the pushing thread's release).
-class Magazine {
+/// thread's acquire pairs with the pushing thread's release). Cache-line
+/// aligned so neighbouring magazines never false-share.
+class alignas(64) Magazine {
  public:
-  /// Fix the bound. Called once, before first use (Arena constructor).
-  void set_capacity(std::uint32_t cap) { cap_ = cap; }
-  std::uint32_t capacity() const { return cap_; }
-
-  /// Cache `p`; false when full — the caller must spill `p` through the
-  /// normal free path.
-  bool push(void* p) {
+  /// Cache `p` unless the magazine already holds `cap` blocks; false when
+  /// full — the caller spills `p` through the normal free path.
+  bool push(void* p, std::uint32_t cap) {
     sync::LockGuard<sync::SpinMutex> g(mu_);
-    if (count_.load(std::memory_order_relaxed) >= cap_) return false;
+    if (count_.load(std::memory_order_relaxed) >= cap) return false;
     *static_cast<void**>(p) = head_;
     head_ = p;
     count_.fetch_add(1, std::memory_order_relaxed);
     return true;
+  }
+
+  /// Splice a pre-linked chain of `n` blocks (`first` .. `last`) in O(1);
+  /// returns the count after the splice.
+  std::uint32_t push_chain(void* first, void* last, std::uint32_t n) {
+    sync::LockGuard<sync::SpinMutex> g(mu_);
+    *static_cast<void**>(last) = head_;
+    head_ = first;
+    return count_.fetch_add(n, std::memory_order_relaxed) + n;
   }
 
   /// Most recently cached block, or nullptr when empty. The empty check is
@@ -173,6 +182,16 @@ class Magazine {
     if (p == nullptr) return nullptr;
     head_ = *static_cast<void**>(p);
     count_.fetch_sub(1, std::memory_order_relaxed);
+    return p;
+  }
+
+  /// Detach the whole chain (head first, linked through the blocks);
+  /// the count drops to zero.
+  void* pop_all() {
+    sync::LockGuard<sync::SpinMutex> g(mu_);
+    void* p = head_;
+    head_ = nullptr;
+    count_.store(0, std::memory_order_relaxed);
     return p;
   }
 
@@ -192,11 +211,19 @@ class Magazine {
     return out;
   }
 
+  /// Single-refiller gate. A fiber that yields inside a refill's semaphore
+  /// wait would otherwise let every thread that missed the same empty
+  /// magazine fetch its own slab, ballooning the stock far past capacity.
+  bool try_begin_refill() {
+    return !refilling_.exchange(true, std::memory_order_acquire);
+  }
+  void end_refill() { refilling_.store(false, std::memory_order_release); }
+
  private:
   mutable sync::SpinMutex mu_;
   void* head_ = nullptr;
   std::atomic<std::uint32_t> count_{0};
-  std::uint32_t cap_ = 0;
+  std::atomic<bool> refilling_{false};
 };
 
 /// Per-(arena, size class) structures.
@@ -215,10 +242,15 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  void* allocate(std::uint32_t cls);
+  /// Allocate one block of `cls`: magazine first, then the bins.
+  /// `may_refill` lets a miss (or a hit that leaves the stock low) fetch
+  /// slabs into this arena's magazine. Only the calling thread's home
+  /// arena refills: a sibling probed by the out-of-memory sweep may pop
+  /// its stock but never fetches a slab into it.
+  void* allocate(std::uint32_t cls, bool may_refill);
 
   /// Claim up to `want` blocks of `cls` in ONE bulk-semaphore
-  /// transaction (the FixedLane slab refill). Returns the number of
+  /// transaction (a magazine's slab refill). Returns the number of
   /// blocks written to `out` — `min(want, capacity)` on success, 0 when
   /// this arena is out of memory. Either a batched claim over the listed
   /// bins or one freshly grown bin whose first `want` slots become the
@@ -238,6 +270,24 @@ class Arena {
 
  private:
   friend class UAlloc;
+
+  /// Miss on a refill class, in-kernel: warp-mates that missed the same
+  /// magazine form one group, the leader fetches one slab for everyone
+  /// (without the refill gate: gating it would strand its whole group on
+  /// the per-warp semaphore path), and the members pop the restocked
+  /// magazine. nullptr sends the caller to the per-block path.
+  void* refill_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx);
+
+  /// Miss on a refill class, solo (host threads, singleton groups):
+  /// refill under the magazine's single-refiller gate. A caller that finds
+  /// the gate held gets nullptr and takes the per-block path.
+  void* refill_gated(std::uint32_t cls);
+
+  /// Slab refill: fetch up to `max_batches` slabs (stopping at the
+  /// low-water mark), keep one block for the caller, splice the rest into
+  /// the magazine. nullptr when no arena had memory for a slab — a single
+  /// block can still succeed where a slab could not.
+  void* refill(std::uint32_t cls, std::uint32_t max_batches);
 
   /// Single-thread allocation path (also the fallback).
   void* allocate_individual(std::uint32_t cls);
@@ -285,7 +335,23 @@ class Arena {
   sync::SpinMutex list_splice_mu_;        // intra-group splice serialization
 };
 
-/// Aggregate UAlloc statistics.
+/// Magazine counters over a range of size classes (UAlloc::magazine_stats).
+struct MagazineStats {
+  std::uint64_t hits = 0;           // allocations served by a magazine pop
+  std::uint64_t misses = 0;         // pops on an empty magazine
+  std::uint64_t refills = 0;        // slab refill transactions
+  std::uint64_t refill_blocks = 0;  // blocks fetched by refills
+  std::uint64_t topups = 0;         // proactive low-stock restocks (on hits)
+  std::uint64_t spills = 0;         // pushes that crossed the capacity
+  std::uint64_t spill_blocks = 0;   // blocks drained by those spills
+  std::uint64_t flushes = 0;        // blocks evicted by release_cached()
+  std::uint64_t cached = 0;         // blocks cached right now
+};
+
+/// Aggregate UAlloc statistics. `allocs` counts blocks claimed out of the
+/// bins (by a caller or by a slab refill) and `frees` blocks published
+/// back into them. A cached block stays claimed, so at a quiescent point
+/// allocs - frees = live blocks + magazine_cached.
 struct UAllocStats {
   std::uint64_t allocs = 0;
   std::uint64_t frees = 0;
@@ -296,11 +362,16 @@ struct UAllocStats {
   std::uint64_t bin_unlinks = 0;
   std::uint64_t bin_relists = 0;
   std::uint64_t list_retries = 0;
-  std::uint64_t magazine_hits = 0;     // allocations served by a magazine
-  std::uint64_t magazine_misses = 0;   // pops on an empty magazine
-  std::uint64_t magazine_spills = 0;   // frees that overflowed a magazine
-  std::uint64_t magazine_flushes = 0;  // blocks evicted by release_cached()
-  std::uint64_t magazine_cached = 0;   // blocks cached right now
+  // Magazine counters over every class (MagazineStats, flattened).
+  std::uint64_t magazine_hits = 0;
+  std::uint64_t magazine_misses = 0;
+  std::uint64_t magazine_refills = 0;
+  std::uint64_t magazine_refill_blocks = 0;
+  std::uint64_t magazine_topups = 0;
+  std::uint64_t magazine_spills = 0;
+  std::uint64_t magazine_spill_blocks = 0;
+  std::uint64_t magazine_flushes = 0;
+  std::uint64_t magazine_cached = 0;
   std::uint64_t arena_fallbacks = 0;   // allocations served by a non-home
                                        // arena after the home arena OOM'd
 };
@@ -319,13 +390,17 @@ class UAlloc {
 
   /// Allocate a block of power-of-two `size` in [8, 1024] from the
   /// calling thread's arena, falling back to the other arenas when the
-  /// home arena is out of chunks. nullptr on pool exhaustion.
-  void* allocate(std::size_t size);
+  /// home arena is out of chunks. nullptr on pool exhaustion. With
+  /// `refill` false the home magazine fetches no slab: defrag's
+  /// destination probes use that, since a slab fetched mid-run would
+  /// cache blocks a later victim's census counts as live.
+  void* allocate(std::size_t size, bool refill = true);
 
   /// allocate() with an explicit home arena instead of the calling
   /// thread's SM — the same fallback sweep, made deterministic for tests
   /// (and usable by hosts that route by something other than SM id).
-  void* allocate_from(std::uint32_t home_arena, std::size_t size);
+  void* allocate_from(std::uint32_t home_arena, std::size_t size,
+                      bool refill = true);
 
   /// Free a block previously returned by allocate (any thread).
   void free(void* p);
@@ -339,14 +414,14 @@ class UAlloc {
                                void** out, std::uint32_t want);
 
   /// Reverse-map `p` to its owning bin and block index (the free()
-  /// decode, exposed so GpuAllocator can decode once and route between
-  /// the fixed lane and free_decoded).
+  /// decode, exposed so GpuAllocator can read the charged size and free
+  /// with one decode).
   BinHeader* decode_block(void* p, std::uint32_t* block_idx) const {
     return decode(p, block_idx);
   }
 
   /// The tail of free(): `p` already decoded to (bin, idx). Magazine
-  /// push first, slow publication otherwise.
+  /// push first (spilling past the capacity), slow publication otherwise.
   void free_decoded(BinHeader* bin, std::uint32_t idx, void* p);
 
   /// Byte size of the block containing `p` (its size class).
@@ -365,10 +440,10 @@ class UAlloc {
   /// Ablation knob: disable the warp-coalesced allocation path.
   void set_coalescing(bool on) { coalesce_ = on; }
 
-  /// Ablation/runtime knob for the magazine front-end (default is the
-  /// compile-time TOMA_UALLOC_MAGAZINES). Turning magazines off flushes
-  /// every cached block back through the normal free path, so the
-  /// paper-faithful configuration is reachable at any quiescent point.
+  /// The one switch for the magazines (default is the compile-time
+  /// TOMA_UALLOC_MAGAZINES). Turning magazines off flushes every cached
+  /// block back through the normal free path, so the paper-faithful
+  /// configuration is reachable at any quiescent point.
   void set_magazines(bool on) {
     magazines_on_.store(on, std::memory_order_relaxed);
     if (!on) release_cached();
@@ -377,17 +452,23 @@ class UAlloc {
     return magazines_on_.load(std::memory_order_relaxed);
   }
 
-  /// Flush every magazine: each cached block re-enters the accounting
-  /// protocol through the normal free-publication path (clearing its
-  /// bitmap bit, parking and signalling a unit, possibly retiring its
-  /// bin). Returns the number of blocks flushed. Safe to call
-  /// concurrently with allocation; trim() calls this first so cached
-  /// blocks cannot pin otherwise-empty bins or chunks.
-  std::size_t release_cached();
+  /// Flush the magazines of classes [first_cls, end_cls) in every arena:
+  /// each cached block re-enters the accounting protocol through the
+  /// normal free-publication path (clearing its bitmap bit, parking and
+  /// signalling a unit, possibly retiring its bin). Returns the number of
+  /// blocks flushed. Safe to call concurrently with allocation (each
+  /// observed block is flushed exactly once); trim() calls this first so
+  /// cached blocks cannot pin otherwise-empty bins or chunks.
+  std::size_t release_cached(std::uint32_t first_cls = 0,
+                             std::uint32_t end_cls = kNumSizeClasses);
   TBuddy& buddy() { return *buddy_; }
   Arena& arena(std::uint32_t i) { return *arenas_[i]; }
 
   UAllocStats stats() const;
+
+  /// Magazine counters of classes [first_cls, end_cls).
+  MagazineStats magazine_stats(std::uint32_t first_cls = 0,
+                               std::uint32_t end_cls = kNumSizeClasses) const;
 
   /// Scavenge fully-free bins and empty chunks back to TBuddy (the
   /// malloc_trim analogue). Bin/chunk retirement on the free path is
@@ -416,8 +497,8 @@ class UAlloc {
 
   /// Walk every chunk of every arena and census the carved data bins.
   /// Meaningful only while the allocator is quiescent (the defrag
-  /// contract); counts include magazine/lane-cached blocks, which is why
-  /// defrag flushes those caches first.
+  /// contract); counts include magazine-cached blocks, which is why
+  /// defrag flushes the magazines first.
   std::vector<BinOccupancy> snapshot_bins();
 
   /// Range-restricted census: only bins whose chunk base lies in
@@ -437,7 +518,6 @@ class UAlloc {
   /// path, never a magazine — a migrating bin must drain toward empty,
   /// not recycle its blocks into the next allocation.
   void free_for_defrag(BinHeader* bin, std::uint32_t idx) {
-    st_frees_.fetch_add(1, std::memory_order_relaxed);
     free_slow(bin, idx);
   }
 
@@ -458,13 +538,21 @@ class UAlloc {
 
  private:
   friend class Arena;
-  // FixedLane republishes cached blocks via free_slow and keeps the
-  // alloc/free statistics boundary-symmetric (see fixed_lane.cpp).
-  friend class FixedLane;
+
+  // --- magazine policy and counters ----------------------------------------
+  /// Spill hysteresis: drain `mag` (class `cls`) down to its low-water
+  /// mark through the free-publication path. `spilled` blocks the caller
+  /// already published (the one a full magazine refused) count as part of
+  /// this spill.
+  void spill(Magazine& mag, std::uint32_t cls, std::uint64_t spilled);
+  /// Return one cached block to the bin accounting (decode + free_slow).
+  void publish(void* p);
+  void count_hit(std::uint32_t cls);
+  void count_miss(std::uint32_t cls);
 
   // --- bin lifecycle (cold paths) -----------------------------------------
   /// The paper's free path: clear the bitmap bit of block `idx` and
-  /// publish the freed block. Taken on magazine overflow/flush, or always
+  /// publish the freed block. Taken on magazine spill/flush, or always
   /// when magazines are off.
   void free_slow(BinHeader* bin, std::uint32_t idx);
   /// Publish one freed block of `bin` (bit already cleared): park a unit
@@ -519,11 +607,21 @@ class UAlloc {
   mutable std::atomic<std::uint64_t> st_bin_unlinks_{0};
   mutable std::atomic<std::uint64_t> st_bin_relists_{0};
   mutable std::atomic<std::uint64_t> st_list_retries_{0};
-  mutable std::atomic<std::uint64_t> st_mag_hits_{0};
-  mutable std::atomic<std::uint64_t> st_mag_misses_{0};
-  mutable std::atomic<std::uint64_t> st_mag_spills_{0};
-  mutable std::atomic<std::uint64_t> st_mag_flushes_{0};
   mutable std::atomic<std::uint64_t> st_arena_fallbacks_{0};
+
+  /// The magazine counters, one set per size class (MagazineStats minus
+  /// the `cached` census).
+  struct MagazineCounters {
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+    std::atomic<std::uint64_t> refills{0};
+    std::atomic<std::uint64_t> refill_blocks{0};
+    std::atomic<std::uint64_t> topups{0};
+    std::atomic<std::uint64_t> spills{0};
+    std::atomic<std::uint64_t> spill_blocks{0};
+    std::atomic<std::uint64_t> flushes{0};
+  };
+  mutable MagazineCounters st_mag_[kNumSizeClasses];
 };
 
 }  // namespace toma::alloc

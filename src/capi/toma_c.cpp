@@ -65,8 +65,6 @@ HeapConfig to_cpp(const toma_pool_config_t& c) {
   apply_toggle(cfg.heapsan, c.heapsan);
   apply_toggle(cfg.magazines, c.magazines);
   apply_toggle(cfg.quicklist, c.quicklist);
-  apply_toggle(cfg.fixed_lane, c.fixed_lane);
-  cfg.fixed_lane_refill_depth = c.fixed_lane_refill_depth;
   cfg.slo_latency_ns = c.slo_latency_ns;
   apply_toggle(cfg.vmm, c.vmm);
   cfg.chunk_bytes = c.chunk_bytes;
@@ -114,8 +112,6 @@ toma_pool_config_t toma_pool_config_default(void) {
   c.quicklist = -1;
   c.stream_async = -1;
   c.slo_latency_ns = defaults.slo_latency_ns;
-  c.fixed_lane = -1;
-  c.fixed_lane_refill_depth = 0;
   c.num_workers = 0;
   c.vmm = -1;
   c.chunk_bytes = 0;

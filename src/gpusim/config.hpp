@@ -10,7 +10,19 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/hints.hpp"
+
 namespace toma::gpu {
+
+/// Default usable stack bytes per fiber. Device-side code is shallow; 32 KB
+/// leaves generous headroom for std::function frames in the simulator.
+/// AddressSanitizer frames carry redzones and run several times larger
+/// (TBuddy's split recursion overflows 32 KB), so ASan builds get 128 KB.
+#if defined(TOMA_ASAN)
+inline constexpr std::size_t kDefaultStackBytes = 128 * 1024;
+#else
+inline constexpr std::size_t kDefaultStackBytes = 32 * 1024;
+#endif
 
 /// Which scheduler drives the SMs (docs/INTERNALS.md §7).
 enum class SchedPolicy : std::uint8_t {
@@ -33,9 +45,8 @@ struct DeviceConfig {
   std::uint32_t warp_size = 32;
   /// Per-block shared memory arena (Volta: up to 96 KB; default 48 KB).
   std::size_t shared_mem_per_block = 48 * 1024;
-  /// Usable stack bytes per fiber. Device-side code is shallow; 32 KB
-  /// leaves generous headroom for std::function frames in the simulator.
-  std::size_t stack_bytes = 32 * 1024;
+  /// Usable stack bytes per fiber.
+  std::size_t stack_bytes = kDefaultStackBytes;
   /// OS worker threads driving the SMs. 0 = the process default: an
   /// explicit set_default_num_workers() value, else the TOMA_WORKERS
   /// environment variable, else min(hw concurrency, num_sms). One worker

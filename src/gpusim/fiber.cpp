@@ -7,6 +7,10 @@
 #if defined(TOMA_TSAN_FIBERS)
 #include <sanitizer/tsan_interface.h>
 #endif
+#if defined(TOMA_ASAN)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 #if !defined(TOMA_USE_UCONTEXT)
 extern "C" {
@@ -78,7 +82,18 @@ Fiber::~Fiber() {
 void Fiber::reset(Stack stack, Entry entry, void* arg) {
   TOMA_ASSERT_MSG(finished_, "resetting a live fiber");
   stack_ = std::move(stack);
+#if defined(TOMA_ASAN)
+  // A recycled stack still carries the redzones of its last fiber's
+  // frames, which never returned.
+  ASAN_UNPOISON_MEMORY_REGION(
+      static_cast<char*>(stack_.top()) - stack_.usable_bytes(),
+      stack_.usable_bytes());
+  entry_ = entry;
+  arg_ = arg;
+  self_.init(stack_, &Fiber::asan_entry, this);
+#else
   self_.init(stack_, entry, arg);
+#endif
   finished_ = false;
 #if defined(TOMA_TSAN_FIBERS)
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
@@ -104,14 +119,43 @@ void Fiber::resume() {
   tsan_sched_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
+#if defined(TOMA_ASAN)
+  void* sched_fake = nullptr;
+  __sanitizer_start_switch_fiber(
+      &sched_fake, static_cast<char*>(stack_.top()) - stack_.usable_bytes(),
+      stack_.usable_bytes());
+#endif
   scheduler_.switch_to(self_);
+#if defined(TOMA_ASAN)
+  __sanitizer_finish_switch_fiber(sched_fake, nullptr, nullptr);
+#endif
 }
 
 void Fiber::suspend() {
 #if defined(TOMA_TSAN_FIBERS)
   __tsan_switch_to_fiber(tsan_sched_, 0);
 #endif
+#if defined(TOMA_ASAN)
+  // A finished fiber never comes back: no fake stack to keep.
+  __sanitizer_start_switch_fiber(finished_ ? nullptr : &asan_fake_,
+                                 asan_sched_bottom_, asan_sched_size_);
+#endif
   self_.switch_to(scheduler_);
+#if defined(TOMA_ASAN)
+  // Resumed, possibly by another worker: record its stack for the next
+  // switch back.
+  __sanitizer_finish_switch_fiber(asan_fake_, &asan_sched_bottom_,
+                                  &asan_sched_size_);
+#endif
 }
+
+#if defined(TOMA_ASAN)
+void Fiber::asan_entry(void* self) {
+  auto* f = static_cast<Fiber*>(self);
+  __sanitizer_finish_switch_fiber(nullptr, &f->asan_sched_bottom_,
+                                  &f->asan_sched_size_);
+  f->entry_(f->arg_);
+}
+#endif
 
 }  // namespace toma::gpu

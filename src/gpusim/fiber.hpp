@@ -23,7 +23,9 @@
 // races on every fiber-local access. The fiber annotation API
 // (__tsan_create_fiber / __tsan_switch_to_fiber) tells TSan about each
 // switch, which is what lets the gpusim suites run under TSan at
-// workers > 1 (the CI workers-matrix legs).
+// workers > 1 (the CI workers-matrix legs). AddressSanitizer needs the
+// same notice for the same reason (__sanitizer_start_switch_fiber /
+// __sanitizer_finish_switch_fiber at the same switch points, TOMA_ASAN).
 #if defined(__SANITIZE_THREAD__)
 #define TOMA_TSAN_FIBERS 1
 #elif defined(__has_feature)
@@ -33,6 +35,7 @@
 #endif
 
 #include "gpusim/stack.hpp"
+#include "util/hints.hpp"
 
 namespace toma::gpu {
 
@@ -99,6 +102,16 @@ class Fiber {
 #if defined(TOMA_TSAN_FIBERS)
   void* tsan_fiber_ = nullptr;  // TSan shadow state of this fiber
   void* tsan_sched_ = nullptr;  // resuming worker's shadow state
+#endif
+#if defined(TOMA_ASAN)
+  /// First code on a fresh fiber: completes ASan's switch, then runs
+  /// entry_(arg_).
+  static void asan_entry(void* self);
+  Entry entry_ = nullptr;
+  void* arg_ = nullptr;
+  void* asan_fake_ = nullptr;                // fake stack while suspended
+  const void* asan_sched_bottom_ = nullptr;  // resuming worker's stack
+  std::size_t asan_sched_size_ = 0;
 #endif
 };
 

@@ -8,6 +8,11 @@
 
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
+#include "util/hints.hpp"
+
+#if defined(TOMA_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace toma::gpu {
 
@@ -15,6 +20,16 @@ namespace {
 std::size_t page_size() {
   static const std::size_t ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   return ps;
+}
+
+void unmap(void* base, std::size_t len) {
+#if defined(TOMA_ASAN)
+  // ASan keeps shadow state across munmap: the redzones of fiber frames
+  // that never returned would flag the next mapping at these addresses
+  // (a pool chunk, say) as a stack-buffer overflow.
+  ASAN_UNPOISON_MEMORY_REGION(base, len);
+#endif
+  ::munmap(base, len);
 }
 }  // namespace
 
@@ -31,7 +46,7 @@ Stack::Stack(std::size_t usable_bytes) {
 }
 
 Stack::~Stack() {
-  if (base_ != nullptr) ::munmap(base_, mapped_);
+  if (base_ != nullptr) unmap(base_, mapped_);
 }
 
 Stack::Stack(Stack&& o) noexcept
@@ -41,7 +56,7 @@ Stack::Stack(Stack&& o) noexcept
 
 Stack& Stack::operator=(Stack&& o) noexcept {
   if (this != &o) {
-    if (base_ != nullptr) ::munmap(base_, mapped_);
+    if (base_ != nullptr) unmap(base_, mapped_);
     base_ = std::exchange(o.base_, nullptr);
     mapped_ = std::exchange(o.mapped_, 0);
     usable_ = std::exchange(o.usable_, 0);

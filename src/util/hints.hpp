@@ -9,6 +9,16 @@
 #define TOMA_NOINLINE __attribute__((noinline))
 #define TOMA_ALWAYS_INLINE __attribute__((always_inline)) inline
 
+// TOMA_ASAN: built with AddressSanitizer (GCC defines __SANITIZE_ADDRESS__,
+// Clang reports the feature).
+#if defined(__SANITIZE_ADDRESS__)
+#define TOMA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TOMA_ASAN 1
+#endif
+#endif
+
 namespace toma::util {
 
 // Hardware destructive interference size. libstdc++ on x86-64 reports 64;

@@ -38,11 +38,12 @@ TEST(Quota, RejectsWithQuotaStatusAndRecovers) {
   HeapConfig cfg = small_cfg();
   cfg.quota_bytes = 64 * 1024;
   GpuAllocator a(cfg);
+  const std::size_t kib = test::request_for_slot(a, 1024);
 
   std::vector<void*> held;
   AllocStatus st = AllocStatus::kOk;
   for (;;) {
-    void* p = a.malloc(1024, &st);
+    void* p = a.malloc(kib, &st);
     if (p == nullptr) break;
     held.push_back(p);
   }
@@ -54,12 +55,13 @@ TEST(Quota, RejectsWithQuotaStatusAndRecovers) {
   // Usage drains -> the quota admits again.
   a.free(held.back());
   held.pop_back();
-  void* p = a.malloc(1024, &st);
+  void* p = a.malloc(kib, &st);
   EXPECT_NE(p, nullptr);
   EXPECT_EQ(st, AllocStatus::kOk);
   held.push_back(p);
 
   for (void* q : held) a.free(q);
+  test::flush_quarantine(a);
   EXPECT_EQ(a.bytes_in_use(), 0u);
   EXPECT_TRUE(a.check_consistency());
 }
@@ -74,6 +76,7 @@ TEST(Quota, ChargesBlockGranularityForLargeAllocs) {
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(a.bytes_in_use(), 8u * 1024u);
   a.free(p);
+  test::flush_quarantine(a);
   EXPECT_EQ(a.bytes_in_use(), 0u);
 }
 
@@ -162,12 +165,13 @@ TEST(PoolManager, QuotaIsolationBetweenPools) {
 TEST(Pool, ReleaseThresholdTrimsAtSync) {
   HeapConfig cfg = small_cfg();
   cfg.release_threshold = 0;  // CUDA default: release everything at sync
+  cfg.heapsan = false;  // HeapSan bypasses stream deferral by design
   Pool pool("rt-test", cfg);
   pool.set_async(true);  // deferral is required; don't rely on build default
   gpu::Stream s;
 
   // Churn enough 128 B blocks to strand whole chunks in the UAlloc caches
-  // (above the fixed-lane threshold, so the frees actually defer).
+  // (above the magazines' refill classes, so the frees actually defer).
   std::vector<void*> held;
   for (int i = 0; i < 2000; ++i) held.push_back(pool.malloc(128));
   for (void* p : held) pool.free_async(p, s);
@@ -247,7 +251,7 @@ TEST(Pool, DeviceHeapScopeNestsOverPools) {
   {
     DeviceHeapScope scope(scratch.allocator());
     EXPECT_EQ(device_heap(), &scratch.allocator());
-    void* p = device_malloc(64);
+    void* p = device_malloc(test::request_for_slot(scratch.allocator(), 64));
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(scratch.bytes_in_use(), 64u);
     {
@@ -258,6 +262,7 @@ TEST(Pool, DeviceHeapScopeNestsOverPools) {
     device_free(p);
   }
   EXPECT_EQ(device_heap(), &def.allocator());
+  test::flush_quarantine(scratch.allocator());
   EXPECT_EQ(scratch.bytes_in_use(), 0u);
   set_device_heap(prev);
 }
@@ -277,6 +282,7 @@ TEST(Pool, KernelChurnThroughPool) {
   });
   EXPECT_EQ(ok.load(), 1024u);
   pool.sync(s);
+  test::flush_quarantine(pool.allocator());
   EXPECT_EQ(pool.bytes_in_use(), 0u);
   EXPECT_TRUE(pool.check_consistency());
 }

@@ -14,8 +14,12 @@ namespace {
 
 constexpr std::size_t kMiB = 1024 * 1024;
 
+// HeapSan bypasses stream reuse and deferral by design (a sanitized
+// pointer is not a raw block base); these tests exercise the deferral
+// machinery, so they pin it off. HeapSanEngagedBypassesDeferral turns it
+// back on to check the passthrough.
 HeapConfig small_cfg() {
-  return HeapConfig{.pool_bytes = 8 * kMiB, .num_arenas = 2};
+  return HeapConfig{.pool_bytes = 8 * kMiB, .num_arenas = 2, .heapsan = false};
 }
 
 TEST(StreamAsync, FreeIsDeferredUntilSync) {
@@ -126,7 +130,7 @@ TEST(StreamAsync, OverflowCapForcesInlineDrain) {
   std::vector<void*> held;
   held.reserve(kStreamPendingCap);
   for (std::uint32_t i = 0; i < kStreamPendingCap; ++i) {
-    void* p = pool.malloc(128);  // above the fixed-lane threshold: defers
+    void* p = pool.malloc(128);  // above the refill classes: defers
     ASSERT_NE(p, nullptr);
     held.push_back(p);
   }
@@ -225,24 +229,25 @@ TEST(StreamAsync, DrainBatchesAreCounted) {
   EXPECT_EQ(st.drain_batches, 1u);  // one batch, one grace-period cluster
 }
 
-TEST(StreamAsync, SmallFreesRouteThroughLaneNotPendingList) {
-  Pool pool("sa-lane", small_cfg());
+TEST(StreamAsync, SmallFreesRouteThroughMagazineNotPendingList) {
+  Pool pool("sa-mag", small_cfg());
   pool.set_async(true);
-  pool.allocator().set_fixed_lane(true);
+  pool.allocator().ualloc().set_magazines(true);
   gpu::Stream s;
   void* p = pool.malloc(16);
   ASSERT_NE(p, nullptr);
 
-  // Lane-served sizes bypass the per-(pool, stream) pending machinery:
-  // the free completes immediately and the block lands on the lane.
+  // Sizes of the refill classes bypass the per-(pool, stream) pending
+  // machinery: the free completes immediately and the block lands in the
+  // freeing SM's magazine.
   pool.free_async(p, s);
   EXPECT_EQ(pool.stats().stream.pending, 0u);
   EXPECT_EQ(pool.bytes_in_use(), 0u);
   EXPECT_TRUE(s.idle());
   EXPECT_GE(pool.stats().alloc.lane.cached, 1u);
 
-  // The next small malloc_async picks the block up from the lane in O(1)
-  // — same recycling the pending scan provided, without the scan.
+  // The next small malloc_async picks the block up from the magazine in
+  // O(1) — same recycling the pending scan provided, without the scan.
   void* q = pool.malloc_async(16, s);
   EXPECT_EQ(q, p);
   EXPECT_EQ(pool.stats().stream.reuse_hits, 0u);
@@ -252,15 +257,15 @@ TEST(StreamAsync, SmallFreesRouteThroughLaneNotPendingList) {
   EXPECT_TRUE(pool.check_consistency());
 }
 
-TEST(StreamAsync, LaneOffRestoresPendingDeferral) {
-  Pool pool("sa-lane-off", small_cfg());
+TEST(StreamAsync, MagazinesOffRestorePendingDeferral) {
+  Pool pool("sa-mag-off", small_cfg());
   pool.set_async(true);
-  pool.allocator().set_fixed_lane(false);
+  pool.allocator().ualloc().set_magazines(false);
   gpu::Stream s;
   void* p = pool.malloc(16);
   ASSERT_NE(p, nullptr);
   pool.free_async(p, s);
-  // Without the lane, small frees defer exactly as before.
+  // Without the magazines, small frees defer like every other size.
   EXPECT_EQ(pool.stats().stream.pending, 1u);
   EXPECT_EQ(pool.sync(s), 1u);
   EXPECT_TRUE(pool.check_consistency());
@@ -269,7 +274,9 @@ TEST(StreamAsync, LaneOffRestoresPendingDeferral) {
 TEST(StreamAsync, KernelChurnWithPerWarpStreams) {
   // Device-side shape: concurrent fibers allocate, write, and free_async
   // onto a handful of streams; host syncs them all afterwards.
-  Pool pool("sa-kernel", HeapConfig{.pool_bytes = 16 * kMiB, .num_arenas = 2});
+  Pool pool("sa-kernel", HeapConfig{.pool_bytes = 16 * kMiB,
+                                    .num_arenas = 2,
+                                    .heapsan = false});
   gpu::Device dev(test::small_device());
   constexpr int kStreams = 4;
   gpu::Stream streams[kStreams];

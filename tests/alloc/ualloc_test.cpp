@@ -329,12 +329,14 @@ TEST_F(UAllocTest, HostThreadsFallbackPath) {
 
 TEST_F(UAllocTest, MagazineHitReusesFreedBlock) {
   if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
-  void* p = ua_.allocate(64);
+  // 128 B: a class whose magazine is stocked by frees only (the 8..64 B
+  // slab refill is covered in magazine_test.cpp).
+  void* p = ua_.allocate(128);
   ASSERT_NE(p, nullptr);
   ua_.free(p);
   // The block parks in this thread's arena magazine, bitmap bit still set.
   EXPECT_EQ(ua_.stats().magazine_cached, 1u);
-  void* q = ua_.allocate(64);
+  void* q = ua_.allocate(128);
   EXPECT_EQ(q, p) << "LIFO magazine must return the block just freed";
   const auto st = ua_.stats();
   EXPECT_EQ(st.magazine_hits, 1u);
@@ -349,7 +351,7 @@ TEST_F(UAllocTest, MagazineBoundedAndSpills) {
   // blocks from one host thread parks 6 and spills 4 through the paper's
   // free path.
   const std::uint32_t cls = size_class_of(1024);
-  const std::uint32_t cap = magazine_capacity(cls);
+  const std::uint32_t cap = kMagazinePolicy[cls].capacity;
   ASSERT_EQ(cap, 6u);
   std::vector<void*> ptrs;
   for (int i = 0; i < 10; ++i) {
@@ -361,6 +363,7 @@ TEST_F(UAllocTest, MagazineBoundedAndSpills) {
   const auto st = ua_.stats();
   EXPECT_EQ(st.magazine_cached, cap);
   EXPECT_EQ(st.magazine_spills, 10u - cap);
+  EXPECT_EQ(st.magazine_spill_blocks, 10u - cap);  // one block per spill
   std::uint32_t total = 0;
   for (std::uint32_t a = 0; a < ua_.num_arenas(); ++a) {
     total += ua_.arena(a).magazine_count(cls);
@@ -375,9 +378,10 @@ TEST_F(UAllocTest, MagazineBoundedAndSpills) {
 
 TEST_F(UAllocTest, MagazineAccountingInvariantAfterFlush) {
   if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
-  // Every free either spills or parks, and every parked block is later
-  // popped (hit) or flushed: frees - spills == hits + flushes once the
-  // magazines are drained.
+  // allocs counts blocks claimed out of the bins and frees blocks
+  // published back, and a cached block stays claimed: at every quiescent
+  // point allocs - frees == live + cached. With the magazines on, every
+  // publication is a spill or a flush.
   util::Xorshift rng(11);
   std::vector<void*> held;
   for (int i = 0; i < 2000; ++i) {
@@ -389,12 +393,17 @@ TEST_F(UAllocTest, MagazineAccountingInvariantAfterFlush) {
       if (void* p = ua_.allocate(size)) held.push_back(p);
     }
   }
+  auto st = ua_.stats();
+  EXPECT_EQ(st.allocs - st.frees, held.size() + st.magazine_cached);
   for (void* p : held) ua_.free(p);
+  st = ua_.stats();
+  EXPECT_EQ(st.allocs - st.frees, st.magazine_cached);
   ua_.release_cached();
-  const auto st = ua_.stats();
+  st = ua_.stats();
   EXPECT_EQ(st.magazine_cached, 0u);
-  EXPECT_EQ(st.frees - st.magazine_spills,
-            st.magazine_hits + st.magazine_flushes);
+  EXPECT_EQ(st.allocs, st.frees);
+  EXPECT_EQ(st.frees, st.magazine_spill_blocks + st.magazine_flushes);
+  EXPECT_GT(st.magazine_refills, 0u);
   EXPECT_TRUE(ua_.check_consistency());
 }
 
@@ -432,6 +441,7 @@ TEST_F(UAllocTest, CrossSmFreeParksInFreeingSmsMagazine) {
   if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
   // Alloc on SM i, free on SM j: the block must land in arena j's
   // magazine (the freeing SM reuses it locally next), never arena i's.
+  // 128 B is stocked by frees only, so the counts are exact.
   gpu::Device dev(test::small_device(2, 256, 1));
   std::atomic<void*> handoff{nullptr};
   std::atomic<int> phase{0};
@@ -439,7 +449,7 @@ TEST_F(UAllocTest, CrossSmFreeParksInFreeingSmsMagazine) {
   dev.launch(gpu::Dim3{2}, gpu::Dim3{1}, [&](gpu::ThreadCtx& t) {
     if (t.block_rank() == 0) {
       alloc_sm.store(t.sm_id());
-      handoff.store(ua_.allocate(64), std::memory_order_release);
+      handoff.store(ua_.allocate(128), std::memory_order_release);
       phase.store(1, std::memory_order_release);
     } else {
       while (phase.load(std::memory_order_acquire) == 0) t.yield();
@@ -449,7 +459,7 @@ TEST_F(UAllocTest, CrossSmFreeParksInFreeingSmsMagazine) {
       ua_.free(p);
     }
   });
-  const std::uint32_t cls = size_class_of(64);
+  const std::uint32_t cls = size_class_of(128);
   const std::uint32_t freeing_arena = free_sm.load() % ua_.num_arenas();
   EXPECT_EQ(ua_.arena(freeing_arena).magazine_count(cls), 1u);
   if (alloc_sm.load() % ua_.num_arenas() != freeing_arena) {
@@ -479,16 +489,18 @@ TEST_F(UAllocTest, HostThreadFreeOfDeviceAllocation) {
     }
   });
   const std::uint32_t cls = size_class_of(32);
-  const std::uint32_t cap = magazine_capacity(cls);
+  const std::uint32_t cap = kMagazinePolicy[cls].capacity;
   std::uint64_t cached = 0;
   for (std::uint32_t a = 0; a < ua_.num_arenas(); ++a) {
     EXPECT_LE(ua_.arena(a).magazine_count(cls), cap);
     cached += ua_.arena(a).magazine_count(cls);
   }
+  // Every block was freed: only cached ones are still claimed, and every
+  // block published back so far was spilled.
   const auto st = ua_.stats();
   EXPECT_EQ(st.magazine_cached, cached);
-  EXPECT_EQ(st.frees, kThreads);
-  EXPECT_EQ(st.magazine_spills, kThreads - cached);
+  EXPECT_EQ(st.allocs - st.frees, cached);
+  EXPECT_EQ(st.frees, st.magazine_spill_blocks);
   EXPECT_TRUE(ua_.check_consistency());
   ua_.release_cached();
   EXPECT_EQ(ua_.stats().magazine_cached, 0u);

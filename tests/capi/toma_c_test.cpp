@@ -20,6 +20,11 @@ toma_pool_config_t small_cfg() {
   return cfg;
 }
 
+// A request that fills a `slot`-byte block whether or not the build
+// defaults HeapSan on: HeapSan wraps every request in two 16 B redzones,
+// and without it the request rounds up to the same power of two.
+constexpr size_t for_slot(size_t slot) { return slot - 2 * 16; }
+
 TEST(TomaC, StatusStrings) {
   EXPECT_STREQ(toma_status_str(TOMA_OK), "TOMA_OK");
   EXPECT_STREQ(toma_status_str(TOMA_ERR_QUOTA), "TOMA_ERR_QUOTA");
@@ -76,12 +81,13 @@ TEST(TomaC, MallocFreeWithStatus) {
   ASSERT_EQ(toma_pool_create("capi-mf", &cfg, &pool), TOMA_OK);
 
   toma_status_t st = TOMA_ERR_OOM;
-  void* p = toma_malloc(pool, 256, &st);
+  void* p = toma_malloc(pool, for_slot(256), &st);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(st, TOMA_OK);
-  EXPECT_GE(toma_usable_size(pool, p), 256u);
+  EXPECT_GE(toma_usable_size(pool, p), for_slot(256));
   EXPECT_EQ(toma_pool_bytes_in_use(pool), 256u);
   toma_free(pool, p);
+  toma_trim(pool);  // evicts a HeapSan quarantine, which stays charged
   EXPECT_EQ(toma_pool_bytes_in_use(pool), 0u);
 
   EXPECT_EQ(toma_malloc(pool, 0, &st), nullptr);
@@ -123,7 +129,7 @@ TEST(TomaC, QuotaSurfacesAsQuotaStatus) {
   std::vector<void*> held;
   toma_status_t st = TOMA_OK;
   for (;;) {
-    void* p = toma_malloc(pool, 1024, &st);
+    void* p = toma_malloc(pool, for_slot(1024), &st);
     if (p == nullptr) break;
     held.push_back(p);
   }
@@ -142,6 +148,7 @@ TEST(TomaC, QuotaSurfacesAsQuotaStatus) {
 TEST(TomaC, StreamOrderedAllocAndSync) {
   toma_pool_config_t cfg = small_cfg();
   cfg.stream_async = 1;  // deferral is required; don't rely on build default
+  cfg.heapsan = 0;       // HeapSan bypasses deferral by design
   toma_pool_t pool = nullptr;
   ASSERT_EQ(toma_pool_create("capi-stream", &cfg, &pool), TOMA_OK);
 
@@ -159,7 +166,7 @@ TEST(TomaC, StreamOrderedAllocAndSync) {
   EXPECT_EQ(toma_pool_bytes_in_use(pool), 0u);
 
   // stream_sync drains the stream across every pool (128 B: above the
-  // fixed-lane threshold, so the free actually defers).
+  // magazines' refill classes, so the free actually defers).
   void* r = toma_malloc_async(pool, 128, s, nullptr);
   toma_free_async(pool, r, s);
   EXPECT_EQ(toma_stream_sync(s), 1u);
@@ -181,6 +188,7 @@ TEST(TomaC, NullPoolAndNullStreamMeanDefaults) {
   ASSERT_NE(q, nullptr);
   toma_free_async(nullptr, q, nullptr);
   toma_stream_sync(nullptr);
+  toma_trim(nullptr);  // evicts a HeapSan quarantine, which stays charged
   EXPECT_EQ(toma_pool_bytes_in_use(nullptr), 0u);
 }
 
@@ -202,6 +210,7 @@ TEST(TomaC, ReleaseThresholdAndTrim) {
 TEST(TomaC, SyncAllDrainsEveryStream) {
   toma_pool_config_t cfg = small_cfg();
   cfg.stream_async = 1;
+  cfg.heapsan = 0;  // HeapSan bypasses deferral by design
   toma_pool_t pool = nullptr;
   ASSERT_EQ(toma_pool_create("capi-syncall", &cfg, &pool), TOMA_OK);
   toma_stream_t s1 = toma_stream_create();
@@ -306,6 +315,7 @@ TEST(TomaC, MetricsExportBothFormats) {
 TEST(TomaC, StreamAsyncToggleInConfig) {
   toma_pool_config_t cfg = small_cfg();
   cfg.stream_async = 0;  // force the front-end off for this pool
+  cfg.heapsan = 0;  // a quarantined free would still be charged
   toma_pool_t pool = nullptr;
   ASSERT_EQ(toma_pool_create("capi-sync-only", &cfg, &pool), TOMA_OK);
   toma_stream_t s = toma_stream_create();

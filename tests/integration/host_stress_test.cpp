@@ -94,25 +94,23 @@ TEST(HostStress, CrossThreadFreeMailboxes) {
   });
 
   EXPECT_TRUE(ga.check_consistency());  // includes magazine-bit integrity
+  test::flush_quarantine(ga);
   const auto st = ga.stats();
   EXPECT_EQ(st.mallocs, st.frees + st.failed_mallocs);
+  // Every block is freed (and out of any HeapSan quarantine), so only
+  // cached ones are still claimed out of the bins: allocs - frees ==
+  // cached, before and after the flush.
+  EXPECT_EQ(st.ualloc.allocs - st.ualloc.frees, st.ualloc.magazine_cached);
   if (ga.ualloc().magazines_enabled()) {
-    // Flush the two caches separately so each flush count can be checked
-    // against its own layer's accounting.
-    ga.fixed_lane().flush();
     const std::size_t flushed = ga.ualloc().release_cached();
-    const auto after_all = ga.stats();
-    const auto& after = after_all.ualloc;
+    const auto after = ga.stats().ualloc;
     EXPECT_EQ(after.magazine_cached, 0u);
-    EXPECT_EQ(after_all.lane.cached, 0u);
     EXPECT_EQ(after.magazine_flushes,
               st.ualloc.magazine_flushes + flushed);
-    // Lane spill/flush publications bump UAlloc frees without touching a
-    // magazine; subtract them from the magazine balance.
-    const std::uint64_t lane_published =
-        after_all.lane.spill_blocks + after_all.lane.flushes;
-    EXPECT_EQ(after.frees - after.magazine_spills - lane_published,
-              after.magazine_hits + after.magazine_flushes);
+    EXPECT_EQ(after.allocs, after.frees);
+    // With the magazines on, every block published back into a bin was
+    // a spill or a flush.
+    EXPECT_EQ(after.frees, after.magazine_spill_blocks + after.magazine_flushes);
   }
   ga.trim();
   EXPECT_EQ(ga.buddy().largest_free_block(), test::expected_coalesced_block(ga));
@@ -212,20 +210,21 @@ TEST(HostStress, QuicklistToggleRace) {
   EXPECT_EQ(buddy.largest_free_block(), kPool);
 }
 
-TEST(HostStress, FixedLaneToggleRace) {
-  // Flip the fixed lane while other threads churn lane-served sizes: the
-  // toggle's disable path flush()es concurrently with pushes, pops, and
-  // slab refills, so TSan watches the lane lock protocol and the
-  // claimed-while-cached handoff under preemptive threads.
+TEST(HostStress, MagazineRefillToggleRace) {
+  // Flip the magazines while other threads churn the refill classes: the
+  // toggle's disable path flushes concurrently with pushes, pops, slab
+  // refills and top-ups, so TSan watches the magazine lock and refill-gate
+  // protocol and the claimed-while-cached handoff under preemptive
+  // threads.
   alloc::GpuAllocator ga(16 * 1024 * 1024, /*num_arenas=*/2);
   std::atomic<bool> stop{false};
   test::run_os_threads(5, [&](unsigned tid) {
     if (tid == 0) {  // toggler
       for (int i = 0; i < 200; ++i) {
-        ga.set_fixed_lane(i % 2 == 0);
+        ga.ualloc().set_magazines(i % 2 == 0);
         std::this_thread::yield();
       }
-      ga.set_fixed_lane(true);
+      ga.ualloc().set_magazines(true);
       stop.store(true, std::memory_order_release);
       return;
     }
@@ -236,7 +235,8 @@ TEST(HostStress, FixedLaneToggleRace) {
         ga.free(held.back());
         held.pop_back();
       } else {
-        // Lane-served sizes only (8..64 B) so every op contends the lane.
+        // Refill-class sizes only (8..64 B) so every op contends a
+        // refilling magazine.
         const std::size_t size = std::size_t{8} << rng.next_below(4);
         if (void* p = ga.malloc(size)) held.push_back(p);
       }
@@ -245,7 +245,7 @@ TEST(HostStress, FixedLaneToggleRace) {
   });
   EXPECT_TRUE(ga.check_consistency());
   ga.trim();
-  EXPECT_EQ(ga.stats().lane.cached, 0u);
+  EXPECT_EQ(ga.stats().ualloc.magazine_cached, 0u);
   EXPECT_EQ(ga.buddy().largest_free_block(), test::expected_coalesced_block(ga));
   const auto st = ga.stats();
   EXPECT_EQ(st.mallocs, st.frees + st.failed_mallocs);
@@ -396,10 +396,11 @@ TEST(HostStress, DefragConcurrentChurn) {
   };
 
   // Pre-fragment across several backing chunks so the driver has real
-  // evacuation work from the first step: fill 8 MiB of bin blocks, keep
-  // every 16th.
+  // evacuation work from the first step: fill 8 MiB of 1 KiB bin blocks,
+  // keep every 16th.
+  const std::size_t kib = test::request_for_slot(ga, 1024);
   for (std::uint64_t i = 0; i < 8192; ++i) {
-    void* p = ga.malloc(1024);
+    void* p = ga.malloc(kib);
     ASSERT_NE(p, nullptr);
     const std::uint64_t tag = (std::uint64_t{99} << 32) | i;
     *static_cast<std::uint64_t*>(p) = tag;

@@ -26,8 +26,15 @@ gpu::DeviceConfig small_device(std::uint32_t num_sms,
   cfg.num_sms = num_sms;
   cfg.max_threads_per_sm = threads_per_sm;
   cfg.num_workers = workers;
-  cfg.stack_bytes = 32 * 1024;
   return cfg;
+}
+
+std::size_t request_for_slot(alloc::GpuAllocator& ga, std::size_t slot) {
+  return ga.heapsan_enabled() ? slot - ga.heapsan().wrap_size(0) : slot;
+}
+
+void flush_quarantine(alloc::GpuAllocator& ga) {
+  if (ga.heapsan().engaged()) ga.heapsan().flush_quarantine();
 }
 
 void run_os_threads(unsigned nthreads,

@@ -20,6 +20,17 @@ namespace toma::test {
 /// that is the floor power of two of mapped_bytes().
 std::size_t expected_coalesced_block(const alloc::GpuAllocator& ga);
 
+/// The request whose block is exactly `slot` bytes in `ga`: `slot` itself,
+/// less the two HeapSan redzones while new allocations are sanitized.
+/// Tests that count blocks per pool, quota or chunk size their requests
+/// with this, so the count holds in HeapSan builds too.
+std::size_t request_for_slot(alloc::GpuAllocator& ga, std::size_t slot);
+
+/// Evict every HeapSan-quarantined block of `ga` (a no-op unless HeapSan
+/// is engaged). Quarantined blocks stay allocated and charged, so a drain
+/// check runs this first.
+void flush_quarantine(alloc::GpuAllocator& ga);
+
 /// A small simulated device suitable for unit tests (fast to construct,
 /// enough concurrency to expose races). The default worker count honours
 /// the TOMA_WORKERS environment variable (the CI workers-matrix legs set

@@ -124,10 +124,11 @@ TEST(Vmm, OomOnlyAfterMaxChunks) {
   HeapConfig cfg = elastic_cfg();
   cfg.max_chunks = 2;
   GpuAllocator ga(cfg);
+  const std::size_t half_chunk = test::request_for_slot(ga, 128 * 1024);
   std::vector<void*> held;
   AllocStatus st = AllocStatus::kOk;
   for (;;) {
-    void* p = ga.malloc(128 * 1024, &st);
+    void* p = ga.malloc(half_chunk, &st);
     if (p == nullptr) break;
     held.push_back(p);
   }
@@ -209,11 +210,13 @@ TEST(Vmm, QuotaChargesMappedBytesNotReservation) {
   HeapConfig cfg = elastic_cfg();
   cfg.quota_bytes = 3 * kChunkSize;
   GpuAllocator ga(cfg);
+  const std::size_t half_chunk = test::request_for_slot(ga, 128 * 1024);
+  const std::size_t whole_chunk = test::request_for_slot(ga, 256 * 1024);
 
   std::vector<void*> held;
   AllocStatus st = AllocStatus::kOk;
   for (int i = 0; i < 6; ++i) {
-    void* p = ga.malloc(128 * 1024, &st);
+    void* p = ga.malloc(half_chunk, &st);
     ASSERT_NE(p, nullptr);
     held.push_back(p);
   }
@@ -235,7 +238,7 @@ TEST(Vmm, QuotaChargesMappedBytesNotReservation) {
   held.erase(std::remove(held.begin(), held.end(), hole_a), held.end());
   held.erase(std::remove(held.begin(), held.end(), hole_b), held.end());
 
-  void* p = ga.malloc(256 * 1024, &st);
+  void* p = ga.malloc(whole_chunk, &st);
   EXPECT_EQ(p, nullptr);
   EXPECT_EQ(st, AllocStatus::kQuota);
   EXPECT_EQ(ga.mapped_bytes(), 3 * kChunkSize);  // the gate held
@@ -243,7 +246,7 @@ TEST(Vmm, QuotaChargesMappedBytesNotReservation) {
 
   // Raising the quota lifts the gate: the same request grows and lands.
   ga.set_quota(4 * kChunkSize);
-  p = ga.malloc(256 * 1024, &st);
+  p = ga.malloc(whole_chunk, &st);
   EXPECT_NE(p, nullptr);
   EXPECT_EQ(st, AllocStatus::kOk);
   ga.free(p);
@@ -257,12 +260,13 @@ TEST(Vmm, QuotaHeadroomRecoversAfterShrink) {
   HeapConfig cfg = elastic_cfg();
   cfg.quota_bytes = 2 * kChunkSize;
   GpuAllocator ga(cfg);
+  const std::size_t half_chunk = test::request_for_slot(ga, 128 * 1024);
 
-  const auto fill = [&ga]() {
+  const auto fill = [&ga, half_chunk]() {
     std::vector<void*> held;
     AllocStatus st = AllocStatus::kOk;
     for (int i = 0; i < 4; ++i) {
-      void* p = ga.malloc(128 * 1024, &st);
+      void* p = ga.malloc(half_chunk, &st);
       EXPECT_NE(p, nullptr) << "allocation " << i;
       EXPECT_EQ(st, AllocStatus::kOk);
       if (p != nullptr) held.push_back(p);
@@ -283,18 +287,20 @@ TEST(Vmm, QuotaHeadroomRecoversAfterShrink) {
   for (void* p : second) ga.free(p);
 }
 
-// Fills 4096 x 256 B, keeps every 16th block (recorded in `cur` as
-// address -> index, contents 0x40 + index % 64) and frees the rest, then
-// trims and shrinks: every mapped chunk is left sparse.
-void make_sparse_survivors(GpuAllocator& ga, std::map<void*, int>& cur) {
-  constexpr int kBlocks = 4096;
-  std::vector<void*> held(kBlocks);
-  for (int i = 0; i < kBlocks; ++i) {
-    held[i] = ga.malloc(256);
+// Fills 1 MiB of `size`-byte blocks (4096 x 256 B by default), keeps
+// every 16th block (recorded in `cur` as address -> index, contents
+// 0x40 + index % 64) and frees the rest, then trims and shrinks: every
+// mapped chunk is left sparse.
+void make_sparse_survivors(GpuAllocator& ga, std::map<void*, int>& cur,
+                           std::size_t size = 256) {
+  const int blocks = static_cast<int>((1u << 20) / size);
+  std::vector<void*> held(blocks);
+  for (int i = 0; i < blocks; ++i) {
+    held[i] = ga.malloc(size);
     ASSERT_NE(held[i], nullptr);
-    std::memset(held[i], 0x40 + (i % 64), 256);
+    std::memset(held[i], 0x40 + (i % 64), size);
   }
-  for (int i = 0; i < kBlocks; ++i) {
+  for (int i = 0; i < blocks; ++i) {
     if (i % 16 == 0) {
       cur[held[i]] = i;
     } else {
@@ -308,14 +314,15 @@ void make_sparse_survivors(GpuAllocator& ga, std::map<void*, int>& cur) {
 // Checks every survivor's contents at its current address, frees them
 // all, and checks the heap drained cleanly.
 void verify_and_free_survivors(GpuAllocator& ga,
-                               const std::map<void*, int>& cur) {
+                               const std::map<void*, int>& cur,
+                               std::size_t size = 256) {
   for (const auto& [p, orig] : cur) {
     std::vector<unsigned char> want(
-        256, static_cast<unsigned char>(0x40 + orig % 64));
-    EXPECT_EQ(std::memcmp(p, want.data(), 256), 0) << "block " << orig;
+        size, static_cast<unsigned char>(0x40 + orig % 64));
+    EXPECT_EQ(std::memcmp(p, want.data(), size), 0) << "block " << orig;
     ga.free(p);
   }
-  if (ga.heapsan_enabled()) ga.heapsan().flush_quarantine();
+  test::flush_quarantine(ga);
   EXPECT_EQ(ga.bytes_in_use(), 0u);
   EXPECT_TRUE(ga.check_consistency());
 }
@@ -329,12 +336,17 @@ std::uint32_t chunks_in(GpuAllocator& ga, vmm::ChunkState state) {
 }
 
 TEST(Vmm, DefragCompactsSparseBinsAndShrinks) {
+  // 64 B is a slab-refilled magazine class: the run's destination probes
+  // must not stock a magazine with blocks a later victim would census as
+  // live and move.
+  for (const std::size_t size : {std::size_t{256}, std::size_t{64}}) {
+  SCOPED_TRACE(::testing::Message() << size << " B");
   GpuAllocator ga(elastic_cfg());
   // Every bin is left sparse: live bytes fit one chunk, but the survivors
   // pin pages across every chunk — exactly the footprint defrag exists
   // to fix.
   std::map<void*, int> cur;
-  make_sparse_survivors(ga, cur);
+  make_sparse_survivors(ga, cur, size);
   const std::size_t mapped_before = ga.mapped_bytes();
 
   // Commit-only hooks: the quiescent driver admits every move. Entries
@@ -357,8 +369,9 @@ TEST(Vmm, DefragCompactsSparseBinsAndShrinks) {
   EXPECT_TRUE(ga.check_consistency());
 
   // Contents follow the move, and the new pointers are live allocations.
-  for (const auto& [p, orig] : cur) EXPECT_EQ(ga.usable_size(p), 256u);
-  verify_and_free_survivors(ga, cur);
+  for (const auto& [p, orig] : cur) EXPECT_EQ(ga.usable_size(p), size);
+  verify_and_free_survivors(ga, cur, size);
+  }
 }
 
 TEST(ForwardTable, ResolvesConsumesAndPurges) {
@@ -466,6 +479,7 @@ TEST(Vmm, IncrementalDefragCompactsAndRetires) {
     EXPECT_EQ(ga.usable_size(p), 256u);
     ga.free(p);
   }
+  test::flush_quarantine(ga);
   EXPECT_EQ(ga.bytes_in_use(), 0u);
   EXPECT_TRUE(ga.check_consistency());
 }
@@ -545,6 +559,7 @@ TEST(Vmm, ForwardingResolvesStaleFreesAndReallocs) {
   EXPECT_GT(stale_reallocs, 0u);
   EXPECT_EQ(ga.stats().defrag_forwarded, stale_frees + stale_reallocs);
   for (const auto& kv : cur) ga.free(kv.first);
+  test::flush_quarantine(ga);
   EXPECT_EQ(ga.bytes_in_use(), 0u);
   EXPECT_TRUE(ga.check_consistency());
 }

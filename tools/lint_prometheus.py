@@ -12,7 +12,7 @@ Fails (exit 1) on:
 
 With --require=PREFIX (repeatable), additionally fails unless at least one
 sampled metric starts with each PREFIX — CI uses this to prove a subsystem
-(e.g. the fixed-lane counters, toma_ualloc_lane_*) actually exported.
+(e.g. the magazine counters, toma_ualloc_magazine_*) actually exported.
 
 With --catalog=DOC (e.g. docs/OBSERVABILITY.md), checks that the metric
 catalog table in DOC names exactly the metrics the library registers: every
