@@ -196,8 +196,9 @@ const char* toma_pool_name(toma_pool_t pool);
 /* --- latency SLOs --------------------------------------------------------- */
 
 /* Per-operation latency SLO target in ns for the pool's host-facing
- * surface (malloc/free and the async forms). An operation slower than
- * the target bumps the pool's SLO-violation counter
+ * surface (malloc/free and the async forms). With a target set the pool
+ * times every operation (otherwise one in 64), and one slower than the
+ * target bumps the pool's SLO-violation counter
  * (`pool.slo_violation{pool="..."}` in the metrics export). 0 disables
  * the check. Builds with telemetry compiled out never observe
  * violations (the clock is compiled out with it). */

@@ -222,18 +222,15 @@ GpuAllocator::GrowOutcome GpuAllocator::grow_backing(std::uint64_t& epoch) {
   return GrowOutcome::kGrew;
 }
 
-void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
+void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
+                           obs::OpTimer& timer) {
   if (size == 0) {
     if (status != nullptr) *status = AllocStatus::kInvalidArg;
     return nullptr;
   }
-  st_mallocs_.fetch_add(1, std::memory_order_relaxed);
+  const bool sampled = obs::latency_sampled(
+      st_mallocs_.fetch_add(1, std::memory_order_relaxed));
   TOMA_CTR_INC("alloc.malloc");
-  [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
-  // Pin the epoch across the whole allocation: list/bin metadata read
-  // below may live in a chunk the incremental compactor wants to unmap,
-  // and retirement waits for this pin to drain.
-  sync::PinGuard pin(pin_target());
   const bool sanitized = san_->enabled();
   // Sanitized path: the underlying request grows by two redzones; the
   // user pointer sits one redzone into the slot. Routing and class
@@ -241,6 +238,14 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
   const std::size_t wrapped = sanitized ? san_->wrap_size(size) : size;
   const std::size_t rounded =
       util::round_up_pow2(wrapped < kMinAlloc ? kMinAlloc : wrapped);
+  if (sampled) {
+    TOMA_OP_HISTV("alloc.malloc_ns", kSizeClassBuckets,
+                  size_class_index(rounded), timer);
+  }
+  // Pin the epoch across the whole allocation: list/bin metadata read
+  // below may live in a chunk the incremental compactor wants to unmap,
+  // and retirement waits for this pin to drain.
+  sync::PinGuard pin(pin_target());
   const std::size_t charge = charged_size(rounded);
   if (!reserve_bytes(charge) &&
       !(san_->engaged() && san_->flush_quarantine() > 0 &&
@@ -292,8 +297,6 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
   if (p != nullptr && sanitized) {
     p = san_->on_alloc(p, effective_size(wrapped), size);
   }
-  TOMA_HISTV("alloc.malloc_ns", kSizeClassBuckets, size_class_index(rounded),
-             TOMA_NOW_NS() - t0);
   if (p == nullptr) {
     in_use_.fetch_sub(charge, std::memory_order_relaxed);
     if (vmm_ != nullptr) TOMA_CTR_ADD("vmm.live_bytes.freed", charge);
@@ -316,11 +319,12 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
   return p;
 }
 
-void GpuAllocator::free(void* p) {
+void GpuAllocator::free(void* p, obs::OpTimer& timer) {
   if (p == nullptr) return;
-  st_frees_.fetch_add(1, std::memory_order_relaxed);
+  const bool sampled = obs::latency_sampled(
+      st_frees_.fetch_add(1, std::memory_order_relaxed));
   TOMA_CTR_INC("alloc.free");
-  [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
+  if (sampled) TOMA_OP_HIST("alloc.free_ns", timer);
   sync::PinGuard pin(pin_target());
   // A stale free at a moved block's old address retires the forward
   // entry and lands on the current location. Must precede any decode:
@@ -331,36 +335,42 @@ void GpuAllocator::free(void* p) {
   // allocators on eviction via free_base(). Unknown pointers fall through.
   if (san_->engaged() &&
       san_->on_free(p) == san::HeapSan::FreeResult::kOk) {
-    TOMA_HIST("alloc.free_ns", TOMA_NOW_NS() - t0);
     return;
   }
   free_base(p);
-  TOMA_HIST("alloc.free_ns", TOMA_NOW_NS() - t0);
 }
 
 void* GpuAllocator::calloc(std::size_t n, std::size_t size,
-                           AllocStatus* status) {
+                           AllocStatus* status, obs::OpTimer& timer) {
   if (n != 0 && size > SIZE_MAX / n) {
     // Overflowing requests are failed allocation attempts, not silent
     // no-ops: count them so mallocs == frees + failed_mallocs stays an
-    // invariant across every path.
-    st_mallocs_.fetch_add(1, std::memory_order_relaxed);
+    // invariant across every path. A sampled one is timed like any other
+    // malloc (in the largest size class), so alloc.malloc_ns holds
+    // exactly latency_sample_count(mallocs) samples.
+    const bool sampled = obs::latency_sampled(
+        st_mallocs_.fetch_add(1, std::memory_order_relaxed));
     st_failed_.fetch_add(1, std::memory_order_relaxed);
     TOMA_CTR_INC("alloc.malloc");
     TOMA_CTR_INC("alloc.failed");
+    if (sampled) {
+      TOMA_OP_HISTV("alloc.malloc_ns", kSizeClassBuckets,
+                    kSizeClassBuckets - 1, timer);
+    }
     if (status != nullptr) *status = AllocStatus::kInvalidArg;
     return nullptr;
   }
   const std::size_t total = n * size;
-  void* p = malloc(total, status);
+  void* p = malloc(total, status, timer);
   if (p != nullptr) std::memset(p, 0, total);
   return p;
 }
 
-void* GpuAllocator::realloc(void* p, std::size_t size, AllocStatus* status) {
-  if (p == nullptr) return malloc(size, status);
+void* GpuAllocator::realloc(void* p, std::size_t size, AllocStatus* status,
+                            obs::OpTimer& timer) {
+  if (p == nullptr) return malloc(size, status, timer);
   if (size == 0) {
-    free(p);
+    free(p, timer);
     if (status != nullptr) *status = AllocStatus::kOk;
     return nullptr;
   }
@@ -381,10 +391,10 @@ void* GpuAllocator::realloc(void* p, std::size_t size, AllocStatus* status) {
       TOMA_CTR_INC("alloc.realloc_inplace");
       return p;
     }
-    void* q = malloc(size, status);
+    void* q = malloc(size, status, timer);
     if (q == nullptr) return nullptr;
     std::memcpy(q, p, std::min(san_old, size));
-    free(p);
+    free(p, timer);
     return q;
   }
   const std::size_t old_cap = usable_size(p);
@@ -396,10 +406,10 @@ void* GpuAllocator::realloc(void* p, std::size_t size, AllocStatus* status) {
     TOMA_CTR_INC("alloc.realloc_inplace");
     return p;
   }
-  void* q = malloc(size, status);
+  void* q = malloc(size, status, timer);
   if (q == nullptr) return nullptr;
   std::memcpy(q, p, std::min(old_cap, size));
-  free(p);
+  free(p, timer);
   return q;
 }
 

@@ -21,6 +21,7 @@
 #include "alloc/config.hpp"
 #include "alloc/tbuddy.hpp"
 #include "alloc/ualloc.hpp"
+#include "obs/sample.hpp"
 #include "san/heapsan.hpp"
 #include "sync/epoch_pin.hpp"
 #include "sync/spin_mutex.hpp"
@@ -194,14 +195,28 @@ class GpuAllocator {
   /// Device-side malloc. Returns nullptr for size 0, oversized requests,
   /// pool exhaustion, or quota rejection; `status` (optional) reports
   /// which.
-  void* malloc(std::size_t size, AllocStatus* status = nullptr);
+  void* malloc(std::size_t size, AllocStatus* status = nullptr) {
+    obs::OpTimer timer;
+    void* p = malloc(size, status, timer);
+    timer.stop();
+    return p;
+  }
 
   /// Device-side free. nullptr is ignored.
-  void free(void* p);
+  void free(void* p) {
+    obs::OpTimer timer;
+    free(p, timer);
+    timer.stop();
+  }
 
   /// Zero-initialized allocation of n*size bytes (overflow-checked).
   void* calloc(std::size_t n, std::size_t size,
-               AllocStatus* status = nullptr);
+               AllocStatus* status = nullptr) {
+    obs::OpTimer timer;
+    void* p = calloc(n, size, status, timer);
+    timer.stop();
+    return p;
+  }
 
   /// Standard realloc semantics: grows/shrinks `p` to `size` bytes,
   /// preserving min(old, new) bytes; realloc(nullptr, s) == malloc(s);
@@ -210,7 +225,24 @@ class GpuAllocator {
   /// size rounds to the block's existing capacity (same size class /
   /// buddy order), `p` is returned unchanged — no copy, no free/malloc
   /// round trip (counted in stats().reallocs_inplace).
-  void* realloc(void* p, std::size_t size, AllocStatus* status = nullptr);
+  void* realloc(void* p, std::size_t size, AllocStatus* status = nullptr) {
+    obs::OpTimer timer;
+    void* q = realloc(p, size, status, timer);
+    timer.stop();
+    return q;
+  }
+
+  /// The four calls above as part of an operation the caller times and
+  /// stops (a Pool entry point). The sampled mallocs and frees, one call
+  /// in 64 by this allocator's malloc or free count, record
+  /// alloc.malloc_ns[c] or alloc.free_ns through `timer`
+  /// (obs/sample.hpp).
+  void* malloc(std::size_t size, AllocStatus* status, obs::OpTimer& timer);
+  void free(void* p, obs::OpTimer& timer);
+  void* calloc(std::size_t n, std::size_t size, AllocStatus* status,
+               obs::OpTimer& timer);
+  void* realloc(void* p, std::size_t size, AllocStatus* status,
+                obs::OpTimer& timer);
 
   /// Actual byte capacity of a live allocation (>= the requested size).
   std::size_t usable_size(void* p) const;

@@ -105,18 +105,28 @@ Pool::~Pool() {
   TOMA_CTR_INC("pool.destroy");
 }
 
-void Pool::observe_latency(obs::Histogram* h, std::uint64_t t0) {
+void Pool::begin_op(obs::OpTimer& timer, obs::Histogram* h, bool sampled) {
 #if TOMA_TELEMETRY
-  const std::uint64_t dt = obs::now_ns() - t0;
-  h->record(dt);
+  if (sampled || slo_ns_.load(std::memory_order_relaxed) != 0) {
+    timer.record_into(*h);
+  }
+#else
+  (void)timer;
+  (void)h;
+  (void)sampled;
+#endif
+}
+
+void Pool::end_op(obs::OpTimer& timer) {
+#if TOMA_TELEMETRY
+  const std::uint64_t dt = timer.stop();
   const std::uint64_t slo = slo_ns_.load(std::memory_order_relaxed);
   if (slo != 0 && dt > slo) {
     st_slo_violations_.fetch_add(1, std::memory_order_relaxed);
     c_slo_violation_->inc();
   }
 #else
-  (void)h;
-  (void)t0;
+  (void)timer;
 #endif
 }
 
@@ -139,10 +149,11 @@ std::uint16_t Pool::record_id() {
 }
 
 void* Pool::malloc(std::size_t size, AllocStatus* status) {
-  const std::uint64_t t0 = TOMA_NOW_NS();
+  obs::OpTimer timer;
+  begin_op(timer, h_malloc_ns_, TOMA_SITE_SAMPLED());
   AllocStatus st = AllocStatus::kOk;
-  void* p = alloc_.malloc(size, &st);
-  observe_latency(h_malloc_ns_, t0);
+  void* p = alloc_.malloc(size, &st, timer);
+  end_op(timer);
   if (obs::recording_enabled()) {
     obs::Recorder::instance().on_alloc(record_id(), obs::RecOp::kMalloc, size,
                                        0, true, p, outcome_of(st));
@@ -159,16 +170,18 @@ void Pool::free(void* p) {
     obs::Recorder::instance().on_free(record_id(), obs::RecOp::kFree, p, 0,
                                       true);
   }
-  const std::uint64_t t0 = TOMA_NOW_NS();
-  alloc_.free(p);
-  observe_latency(h_free_ns_, t0);
+  obs::OpTimer timer;
+  begin_op(timer, h_free_ns_, TOMA_SITE_SAMPLED());
+  alloc_.free(p, timer);
+  end_op(timer);
 }
 
 void* Pool::calloc(std::size_t n, std::size_t size, AllocStatus* status) {
-  const std::uint64_t t0 = TOMA_NOW_NS();
+  obs::OpTimer timer;
+  begin_op(timer, h_malloc_ns_, TOMA_SITE_SAMPLED());
   AllocStatus st = AllocStatus::kOk;
-  void* p = alloc_.calloc(n, size, &st);
-  observe_latency(h_malloc_ns_, t0);
+  void* p = alloc_.calloc(n, size, &st, timer);
+  end_op(timer);
   if (obs::recording_enabled()) {
     // Record the *total* request so replay issues calloc(1, total); an
     // overflowing n*size records as total 0, which replays to the same
@@ -183,12 +196,13 @@ void* Pool::calloc(std::size_t n, std::size_t size, AllocStatus* status) {
 }
 
 void* Pool::realloc(void* p, std::size_t size, AllocStatus* status) {
-  const std::uint64_t t0 = TOMA_NOW_NS();
   const std::uint16_t rec =
       obs::recording_enabled() && (p != nullptr || size != 0) ? record_id() : 0;
+  obs::OpTimer timer;
+  begin_op(timer, h_malloc_ns_, TOMA_SITE_SAMPLED());
   AllocStatus st = AllocStatus::kOk;
-  void* q = alloc_.realloc(p, size, &st);
-  observe_latency(h_malloc_ns_, t0);
+  void* q = alloc_.realloc(p, size, &st, timer);
+  end_op(timer);
   if (obs::recording_enabled() && (p != nullptr || size != 0)) {
     obs::Recorder::instance().on_realloc(rec, p, q, size, outcome_of(st));
   }
@@ -198,7 +212,8 @@ void* Pool::realloc(void* p, std::size_t size, AllocStatus* status) {
 
 void* Pool::malloc_async(std::size_t size, gpu::Stream& s,
                          AllocStatus* status) {
-  const std::uint64_t t0 = TOMA_NOW_NS();
+  obs::OpTimer timer;
+  begin_op(timer, h_malloc_ns_, TOMA_SITE_SAMPLED());
   AllocStatus st = AllocStatus::kOk;
   void* p = nullptr;
   // Reuse is disabled while HeapSan is engaged: a sanitized pointer is
@@ -216,8 +231,8 @@ void* Pool::malloc_async(std::size_t size, gpu::Stream& s,
       p = streams_.try_reuse(effective, s);
     }
   }
-  if (p == nullptr) p = alloc_.malloc(size, &st);
-  observe_latency(h_malloc_ns_, t0);
+  if (p == nullptr) p = alloc_.malloc(size, &st, timer);
+  end_op(timer);
   if (obs::recording_enabled()) {
     obs::Recorder::instance().on_alloc(record_id(), obs::RecOp::kMallocAsync,
                                        size, s.id(),
@@ -237,12 +252,13 @@ void Pool::free_async(void* p, gpu::Stream& s) {
     obs::Recorder::instance().on_free(record_id(), obs::RecOp::kFreeAsync, p,
                                       s.id(), &s == &gpu::default_stream());
   }
-  const std::uint64_t t0 = TOMA_NOW_NS();
+  obs::OpTimer timer;
+  begin_op(timer, h_free_ns_, TOMA_SITE_SAMPLED());
   if (!async_enabled() || alloc_.heapsan().engaged()) {
     // Degenerate (paper-faithful) mode: the ordering contract holds
     // trivially because the free completes before free_async returns.
     TOMA_CTR_INC("pool.stream.passthrough");
-    alloc_.free(p);
+    alloc_.free(p, timer);
   } else if (alloc_.ualloc().magazines_enabled() &&
              !util::is_aligned(p, kPageSize) &&
              magazine_refills(alloc_.usable_size(p))) {
@@ -252,11 +268,11 @@ void Pool::free_async(void* p, gpu::Stream& s) {
     // the next small malloc_async picks it up in O(1) instead of scanning
     // the stream's pending list.
     TOMA_CTR_INC("pool.stream.magazine_route");
-    alloc_.free(p);
+    alloc_.free(p, timer);
   } else {
     streams_.free_async(p, s);
   }
-  observe_latency(h_free_ns_, t0);
+  end_op(timer);
   maybe_defrag_tick();
 }
 

@@ -61,7 +61,8 @@ class Pool {
 
   // --- synchronous surface -------------------------------------------------
   // Thin forwarding plus the pool's observability duties: per-pool
-  // latency histograms (`pool.malloc_ns{pool=...}` / `pool.free_ns`),
+  // latency histograms (`pool.malloc_ns{pool=...}` / `pool.free_ns`, one
+  // call in 64 per entry point, sharing the allocator's clock reads),
   // SLO-violation accounting, and flight-recorder hooks (obs/recorder.hpp)
   // when a recording session is active. The device-side hot path
   // (device_malloc -> GpuAllocator) bypasses all of this by design.
@@ -120,10 +121,10 @@ class Pool {
   std::size_t quota_bytes() const { return alloc_.quota_bytes(); }
   void set_quota(std::size_t bytes) { alloc_.set_quota(bytes); }
 
-  /// Per-operation latency SLO target in ns (0 = no SLO). An op slower
-  /// than the target bumps `pool.slo_violation{pool=...}` and
-  /// stats().slo_violations. Exported quantiles always come from the
-  /// latency histograms regardless of the target.
+  /// Per-operation latency SLO target in ns (0 = no SLO). With a target
+  /// every op is timed, not one in 64; an op slower than the target bumps
+  /// `pool.slo_violation{pool=...}` and stats().slo_violations. Exported
+  /// quantiles always come from the latency histograms.
   void set_slo_latency(std::uint64_t ns) {
     slo_ns_.store(ns, std::memory_order_relaxed);
   }
@@ -175,9 +176,13 @@ class Pool {
   /// to be exact, only amortized.
   void maybe_defrag_tick();
 
-  /// Record the op's latency into `h` and check it against the SLO
-  /// target. Compiles to nothing with telemetry off.
-  void observe_latency(obs::Histogram* h, std::uint64_t t0);
+  /// Time an entry point into its pool histogram `h` when the site
+  /// `sampled` it or the pool has an SLO target (every op is timed then).
+  void begin_op(obs::OpTimer& timer, obs::Histogram* h, bool sampled);
+  /// Stop `timer`, recording every histogram the op was timed into, and
+  /// check its latency against the SLO target. Both compile to nothing
+  /// with telemetry off.
+  void end_op(obs::OpTimer& timer);
 
   /// The pool's id in the active flight-recorder session, interning on
   /// first use per session (the recorder generation changes on start()).

@@ -356,9 +356,10 @@ void* TBuddy::allocate(std::uint32_t order) {
 void* TBuddy::allocate_from_tree(std::uint32_t order) {
   // Per-order semaphore outcome: kAcquired means a block of this order is
   // (or will be) claimable; kMustGrow makes us the splitter one order up.
-  [[maybe_unused]] const std::uint64_t wait_t0 = TOMA_NOW_NS();
+  obs::OpTimer wait_timer;
+  if (TOMA_SITE_SAMPLED()) TOMA_OP_HIST("tbuddy.sem_wait_ns", wait_timer);
   const auto res = sems_[order]->wait(1, 2);
-  TOMA_HIST("tbuddy.sem_wait_ns", TOMA_NOW_NS() - wait_t0);
+  wait_timer.stop();
   if (res == sync::BulkSemaphore::WaitResult::kAcquired) {
     TOMA_CTRV_INC("tbuddy.sem_acquired", 24, order);
     const std::uint32_t node = find_and_claim(order);

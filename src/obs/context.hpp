@@ -64,8 +64,9 @@ inline std::uint32_t current_warp() {
 
 // --- monotonic tick source -------------------------------------------------
 //
-// The simulated-time axis for trace records: each SM scheduling round
-// advances it by one, giving every trace event a globally ordered,
+// The simulated-time axis for trace records: the warp-queue scheduler
+// advances it by one per warp step (the round-robin baseline, per SM
+// round), giving every trace event a globally ordered,
 // scheduler-quantum-resolution timestamp (wall clock would interleave
 // host noise into the simulated timeline).
 

@@ -167,19 +167,6 @@ class Histogram {
   Shard shards_[kHistShards];
 };
 
-/// RAII scope timer recording elapsed wall-clock ns into a histogram.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& h) : h_(h), t0_(now_ns()) {}
-  ~ScopedTimer() { h_.record(now_ns() - t0_); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram& h_;
-  std::uint64_t t0_;
-};
-
 /// Fixed-width histogram array under one name ("name[i]"); same clamping
 /// rule as CounterVec.
 class HistogramVec {

@@ -8,6 +8,9 @@
 //   * Every macro resolves its registry handle once per call site via a
 //     function-local static, so the steady-state cost of a counter bump is
 //     one relaxed fetch_add on a shard this SM's worker thread owns.
+//   * Per-operation latencies are sampled (obs/sample.hpp): a site times
+//     one call in 64 through an obs::OpTimer, and an untimed call reads
+//     no clock.
 //   * With -DTOMA_TELEMETRY=0 every macro expands to a no-op that does not
 //     evaluate its arguments; the obs *classes* still compile (and tests
 //     exercise them) but no instrumented hot path touches them.
@@ -21,10 +24,8 @@
 
 #include "obs/context.hpp"   // IWYU pragma: export
 #include "obs/registry.hpp"  // IWYU pragma: export
+#include "obs/sample.hpp"    // IWYU pragma: export
 #include "obs/trace.hpp"     // IWYU pragma: export
-
-#define TOMA_OBS_CAT2(a, b) a##b
-#define TOMA_OBS_CAT(a, b) TOMA_OBS_CAT2(a, b)
 
 #if TOMA_TELEMETRY
 
@@ -63,15 +64,35 @@
   } while (0)
 
 /// Wall-clock ns (0 when telemetry is compiled out, letting timing code
-/// fold away). Pair with TOMA_HIST(name, TOMA_NOW_NS() - t0).
+/// fold away). For once-per-batch events (a drain, a grace period); a
+/// per-operation site samples through TOMA_OP_HIST instead.
 #define TOMA_NOW_NS() ::toma::obs::now_ns()
 
-/// RAII: record the enclosing scope's duration (ns) into `name`.
-#define TOMA_SCOPED_TIMER(name)                                           \
-  static ::toma::obs::Histogram& TOMA_OBS_CAT(toma_obs_th_, __LINE__) =   \
-      ::toma::obs::registry().histogram(name);                            \
-  ::toma::obs::ScopedTimer TOMA_OBS_CAT(toma_obs_t_, __LINE__)(           \
-      TOMA_OBS_CAT(toma_obs_th_, __LINE__))
+/// Is this call of this site one of its timed ones? The sampling rule
+/// over the calling OS thread's count of earlier calls here, for sites
+/// with no exact per-operation counter to key on (obs/sample.hpp).
+#define TOMA_SITE_SAMPLED()                                               \
+  ([]() -> bool {                                                         \
+    static thread_local std::uint64_t toma_obs_calls_ = 0;                \
+    return ::toma::obs::latency_sampled(toma_obs_calls_++);               \
+  }())
+
+/// Time the operation `timer` measures into histogram `name`: the
+/// latency is recorded when the operation's owner calls timer.stop().
+#define TOMA_OP_HIST(name, timer)                                         \
+  do {                                                                    \
+    static ::toma::obs::Histogram& toma_obs_h_ =                          \
+        ::toma::obs::registry().histogram(name);                          \
+    (timer).record_into(toma_obs_h_);                                     \
+  } while (0)
+
+/// TOMA_OP_HIST into element `idx` of a histogram vector ("name[idx]").
+#define TOMA_OP_HISTV(name, width, idx, timer)                            \
+  do {                                                                    \
+    static ::toma::obs::HistogramVec& toma_obs_hv_ =                      \
+        ::toma::obs::registry().histogram_vec(name, width);               \
+    (timer).record_into(toma_obs_hv_.at(idx));                            \
+  } while (0)
 
 /// Trace events (no-ops unless tracing was enabled at runtime). `name`
 /// must be a string literal (the pointer is stored, not the contents).
@@ -95,7 +116,9 @@
 #define TOMA_HIST(name, value) ((void)0)
 #define TOMA_HISTV(name, width, idx, value) ((void)0)
 #define TOMA_NOW_NS() (std::uint64_t{0})
-#define TOMA_SCOPED_TIMER(name) ((void)0)
+#define TOMA_SITE_SAMPLED() false
+#define TOMA_OP_HIST(name, timer) ((void)0)
+#define TOMA_OP_HISTV(name, width, idx, timer) ((void)0)
 #define TOMA_TRACE(name, arg) ((void)0)
 #define TOMA_TRACE_BEGIN(name, id) ((void)0)
 #define TOMA_TRACE_END(name, id) ((void)0)

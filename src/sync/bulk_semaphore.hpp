@@ -100,13 +100,14 @@ class BulkSemaphore {
                                         std::memory_order_acq_rel,
                                         std::memory_order_acquire)) {
           TOMA_CTR_INC("sync.bsem.reserve");
-          [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
+          obs::OpTimer timer;
+          if (TOMA_SITE_SAMPLED()) TOMA_OP_HIST("sync.bsem.wait_ns", timer);
           spin_until([this, n] {
             const std::uint64_t v = load();
             return unpack_c(v) >= n ||
                    unpack_r(v) > unpack_c(v) + unpack_e(v);
           });
-          TOMA_HIST("sync.bsem.wait_ns", TOMA_NOW_NS() - t0);
+          timer.stop();
           // Drop the reservation and re-decide from scratch.
           w = word_.fetch_sub(pack(0, 0, n), std::memory_order_acq_rel) -
               pack(0, 0, n);

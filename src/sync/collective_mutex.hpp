@@ -40,9 +40,10 @@ class Collective {
   void lock(const gpu::CoalescedGroup& g) {
     if (g.is_leader()) {
       if (g.size() > 1) TOMA_CTR_INC("sync.cmutex.collective_acquire");
-      [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
+      obs::OpTimer timer;
+      if (TOMA_SITE_SAMPLED()) TOMA_OP_HIST("sync.cmutex.acquire_ns", timer);
       base_.lock();
-      TOMA_HIST("sync.cmutex.acquire_ns", TOMA_NOW_NS() - t0);
+      timer.stop();
       pending_unlocks_.store(g.size(), std::memory_order_relaxed);
       // Publishing the token is the release point that lets members in.
       owner_token_.store(g.token(), std::memory_order_release);

@@ -102,13 +102,16 @@ TEST(Stress, ManyWavesMixedSizes) {
   EXPECT_EQ(ctr("ualloc.magazine.spill_blocks"),
             st.ualloc.magazine_spill_blocks);
   EXPECT_EQ(ctr("ualloc.magazine.flush"), st.ualloc.magazine_flushes);
-  // Every malloc attempt records one latency sample in some size class.
+  // Latencies are sampled by call index (obs/sample.hpp): every sampled
+  // malloc attempt records one sample in some size class, every sampled
+  // free one sample, so each count follows exactly from the exact one.
   std::uint64_t hist_samples = 0;
   for (const auto& [name, h] : obs_delta.histograms) {
     if (name.rfind("alloc.malloc_ns[", 0) == 0) hist_samples += h.count;
   }
-  EXPECT_EQ(hist_samples, st.mallocs);
-  EXPECT_EQ(obs_delta.histograms.at("alloc.free_ns").count, st.frees);
+  EXPECT_EQ(hist_samples, obs::latency_sample_count(st.mallocs));
+  EXPECT_EQ(obs_delta.histograms.at("alloc.free_ns").count,
+            obs::latency_sample_count(st.frees));
 #endif
 }
 

@@ -139,13 +139,5 @@ TEST(HistogramVec, ClampsLikeCounterVec) {
   EXPECT_EQ(v.get(1).snapshot().count, 1u);
 }
 
-TEST(ScopedTimer, RecordsOnScopeExit) {
-  Histogram h;
-  {
-    ScopedTimer t(h);
-  }
-  EXPECT_EQ(h.snapshot().count, 1u);
-}
-
 }  // namespace
 }  // namespace toma::obs

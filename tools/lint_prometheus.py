@@ -17,10 +17,11 @@ sampled metric starts with each PREFIX — CI uses this to prove a subsystem
 With --catalog=DOC (e.g. docs/OBSERVABILITY.md), checks that the metric
 catalog table in DOC names exactly the metrics the library registers: every
 name literal under src/ passed to TOMA_CTR_INC/ADD, TOMA_CTRV_INC,
-TOMA_HIST/HISTV or registry().counter/histogram (directly or through
-pool_series). Fails on a name missing from either side. In the table's
-first column, `a.b.c` / `d` is shorthand for a.b.c and a.b.d (a bare name
-inherits the first name's prefix); `[i]` and `{...}` suffixes are dropped.
+TOMA_HIST/HISTV, TOMA_OP_HIST/OP_HISTV or registry().counter/histogram
+(directly or through pool_series). Fails on a name missing from either
+side. In the table's first column, `a.b.c` / `d` is shorthand for a.b.c
+and a.b.d (a bare name inherits the first name's prefix); `[i]` and
+`{...}` suffixes are dropped.
 
 Usage: lint_prometheus.py [--require=PREFIX ...] [--catalog=DOC] [FILE...]
 """
@@ -152,7 +153,7 @@ def lint(path: str, require=()) -> int:
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 SRC_METRIC_RE = re.compile(
-    r"(?:TOMA_(?:CTR_INC|CTR_ADD|CTRV_INC|HIST|HISTV)"
+    r"(?:TOMA_(?:CTR_INC|CTR_ADD|CTRV_INC|HIST|HISTV|OP_HIST|OP_HISTV)"
     r"|registry\(\)\.(?:counter|histogram))"
     r'\(\s*(?:pool_series\(\s*)?"([^"]+)"')
 CATALOG_NAME_RE = re.compile(r"`([^`]+)`")
