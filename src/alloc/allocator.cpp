@@ -64,6 +64,10 @@ GpuAllocator::GpuAllocator(const HeapConfig& cfg)
     }
     vmm_on_.store(true, std::memory_order_relaxed);
   }
+  // An incremental pool's read sections are armed before its first op;
+  // defrag_step() arms them on first use otherwise.
+  pins_on_.store(cfg.defrag_mode == DefragMode::kIncremental,
+                 std::memory_order_relaxed);
   ualloc_ = std::make_unique<UAlloc>(*buddy_, cfg.num_arenas);
   ualloc_->set_magazines(cfg.magazines);
   san_ = std::make_unique<san::HeapSan>(
@@ -242,10 +246,10 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     TOMA_OP_HISTV("alloc.malloc_ns", kSizeClassBuckets,
                   size_class_index(rounded), timer);
   }
-  // Pin the epoch across the whole allocation: list/bin metadata read
+  // A read section across the whole allocation: list/bin metadata read
   // below may live in a chunk the incremental compactor wants to unmap,
-  // and retirement waits for this pin to drain.
-  sync::PinGuard pin(pin_target());
+  // and retirement waits for this section to end.
+  sync::RcuReadGuard guard(read_domain());
   const std::size_t charge = charged_size(rounded);
   if (!reserve_bytes(charge) &&
       !(san_->engaged() && san_->flush_quarantine() > 0 &&
@@ -325,7 +329,7 @@ void GpuAllocator::free(void* p, obs::OpTimer& timer) {
       st_frees_.fetch_add(1, std::memory_order_relaxed));
   TOMA_CTR_INC("alloc.free");
   if (sampled) TOMA_OP_HIST("alloc.free_ns", timer);
-  sync::PinGuard pin(pin_target());
+  sync::RcuReadGuard guard(read_domain());
   // A stale free at a moved block's old address retires the forward
   // entry and lands on the current location. Must precede any decode:
   // the old address may sit in retired (PROT_NONE) memory.
@@ -377,7 +381,7 @@ void* GpuAllocator::realloc(void* p, std::size_t size, AllocStatus* status,
   if (status != nullptr) *status = AllocStatus::kOk;
   st_reallocs_.fetch_add(1, std::memory_order_relaxed);
   TOMA_CTR_INC("alloc.realloc");
-  sync::PinGuard pin(pin_target());
+  sync::RcuReadGuard guard(read_domain());
   // A realloc at a forwarded old address adopts the block's current
   // location (consuming the entry — the caller gets the live pointer
   // back, in place or moved, and never touches the old name again).
@@ -415,7 +419,7 @@ void* GpuAllocator::realloc(void* p, std::size_t size, AllocStatus* status,
 
 std::size_t GpuAllocator::usable_size(void* p) const {
   TOMA_ASSERT(p != nullptr);
-  sync::PinGuard pin(pin_target());
+  sync::RcuReadGuard guard(read_domain());
   p = resolve_forward(p, /*consume=*/false);
   // A sanitized block's usable bytes are exactly what was requested: the
   // rounding slack is redzone, and writing into it must be reported.
@@ -482,20 +486,6 @@ void GpuAllocator::set_relocation_hooks(RelocationHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-void GpuAllocator::set_incremental_defrag(bool on) {
-  if (on) {
-    pins_on_.store(true, std::memory_order_seq_cst);
-    return;
-  }
-  sync::LockGuard<sync::SpinMutex> g(defrag_mu_);
-  // Outstanding evacuation state still relies on the pins for safe
-  // retirement; keep them armed until the queue drains (a later
-  // defrag_step or a fresh set_incremental_defrag(false) finishes it).
-  if (active_ == nullptr && forwarding_.empty()) {
-    pins_on_.store(false, std::memory_order_seq_cst);
-  }
-}
-
 std::size_t GpuAllocator::defrag() {
   if (!vmm_enabled()) return 0;
   sync::LockGuard<sync::SpinMutex> defrag_lock(defrag_mu_);
@@ -523,8 +513,8 @@ std::size_t GpuAllocator::defrag() {
     }
     while (step_retire(/*max_retries=*/0)) {
     }
-    // A pin that has not drained leaves its chunk queued for a later
-    // call (or step) to retire; never spin on it here.
+    // A read section still open leaves its chunk queued for a later
+    // call (or step) to retire; never wait on it here.
     if (!forwarding_.empty() || !select_victim(&run)) break;
   }
   ualloc_->trim();
@@ -606,7 +596,7 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
   obs::Recorder::instance().on_move(old_user, new_user);
   // The forward entry must exist before commit returns — from that moment
   // the host may free/realloc at either name — and the source slot stays
-  // claimed until the chunk's pin epoch drains, so the forwarded old
+  // claimed until the chunk's grace period ends, so the forwarded old
   // address can never be reallocated while its entry is live.
   vmm_->forward().insert(old_user, new_user);
   if (hooks_.commit) hooks_.commit(old_user, new_user, user_bytes);
@@ -625,9 +615,9 @@ std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
     defrag_mu_.unlock();
     return 0;
   }
-  // Arm the pins before any evacuation state can exist: retirement
-  // safety is "every pinned reader drained", which is vacuous unless
-  // the hot paths actually pin.
+  // Arm the read sections before any evacuation state can exist:
+  // retirement safety is "every reader has left", which is vacuous
+  // unless the hot paths actually enter read sections.
   pins_on_.store(true, std::memory_order_seq_cst);
   st_defrag_steps_.fetch_add(1, std::memory_order_relaxed);
   TOMA_CTR_INC("vmm.defrag.steps");
@@ -812,6 +802,10 @@ void GpuAllocator::begin_forwarding() {
   ualloc_->set_evac_range(nullptr, nullptr);
   vmm_->try_set_state(active_->chunk, vmm::ChunkState::kEvacuating,
                       vmm::ChunkState::kForwarding);
+  // Every forward entry is in place: a reader entering from here on
+  // resolves an old address before decoding it. The ones already inside
+  // are the grace period's; chunks forwarded before the same flip share it.
+  active_->cookie = rcu_.start_poll();
   forwarding_.push_back(std::move(active_));
   TOMA_CTR_INC("vmm.defrag.forwarding");
 }
@@ -819,14 +813,7 @@ void GpuAllocator::begin_forwarding() {
 bool GpuAllocator::step_retire(std::uint32_t max_retries) {
   if (forwarding_.empty()) return false;
   EvacState& head = *forwarding_.front();
-  if (head.token == 0) {
-    // Serialized retirement: only the queue head ever holds a token,
-    // and the head leaves the queue only after quiescence — the
-    // single-parity drain check in EpochPins is sound exactly because
-    // no two tokens are ever outstanding.
-    head.token = pins_.retire();
-  }
-  if (!pins_.quiesced(head.token)) {
+  if (!rcu_.poll(head.cookie)) {
     st_defrag_pin_stalls_.fetch_add(1, std::memory_order_relaxed);
     TOMA_CTR_INC("vmm.defrag.pin_stalls");
     return false;
@@ -834,11 +821,11 @@ bool GpuAllocator::step_retire(std::uint32_t max_retries) {
   char* chunk_base = static_cast<char*>(vmm_->chunk_addr(head.chunk));
   const std::size_t chunk_bytes = vmm_->chunk_bytes();
   if (!head.released) {
-    // Quiescence first: any op that could still name an old address in
-    // this chunk held a pin, so the surviving forward entries are dead
-    // — and they must go *before* the held source slots become
-    // reallocatable, or a fresh block at a forwarded address would
-    // alias its stale entry.
+    // Grace period first: any op that could still name an old address
+    // in this chunk was in a read section, so the surviving forward
+    // entries are dead — and they must go *before* the held source slots
+    // become reallocatable, or a fresh block at a forwarded address
+    // would alias its stale entry.
     vmm_->forward().purge_range(chunk_base, chunk_bytes);
     for (const auto& [bin, idx] : head.held) {
       ualloc_->free_for_defrag(bin, idx);

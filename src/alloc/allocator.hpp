@@ -23,7 +23,7 @@
 #include "alloc/ualloc.hpp"
 #include "obs/sample.hpp"
 #include "san/heapsan.hpp"
-#include "sync/epoch_pin.hpp"
+#include "sync/rcu.hpp"
 #include "sync/spin_mutex.hpp"
 #include "vmm/backing.hpp"
 
@@ -177,7 +177,8 @@ struct GpuAllocatorStats {
   std::uint64_t defrag_moved_bytes = 0;  // bytes evacuated (both drivers)
   std::uint64_t defrag_forwarded = 0;  // frees/reallocs resolved via the
                                        // forward table
-  std::uint64_t defrag_pin_stalls = 0;  // retirement waits on pin epochs
+  std::uint64_t defrag_pin_stalls = 0;  // retirement polls that found a
+                                        // read section still open
 };
 
 class GpuAllocator {
@@ -335,7 +336,7 @@ class GpuAllocator {
   /// One bounded slice of *incremental* compaction, safe concurrently
   /// with allocator traffic (docs/INTERNALS.md §8): advances the
   /// per-chunk evacuation state machine — retire the forwarding-queue
-  /// head if its pin epoch drained, select a sparse victim chunk if none
+  /// head if its grace period ended, select a sparse victim chunk if none
   /// is active, then evacuate at most `budget_bytes` (0 = the
   /// kVmmDefragStepBytes default) of live blocks through the two-phase
   /// hooks. Returns bytes moved this call. Returns 0 immediately when
@@ -347,11 +348,6 @@ class GpuAllocator {
   /// Register the two-phase relocation hooks (replaces any previous
   /// hooks).
   void set_relocation_hooks(RelocationHooks hooks);
-
-  /// Arm/disarm the epoch-pin facility for incremental compaction.
-  /// Arming is implicit in defrag_step(); disarming only takes effect
-  /// once no evacuation state is outstanding.
-  void set_incremental_defrag(bool on);
 
   /// Scavenge cached-but-empty UAlloc bins/chunks back into the buddy
   /// pool (malloc_trim analogue); drains the HeapSan quarantine first
@@ -410,14 +406,14 @@ class GpuAllocator {
   // --- compaction (docs/INTERNALS.md §8) -----------------------------------
 
   /// One chunk's evacuation in flight: parked destination slots, held
-  /// (already-moved) source slots, and — once forwarding — the retire
-  /// token its unmap waits on. Source slots stay claimed until the pin
-  /// epoch drains so a forwarded old address can never be reallocated
-  /// while its forward entry is live.
+  /// (already-moved) source slots, and — once forwarding — the
+  /// grace-period cookie its unmap polls. Source slots stay claimed until
+  /// the grace period ends so a forwarded old address can never be
+  /// reallocated while its forward entry is live.
   struct EvacState {
-    std::uint32_t chunk = 0;  // backing-chunk slot being evacuated
-    std::uint64_t token = 0;  // retirement epoch token (0 = not issued)
-    bool released = false;    // held slots returned to the allocator
+    std::uint32_t chunk = 0;   // backing-chunk slot being evacuated
+    std::uint64_t cookie = 0;  // rcu_.start_poll() at begin_forwarding
+    bool released = false;     // held slots returned to the allocator
     std::uint32_t extract_retries = 0;
     std::uint32_t stall_sweeps = 0;  // sweeps that made no progress
     std::vector<std::pair<BinHeader*, std::uint32_t>> held;  // ualloc slots
@@ -425,10 +421,10 @@ class GpuAllocator {
     std::set<const void*> held_addrs;
   };
 
-  /// The pin facility when armed, nullptr when off (so a disabled pin
-  /// costs one relaxed load on the hot paths).
-  sync::EpochPins* pin_target() const {
-    return pins_on_.load(std::memory_order_relaxed) ? &pins_ : nullptr;
+  /// The pool's read-side domain when armed, nullptr when off (so a
+  /// disarmed read section costs one relaxed load on the hot paths).
+  sync::SrcuDomain* read_domain() const {
+    return pins_on_.load(std::memory_order_relaxed) ? &rcu_ : nullptr;
   }
   /// Forward-table resolution at the free/realloc (consuming) and
   /// usable_size (read-only) entry points. Must run before any block
@@ -441,8 +437,9 @@ class GpuAllocator {
   /// the victim's free space instead of racing tenant traffic for it.
   bool evac_park(void* p);
 
-  /// Forwarding-queue head retirement. A quiesced head whose chunk still
-  /// fails whole-chunk extraction after `max_retries` further attempts is
+  /// Forwarding-queue head retirement, once a poll of its cookie says the
+  /// grace period ended (never waits). A head whose chunk still fails
+  /// whole-chunk extraction after `max_retries` further attempts is
   /// abandoned back to kLive. Returns true when the head left the queue
   /// (retired or abandoned).
   bool step_retire(std::uint32_t max_retries);
@@ -490,7 +487,11 @@ class GpuAllocator {
   sync::SpinMutex defrag_mu_;
   sync::SpinMutex park_mu_;
   RelocationHooks hooks_;
-  mutable sync::EpochPins pins_;
+  // Read sections of malloc/free/realloc/usable_size, armed for
+  // incremental defrag. The pool's own domain, never an arena's: UAlloc
+  // runs arena grace periods inside these sections, and a grace period
+  // cannot wait out the parity its own caller holds.
+  mutable sync::SrcuDomain rcu_;
   std::atomic<bool> pins_on_{false};
   std::atomic<std::uint32_t> evac_chunk_{UINT32_MAX};  // kEvacuating victim
   std::unique_ptr<EvacState> active_;                  // under defrag_mu_

@@ -84,8 +84,11 @@ Pool::Pool(std::string name, const HeapConfig& cfg)
       alloc_(cfg),
       streams_(alloc_),
       release_threshold_(cfg.release_threshold),
+      defrag_mode_(cfg.defrag_mode),
       slo_ns_(cfg.slo_latency_ns) {
-  set_defrag_mode(cfg.defrag_mode);
+  if (defrag_mode_ == DefragMode::kIncremental) {
+    IdleDefragRegistry::instance().add(this);
+  }
 #if TOMA_TELEMETRY
   h_malloc_ns_ =
       &obs::registry().histogram(pool_series("pool.malloc_ns", name_));
@@ -336,17 +339,6 @@ std::size_t Pool::stranded_bytes() const {
       const_cast<GpuAllocator&>(alloc_).buddy().free_bytes();
   const std::size_t accounted = used + tree_free;
   return accounted >= mapped ? 0 : mapped - accounted;
-}
-
-void Pool::set_defrag_mode(DefragMode m) {
-  defrag_mode_.store(static_cast<std::uint8_t>(m),
-                     std::memory_order_relaxed);
-  alloc_.set_incremental_defrag(m == DefragMode::kIncremental);
-  if (m == DefragMode::kIncremental) {
-    IdleDefragRegistry::instance().add(this);
-  } else {
-    IdleDefragRegistry::instance().remove(this);
-  }
 }
 
 void Pool::maybe_defrag_tick() {

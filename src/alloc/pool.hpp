@@ -139,7 +139,7 @@ class Pool {
   /// never resident.
   std::size_t stranded_bytes() const;
 
-  /// Defragmentation driver (default: cfg.defrag_mode). kSync runs the
+  /// Defragmentation driver (cfg.defrag_mode). kSync runs the
   /// evacuation state machine to completion (GpuAllocator::defrag) at
   /// sync points; kIncremental runs bounded defrag_step() slices
   /// piggybacked on the async surface (one per kVmmDefragOpInterval ops),
@@ -147,11 +147,7 @@ class Pool {
   /// on a vmm-backed pool. kIncremental additionally requires two-phase
   /// relocation hooks with a prepare callback (set_relocation_hooks) —
   /// steps are no-ops until one is registered.
-  void set_defrag_mode(DefragMode m);
-  DefragMode defrag_mode() const {
-    return static_cast<DefragMode>(
-        defrag_mode_.load(std::memory_order_relaxed));
-  }
+  DefragMode defrag_mode() const { return defrag_mode_; }
 
   /// One bounded incremental compaction slice (GpuAllocator::defrag_step);
   /// bytes evacuated. Safe to call concurrently with traffic.
@@ -194,7 +190,7 @@ class Pool {
   StreamFrontEnd streams_;
   std::atomic<std::size_t> release_threshold_;
   std::atomic<bool> async_on_{TOMA_STREAM_ASYNC != 0};
-  std::atomic<std::uint8_t> defrag_mode_{0};  // DefragMode
+  const DefragMode defrag_mode_;
   std::atomic<std::uint32_t> op_counter_{0};  // async-op tick counter
   std::atomic<std::uint64_t> st_syncs_{0};
   std::atomic<std::uint64_t> st_threshold_trims_{0};

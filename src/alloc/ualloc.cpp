@@ -436,6 +436,7 @@ BinHeader* Arena::create_bin(std::uint32_t cls, std::uint32_t pre_claimed) {
                    bin->capacity - pre_claimed);
   ua.st_bins_created_.fetch_add(1, std::memory_order_relaxed);
   TOMA_CTR_INC("ualloc.bin_create");
+  bin->cold_lock.lock();
   ua.drain_parked(bin);  // pick up frees that raced the insertion
   return bin;
 }
@@ -663,14 +664,20 @@ std::size_t UAlloc::usable_size(void* p) const {
 // ---------------------------------------------------------------------------
 
 void UAlloc::publish_free_block(BinHeader* bin) {
+  // Park under the cold lock. Until the unit is parked the freed block is
+  // missing from free_count, so the bin cannot retire; once it is, only a
+  // lock holder can drain it, and we hold the lock until we have.
+  bin->cold_lock.lock();
   bin->parked.fetch_add(1, std::memory_order_acq_rel);
   drain_parked(bin);
 }
 
 void UAlloc::drain_parked(BinHeader* bin) {
+  // Entered under the cold lock. A drainer that lets go of the lock may
+  // find the bin retired and its slot rebuilt by create_bin, so every
+  // path below touches the bin only while holding it.
   SizeClassState& cs = class_state(bin);
   for (;;) {
-    bin->cold_lock.lock();
     const BinState st = bin->state.load(std::memory_order_acquire);
 
     if (st == BinState::kListed) {
@@ -697,6 +704,8 @@ void UAlloc::drain_parked(BinHeader* bin) {
         bin->cold_lock.unlock();
         return;
       }
+      // kRelisting keeps every other drainer out while the list lock is
+      // taken without the cold lock: they park and leave the units to us.
       bin->state.store(BinState::kRelisting, std::memory_order_release);
       bin->cold_lock.unlock();
       cs.bins.writer_lock();
@@ -705,15 +714,14 @@ void UAlloc::drain_parked(BinHeader* bin) {
       cs.listed.fetch_add(1, std::memory_order_acq_rel);
       bin->cold_lock.lock();
       bin->state.store(BinState::kListed, std::memory_order_release);
-      bin->cold_lock.unlock();
       st_bin_relists_.fetch_add(1, std::memory_order_relaxed);
       TOMA_CTR_INC("ualloc.bin_relist");
-      continue;  // now drain the parked units into the semaphore
+      continue;  // still locked: drain the parked units into the semaphore
     }
 
-    // kDraining / kRelisting / kRetiring: the transition owner calls
-    // drain_parked again once the state settles, and will see our parked
-    // units (parked before this lock, drained under a later one).
+    // kDraining / kRelisting / kRetiring: the transition owner drains
+    // again, under the lock, once the state settles, and will see our
+    // parked units.
     bin->cold_lock.unlock();
     return;
   }
@@ -810,7 +818,6 @@ void UAlloc::finish_drain(BinHeader* bin) {
   TOMA_DASSERT(bin->state.load(std::memory_order_relaxed) ==
                BinState::kDraining);
   bin->state.store(BinState::kUnlisted, std::memory_order_release);
-  bin->cold_lock.unlock();
   // Frees that parked while we drained get published (and relist us) now.
   drain_parked(bin);
 }

@@ -33,9 +33,10 @@
 //     fresh chunk from TBuddy under the chunk list's *collective mutex*,
 //     so warp-mates needing chunks enter the critical section together.
 //   * Freed blocks are published with a parked-unit protocol: the freeing
-//     thread clears the bitmap bit, parks one unit on the bin, and the
-//     first actor that observes the bin in a stable list state (LISTED or
-//     UNLISTED->relist) converts parked units into semaphore signals.
+//     thread clears the bitmap bit, parks one unit on the bin under its
+//     cold lock, and the first actor that observes the bin in a stable
+//     list state (LISTED or UNLISTED->relist) converts parked units into
+//     semaphore signals.
 //     This keeps the invariant "semaphore value == claimable blocks in
 //     listed bins" across unlink/relist races with a tiny per-bin
 //     cold-path lock instead of a global one.
@@ -556,10 +557,10 @@ class UAlloc {
   /// when magazines are off.
   void free_slow(BinHeader* bin, std::uint32_t idx);
   /// Publish one freed block of `bin` (bit already cleared): park a unit
-  /// and drain.
+  /// under the cold lock and drain.
   void publish_free_block(BinHeader* bin);
   /// Convert parked units into semaphore signals / relists as the bin's
-  /// state allows. Safe to call from any thread at any time.
+  /// state allows. Called with the cold lock held; releases it.
   void drain_parked(BinHeader* bin);
   /// Called by the claimer that took a bin's last claimable block.
   void maybe_unlink_exhausted(BinHeader* bin);

@@ -34,15 +34,17 @@ void SrcuDomain::synchronize() {
   // period we are about to run.
   RcuCallback* adopted = queue_.exchange(nullptr, std::memory_order_seq_cst);
 
-  const std::uint64_t old_epoch =
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-  const unsigned old_idx = static_cast<unsigned>(old_epoch & 1);
-
   // Grace-period length: epoch flip until the last old-epoch reader leaves.
   [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
-  spin_until([this, old_idx] {
-    return readers_[old_idx].load(std::memory_order_acquire) == 0;
-  });
+  // A flip that poll() left outstanding drains first: the parity it waits
+  // on is the one our flip reopens to new readers.
+  const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
+  if (e != drained_.load(std::memory_order_relaxed)) {
+    spin_until([this, e] { return reader_sum((e - 1) & 1) == 0; });
+  }
+  epoch_.fetch_add(1, std::memory_order_seq_cst);
+  spin_until([this, e] { return reader_sum(e & 1) == 0; });
+  drained_.store(e + 1, std::memory_order_release);
   TOMA_HIST("sync.rcu.grace_ns", TOMA_NOW_NS() - t0);
   writer_mu_.unlock();
 
@@ -64,6 +66,24 @@ void SrcuDomain::barrier_conditional(RcuCallback* cb) {
     return;
   }
   synchronize();
+}
+
+bool SrcuDomain::poll(std::uint64_t cookie) {
+  if (drained_.load(std::memory_order_acquire) >= cookie) return true;
+  if (!writer_mu_.try_lock()) return false;
+  std::uint64_t e = epoch_.load(std::memory_order_relaxed);
+  std::uint64_t done = drained_.load(std::memory_order_relaxed);
+  if (e != done && reader_sum((e - 1) & 1) == 0) done = e;
+  // A cookie is at most epoch + 1, so only a drained domain at the
+  // cookie's own epoch still needs a flip; a flip with no reader in the
+  // old parity completes on the spot.
+  if (done == e && e < cookie) {
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    if (reader_sum(e & 1) == 0) done = ++e;
+  }
+  drained_.store(done, std::memory_order_release);
+  writer_mu_.unlock();
+  return done >= cookie;
 }
 
 }  // namespace toma::sync

@@ -7,6 +7,13 @@
 // entered in; a grace period flips the epoch and waits for the old parity's
 // counter to drain.
 //
+// The reader counters are sharded per obs::current_shard() (the SM inside
+// a kernel), one cache line per shard, so a read section costs one RMW on
+// a line this SM already owns. A reader unlocks on whatever shard it is on
+// then (its OS thread may have migrated, or its fiber resumed elsewhere):
+// single shards can wrap below zero, but the drain check sums every shard
+// modulo 2^64, and the sum stays exact.
+//
 // Classical barrier (synchronize): serialize on the writer mutex, flip,
 // wait, run deferred callbacks. The paper's observation: a barrier that is
 // queued behind another barrier ends up waiting for readers that started
@@ -16,12 +23,21 @@
 // already waiting to flip the epoch, our removal is covered by *its*
 // upcoming grace period — so we enqueue our callbacks for that thread to
 // execute and return immediately. Measured in bench/fig6.
+//
+// Polled grace period (start_poll/poll, the shape of Linux's
+// start_poll_synchronize_srcu/poll_state_synchronize_srcu): for callers
+// that must never block, such as defrag chunk retirement on a scheduler
+// worker. poll() flips under a try-locked writer mutex and leaves the
+// flip outstanding until its old parity drains; no flip starts before the
+// previous one drained, so any number of cookies may be outstanding, mixed
+// with synchronize() and barrier_conditional() on the same domain.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
 #include "gpusim/this_thread.hpp"
+#include "obs/context.hpp"
 #include "sync/backoff.hpp"
 #include "sync/spin_mutex.hpp"
 #include "util/hints.hpp"
@@ -51,19 +67,22 @@ class SrcuDomain {
   /// gone stale — which a concurrent grace period would not wait for.
   /// After the second load confirms the parity is (again) current, any
   /// barrier that subsequently flips this parity must observe and wait for
-  /// our increment.
+  /// our increment. A retry undoes its increment on the same shard, so a
+  /// drain check never sees the undo without the increment.
   unsigned read_lock() {
     for (;;) {
       const unsigned idx =
           static_cast<unsigned>(epoch_.load(std::memory_order_seq_cst) & 1);
-      readers_[idx].fetch_add(1, std::memory_order_seq_cst);
+      Shard& s = shards_[obs::current_shard()];
+      s.readers[idx].fetch_add(1, std::memory_order_seq_cst);
       if ((epoch_.load(std::memory_order_seq_cst) & 1) == idx) return idx;
-      readers_[idx].fetch_sub(1, std::memory_order_seq_cst);
+      s.readers[idx].fetch_sub(1, std::memory_order_seq_cst);
     }
   }
 
   void read_unlock(unsigned idx) {
-    readers_[idx].fetch_sub(1, std::memory_order_acq_rel);
+    shards_[obs::current_shard()].readers[idx].fetch_sub(
+        1, std::memory_order_seq_cst);
   }
 
   // --- writer side ---------------------------------------------------------
@@ -83,12 +102,27 @@ class SrcuDomain {
   /// period is in flight.
   void barrier_conditional(RcuCallback* cb);
 
+  /// Cookie for a polled grace period covering every reader inside now:
+  /// those readers entered at or before the current epoch, so the cookie
+  /// is done once the flip out of it has drained.
+  std::uint64_t start_poll() const {
+    return epoch_.load(std::memory_order_seq_cst) + 1;
+  }
+
+  /// Has every reader that entered before start_poll() returned `cookie`
+  /// left? Never waits: drives the grace period one step under a
+  /// try-locked writer mutex (complete an outstanding flip whose old
+  /// parity drained, then flip again if the cookie still needs it) and
+  /// returns false while readers remain or another writer holds the mutex.
+  bool poll(std::uint64_t cookie);
+
   // --- introspection ---------------------------------------------------
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
+  /// Readers inside parity `idx`, summed over the shards.
   std::int64_t readers(unsigned idx) const {
-    return readers_[idx & 1].load(std::memory_order_acquire);
+    return static_cast<std::int64_t>(reader_sum(idx & 1));
   }
   /// Completed full barriers and delegated (skipped) barriers; used by the
   /// Figure 6 benchmark to report delegation rates.
@@ -104,10 +138,26 @@ class SrcuDomain {
   }
 
  private:
+  struct TOMA_CACHELINE_ALIGNED Shard {
+    std::atomic<std::uint64_t> readers[2] = {};
+  };
+
+  /// Readers in parity `idx`, modulo 2^64 (per-shard wraps cancel).
+  std::uint64_t reader_sum(unsigned idx) const {
+    std::uint64_t sum = 0;
+    for (const Shard& s : shards_) {
+      sum += s.readers[idx].load(std::memory_order_seq_cst);
+    }
+    return sum;
+  }
   void run_callbacks(RcuCallback* head);
 
   TOMA_CACHELINE_ALIGNED std::atomic<std::uint64_t> epoch_{0};
-  TOMA_CACHELINE_ALIGNED std::atomic<std::int64_t> readers_[2] = {0, 0};
+  // Every reader that entered at an epoch below drained_ has left. Written
+  // under writer_mu_, which keeps epoch_ - drained_ in {0, 1}: 1 means a
+  // flip is outstanding and parity drained_ & 1 has not been seen empty.
+  std::atomic<std::uint64_t> drained_{0};
+  Shard shards_[obs::kShards];
   TOMA_CACHELINE_ALIGNED SpinMutex writer_mu_;
   // Barriers standing between "issued" and "flipped the epoch". Any
   // callback enqueued while this is non-zero is covered by one of them.
@@ -118,16 +168,21 @@ class SrcuDomain {
   std::atomic<std::uint64_t> delegated_barriers_{0};
 };
 
-/// RAII read-side critical section.
+/// RAII read-side critical section. Constructed from a null pointer it is
+/// a no-op, for a domain whose readers are armed at runtime.
 class RcuReadGuard {
  public:
-  explicit RcuReadGuard(SrcuDomain& d) : d_(d), idx_(d.read_lock()) {}
-  ~RcuReadGuard() { d_.read_unlock(idx_); }
+  explicit RcuReadGuard(SrcuDomain& d) : RcuReadGuard(&d) {}
+  explicit RcuReadGuard(SrcuDomain* d)
+      : d_(d), idx_(d != nullptr ? d->read_lock() : 0) {}
+  ~RcuReadGuard() {
+    if (d_ != nullptr) d_->read_unlock(idx_);
+  }
   RcuReadGuard(const RcuReadGuard&) = delete;
   RcuReadGuard& operator=(const RcuReadGuard&) = delete;
 
  private:
-  SrcuDomain& d_;
+  SrcuDomain* d_;
   unsigned idx_;
 };
 

@@ -36,7 +36,7 @@ namespace toma::vmm {
 ///   kLive -> kEvacuating   defrag_step picked it as a victim
 ///   kEvacuating -> kForwarding  every live block moved; forward entries
 ///                               cover stale old-address frees/reallocs
-///   kForwarding -> kRetired     pin epoch drained; pages unmapped
+///   kForwarding -> kRetired     grace period ended; pages unmapped
 ///   kRetired -> kLive           chunk remapped by grow (entries purged)
 ///
 /// kEvacuating -> kLive is the abandon edge: the chunk's free space was

@@ -342,8 +342,8 @@ TEST(HostStress, DefragConcurrentChurn) {
   // mutex is the host-side synchronization the two-phase contract
   // demands: prepare/commit take it, and a churner never reads or frees
   // a block the hooks currently have in flight. Everything else — the
-  // census, parked frees at evacuating chunks, forwarding, pin epochs,
-  // retirement unmaps racing growth — runs bare under TSan.
+  // census, parked frees at evacuating chunks, forwarding, the pool's
+  // read sections, retirement unmaps racing growth — runs bare under TSan.
   alloc::HeapConfig cfg;
   cfg.pool_bytes = 32 * 1024 * 1024;
   cfg.num_arenas = 2;

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "gpusim/gpusim.hpp"
+#include "obs/context.hpp"
 #include "support/test_support.hpp"
 
 namespace toma::sync {
@@ -145,6 +147,129 @@ TEST(Srcu, ConditionalBarrierDelegatesToPendingBarrier) {
   // cb_a ran under A's grace period; cb_c was delegated and ran under B's.
   EXPECT_EQ(CountingCb::fired.load(), 2);
   EXPECT_EQ(d.delegated_barriers(), 1u);
+}
+
+// --- polled grace period (start_poll / poll) ------------------------------
+
+TEST(SrcuPoll, NoReaderCompletesOnFirstPoll) {
+  SrcuDomain d;
+  EXPECT_TRUE(d.poll(d.start_poll()));
+  // Again after a synchronize, and on a cookie polled a second time.
+  d.synchronize();
+  const std::uint64_t c = d.start_poll();
+  EXPECT_TRUE(d.poll(c));
+  EXPECT_TRUE(d.poll(c));
+}
+
+TEST(SrcuPoll, ReaderBeforeStartPollHoldsPollFalse) {
+  SrcuDomain d;
+  const unsigned idx = d.read_lock();
+  const std::uint64_t c = d.start_poll();
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(d.poll(c));
+  // A reader that enters after start_poll is not waited for.
+  const unsigned late = d.read_lock();
+  d.read_unlock(idx);
+  EXPECT_TRUE(d.poll(c));
+  d.read_unlock(late);
+}
+
+TEST(SrcuPoll, TwoOutstandingCookiesEachWaitForTheirReaders) {
+  // r1 is inside for both cookies, r2 only for c2 (it entered after the
+  // flip c1's first poll made). Releasing r2 first must complete
+  // neither: a poll that flipped again before r1's parity drained would
+  // then see the other parity empty and wrongly complete both.
+  SrcuDomain d;
+  const unsigned r1 = d.read_lock();
+  const std::uint64_t c1 = d.start_poll();
+  EXPECT_FALSE(d.poll(c1));
+  const unsigned r2 = d.read_lock();
+  EXPECT_NE(r1, r2);
+  const std::uint64_t c2 = d.start_poll();
+  EXPECT_GT(c2, c1);
+  EXPECT_FALSE(d.poll(c2));
+  d.read_unlock(r2);
+  EXPECT_FALSE(d.poll(c2));
+  EXPECT_FALSE(d.poll(c1));
+  EXPECT_FALSE(d.poll(c2));
+  d.read_unlock(r1);
+  EXPECT_TRUE(d.poll(c1));
+  EXPECT_TRUE(d.poll(c2));
+
+  // The other order: c1's reader leaves first and c1 completes while
+  // c2's still holds it.
+  const unsigned r3 = d.read_lock();
+  const std::uint64_t c3 = d.start_poll();
+  EXPECT_FALSE(d.poll(c3));
+  const unsigned r4 = d.read_lock();
+  const std::uint64_t c4 = d.start_poll();
+  d.read_unlock(r3);
+  EXPECT_TRUE(d.poll(c3));
+  EXPECT_FALSE(d.poll(c4));
+  d.read_unlock(r4);
+  EXPECT_TRUE(d.poll(c4));
+}
+
+TEST(SrcuPoll, ReaderUnlockingOnAnotherShardDrains) {
+  // A read section that migrates between lock and unlock: the drain must
+  // count the reader on its locking shard and see it leave through the
+  // unlocking one.
+  SrcuDomain d;
+  obs::set_thread_context(3, 0);
+  const unsigned idx = d.read_lock();
+  obs::set_thread_context(5, 0);
+  std::uint64_t c = 0;
+  std::thread([&] {  // poll from a third shard
+    obs::set_thread_context(7, 0);
+    c = d.start_poll();
+    EXPECT_FALSE(d.poll(c));
+    obs::clear_thread_context();
+  }).join();
+  d.read_unlock(idx);
+  obs::clear_thread_context();
+  EXPECT_EQ(d.readers(0), 0);
+  EXPECT_EQ(d.readers(1), 0);
+  EXPECT_TRUE(d.poll(c));
+  d.synchronize();  // and a blocking grace period drains as well
+}
+
+TEST(SrcuPoll, InterleavesWithSynchronize) {
+  // r1 holds the flip a poll left outstanding; r2 entered after it. A
+  // synchronize must wait out both, and the poll must complete with it.
+  SrcuDomain d;
+  const unsigned r1 = d.read_lock();
+  const std::uint64_t c = d.start_poll();
+  EXPECT_FALSE(d.poll(c));
+  const unsigned r2 = d.read_lock();
+  std::atomic<bool> synced{false};
+  std::thread writer([&] {
+    d.synchronize();
+    synced.store(true);
+  });
+  for (int i = 0; i < 1000; ++i) std::this_thread::yield();
+  EXPECT_FALSE(synced.load());
+  EXPECT_FALSE(d.poll(c));
+  d.read_unlock(r1);
+  for (int i = 0; i < 1000; ++i) std::this_thread::yield();
+  EXPECT_FALSE(synced.load());  // r2 is still inside
+  d.read_unlock(r2);
+  writer.join();
+  EXPECT_TRUE(d.poll(c));
+  // A cookie taken while a new reader is inside, polled across a
+  // conditional barrier, still waits for that reader, and so does the
+  // barrier's callback.
+  CountingCb::fired = 0;
+  CountingCb cb;
+  const unsigned r3 = d.read_lock();
+  const std::uint64_t c3 = d.start_poll();
+  EXPECT_FALSE(d.poll(c3));
+  std::thread writer2([&] { d.barrier_conditional(&cb); });
+  for (int i = 0; i < 1000; ++i) std::this_thread::yield();
+  EXPECT_FALSE(d.poll(c3));
+  EXPECT_EQ(CountingCb::fired.load(), 0);
+  d.read_unlock(r3);
+  writer2.join();
+  EXPECT_EQ(CountingCb::fired.load(), 1);
+  EXPECT_TRUE(d.poll(c3));
 }
 
 TEST(Srcu, ManyWritersManyReadersGpu) {

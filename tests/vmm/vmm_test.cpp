@@ -411,8 +411,8 @@ TEST(ForwardTable, ResolvesConsumesAndPurges) {
 
 // Drive one full incremental evacuation cycle on a quiescent heap via
 // defrag_step alone: census -> evacuate (two-phase hooks) -> forwarding
-// -> pin-drained retirement -> unmap. The footprint must shrink without
-// a single stop-the-world defrag() run.
+// -> retirement by grace-period cookie -> unmap. The footprint must
+// shrink without a single stop-the-world defrag() run.
 TEST(Vmm, IncrementalDefragCompactsAndRetires) {
   HeapConfig cfg = elastic_cfg();
   GpuAllocator ga(cfg);
@@ -487,7 +487,7 @@ TEST(Vmm, IncrementalDefragCompactsAndRetires) {
 // While a chunk is in kForwarding, the *old* addresses of its moved
 // blocks must stay operable: usable_size resolves read-only, free and
 // realloc consume the entry and land on the current block. The source
-// chunk's slots are held until the pin epoch drains, so the old names
+// chunk's slots are held until its grace period ends, so the old names
 // can never alias fresh allocations while an entry is live.
 TEST(Vmm, ForwardingResolvesStaleFreesAndReallocs) {
   HeapConfig cfg = elastic_cfg();
