@@ -1,5 +1,5 @@
-// Ablation A7 — the TBuddy per-order quicklist and optimistic CAS claim
-// (not in the paper; docs/INTERNALS.md §4c).
+// Ablation A7 — the TBuddy per-order quicklist (not in the paper;
+// docs/INTERNALS.md §4c).
 //
 // Workload: same-order block churn. Every thread keeps a ring of `depth`
 // live blocks of one size (4 KB .. 512 KB, i.e. TBuddy orders 0..7) and
@@ -7,13 +7,11 @@
 // malloc-follows-free pattern the quicklist turns into a pop/push pair.
 // With the quicklist ON a free parks the block (node stays Busy, no merge
 // cascade) and the next allocate pops it back without touching the bulk
-// semaphore or the tree; OFF is the paper's exact split/merge path. The
-// CAS-claim axis isolates the descent-claim protocol: ON claims with one
-// uncontended CAS, OFF always takes the (parent, node) locks.
+// semaphore or the tree; OFF is the paper's exact split/merge path.
 //
-// Protocol: sizes x the {quicklist, cas} matrix on the same device and
-// pool geometry; report churn ops/s (one op = a free or a malloc), the
-// both-on/both-off speedup, and the quicklist hit rate. Acceptance:
+// Protocol: sizes x quicklist {on, off} on the same device and pool
+// geometry; report churn ops/s (one op = a free or a malloc), the on/off
+// speedup, and the quicklist hit rate. Acceptance:
 // >= 2x on same-order churn at >= 4 KB with the quicklist on (see
 // EXPERIMENTS.md A7).
 #include <atomic>
@@ -34,7 +32,7 @@ struct Out {
 };
 
 Out run(gpu::Device& dev, const Options& opt, std::size_t size,
-        bool quicklist, bool cas_claim) {
+        bool quicklist) {
   // Scale the thread count so the live set stays within a fixed budget —
   // 512 KB blocks cannot have 8192 holders the way 4 KB blocks can.
   const std::uint64_t base = opt.quick ? 2048 : 4096;
@@ -51,7 +49,6 @@ Out run(gpu::Device& dev, const Options& opt, std::size_t size,
   void* pool = std::aligned_alloc(pool_bytes, pool_bytes);
   auto buddy = std::make_unique<alloc::TBuddy>(pool, pool_bytes);
   buddy->set_quicklist(quicklist);
-  buddy->set_cas_claim(cas_claim);
 
   const alloc::TBuddyStats before = buddy->stats();
   const double secs = time_launch(
@@ -87,24 +84,18 @@ int main_impl(int argc, char** argv) {
   const Options opt = Options::parse(argc, argv);
   gpu::Device dev(opt.device_config());
 
-  util::Table table(
-      "Ablation A7: TBuddy quicklist x CAS claim (same-order churn)");
-  table.set_header({"size", "ql+cas (ops/s)", "ql only", "cas only",
-                    "off (ops/s)", "speedup", "ql hit%"});
+  util::Table table("Ablation A7: TBuddy quicklist (same-order churn)");
+  table.set_header({"size", "on (ops/s)", "off (ops/s)", "speedup",
+                    "ql hit%"});
   for (std::size_t size :
        {std::size_t{4} << 10, std::size_t{32} << 10, std::size_t{128} << 10,
         std::size_t{512} << 10}) {
-    const Out on = run(dev, opt, size, true, true);
-    const Out ql = run(dev, opt, size, true, false);
-    const Out cas = run(dev, opt, size, false, true);
-    const Out off = run(dev, opt, size, false, false);
+    const Out on = run(dev, opt, size, true);
+    const Out off = run(dev, opt, size, false);
     table.add(util::eng_format(static_cast<double>(size)) + "B", on.rate,
-              ql.rate, cas.rate, off.rate, on.rate / off.rate, on.hit_pct);
-    std::printf(
-        "  size=%zu on=%.3g ql=%.3g cas=%.3g off=%.3g speedup=%.2fx "
-        "hit=%.1f%%\n",
-        size, on.rate, ql.rate, cas.rate, off.rate, on.rate / off.rate,
-        on.hit_pct);
+              off.rate, on.rate / off.rate, on.hit_pct);
+    std::printf("  size=%zu on=%.3g off=%.3g speedup=%.2fx hit=%.1f%%\n",
+                size, on.rate, off.rate, on.rate / off.rate, on.hit_pct);
   }
   finish_table(opt, table);
   return 0;

@@ -167,7 +167,7 @@ int main_impl(int argc, char** argv) {
       hc.num_arenas = dev.num_sms();
       hc.pool_bytes = c.pool_bytes;
       if (hc.vmm) {
-        // Elastic backing (build default): map the nominal budget up
+        // Elastic backing (the default): map the nominal budget up
         // front and reserve a second pool's worth of address space, so
         // near-exhaustion structural overhead (bin headers, tails,
         // partial bins) grows the mapping by whole chunks instead of

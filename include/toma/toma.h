@@ -70,13 +70,16 @@ typedef struct toma_pool_config {
                              * bytes sit stranded in caches; 0 = trim
                              * everything (the CUDA default),
                              * TOMA_RELEASE_RETAIN_ALL = never           */
-  int heapsan;              /* -1 = build default, 0 = off, 1 = on       */
+  /* Front-end toggles: -1 = library default (TOMA_HEAP_DEFAULTS), 0 = off,
+   * 1 = on. TOMA_HEAP_DEFAULTS is a comma list of key=0|1 over these
+   * field names, e.g. "magazines=0,heapsan=1"; unset keeps the built-in
+   * defaults (heapsan off, the others on). */
+  int heapsan;              /* the HeapSan sanitizer layer               */
   int magazines;            /* the small-block cache (per-SM magazines,
-                             * slab-refilled at 8-64 B): -1 = build
-                             * default, 0 = off (the paper's exact
-                             * path), 1 = on                             */
-  int quicklist;            /* -1 = build default, 0 = off, 1 = on       */
-  int stream_async;         /* -1 = build default, 0 = off, 1 = on       */
+                             * slab-refilled at 8-64 B); 0 = the
+                             * paper's exact path                        */
+  int quicklist;            /* the TBuddy per-order quicklists           */
+  int stream_async;         /* the stream-ordered async front-end        */
   uint64_t slo_latency_ns;  /* per-op latency SLO target in ns; an op
                              * slower than this bumps the pool's
                              * SLO-violation counter. 0 = no SLO         */
@@ -89,7 +92,8 @@ typedef struct toma_pool_config {
   int vmm;                  /* elastic chunked backing: pool_bytes is a
                              * VA reservation, physical chunks map on
                              * demand (grow on exhaustion, unmap at
-                             * trim). -1 = build default, 0 = fixed-size
+                             * trim). -1 = library default
+                             * (TOMA_HEAP_DEFAULTS), 0 = fixed-size
                              * pool, 1 = on                              */
   size_t chunk_bytes;       /* backing-chunk granule: power-of-two
                              * multiple of 256 KiB dividing pool_bytes;
@@ -115,7 +119,7 @@ typedef struct toma_pool_config {
 } toma_pool_config_t;
 
 /* The library defaults (64 MiB pool, unlimited quota, retain-all
- * threshold, build-default front-ends). Always start from this rather
+ * threshold, library-default front-ends). Always start from this rather
  * than zero-initializing: {0} means "trim everything at every sync",
  * which is CUDA's default but probably not what you want. */
 toma_pool_config_t toma_pool_config_default(void);

@@ -55,14 +55,12 @@ GpuAllocator::GpuAllocator(const HeapConfig& cfg)
     buddy_ = std::make_unique<TBuddy>(pool_, pool_bytes_, kPageSize);
   }
   buddy_->set_quicklist(cfg.quicklist);
-  buddy_->set_cas_claim(cfg.cas_claim);
   if (vmm_ != nullptr) {
     for (std::uint32_t i = 0; i < vmm_->chunk_count(); ++i) {
       if (vmm_->is_mapped(i)) {
         buddy_->inject_block(vmm_->chunk_addr(i), vmm_chunk_order_);
       }
     }
-    vmm_on_.store(true, std::memory_order_relaxed);
   }
   // An incremental pool's read sections are armed before its first op;
   // defrag_step() arms them on first use otherwise.
@@ -280,7 +278,7 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     p = route_alloc(rounded);
   }
   bool grow_quota_denied = false;
-  if (p == nullptr && vmm_enabled()) {
+  if (p == nullptr && has_vmm()) {
     // Grow-on-exhaustion: map backing chunks one at a time until the
     // routed request succeeds or growth hits the ceiling/quota. Runs
     // after every cache-flush retry — new physical memory is the last
@@ -430,7 +428,7 @@ std::size_t GpuAllocator::usable_size(void* p) const {
 }
 
 std::size_t GpuAllocator::shrink_backing() {
-  if (!vmm_enabled()) return 0;
+  if (!has_vmm()) return 0;
   sync::LockGuard<sync::SpinMutex> g(grow_mu_);
   // Quicklist-parked frees must coalesce first, or a fully-free chunk can
   // hide as scattered sub-blocks the extraction below cannot see.
@@ -487,7 +485,7 @@ void GpuAllocator::set_relocation_hooks(RelocationHooks hooks) {
 }
 
 std::size_t GpuAllocator::defrag() {
-  if (!vmm_enabled()) return 0;
+  if (!has_vmm()) return 0;
   sync::LockGuard<sync::SpinMutex> defrag_lock(defrag_mu_);
   st_defrag_passes_.fetch_add(1, std::memory_order_relaxed);
   TOMA_CTR_INC("vmm.defrag_passes");
@@ -605,7 +603,7 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
 }
 
 std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
-  if (!vmm_enabled()) return 0;
+  if (!has_vmm()) return 0;
   if (!defrag_mu_.try_lock()) return 0;  // another thread is mid-step
   if (!hooks_.prepare && active_ == nullptr && forwarding_.empty()) {
     // Incremental evacuation needs a veto-capable host (see

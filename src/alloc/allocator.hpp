@@ -91,7 +91,7 @@ struct RelocationHooks {
 ///   GpuAllocator a(HeapConfig{.pool_bytes = 16 << 20, .quota_bytes = 1 << 20});
 ///
 /// Defaults reproduce the previous constructor's behaviour exactly (the
-/// compile-time front-end toggles, no quota, retain-all threshold).
+/// heap_defaults() front-end switches, no quota, retain-all threshold).
 struct HeapConfig {
   /// Pool reservation (a power of two >= kChunkSize; the host-side
   /// analogue of cudaMalloc'ing the pool).
@@ -113,18 +113,17 @@ struct HeapConfig {
   /// (`pool.slo_violation{pool="..."}`). 0 = no SLO. Telemetry-off
   /// builds never observe violations (the clock is compiled out).
   std::uint64_t slo_latency_ns = 0;
-  bool heapsan = TOMA_HEAPSAN != 0;
+  bool heapsan = heap_defaults().heapsan;
   /// The small-block cache (UAlloc's per-(SM, class) magazines, with slab
   /// refill for 8..64 B). OFF = the paper's exact UAlloc path.
-  bool magazines = TOMA_UALLOC_MAGAZINES != 0;
-  bool quicklist = TOMA_TBUDDY_QUICKLIST != 0;
-  bool cas_claim = TOMA_TBUDDY_CAS_CLAIM != 0;
+  bool magazines = heap_defaults().magazines;
+  bool quicklist = heap_defaults().quicklist;
 
   // --- elastic virtual backing (docs/INTERNALS.md §8) ----------------------
   /// Back the pool with an elastic chunked mapping: `pool_bytes` becomes a
   /// VA reservation, physical chunks map on demand (grow on exhaustion,
   /// unmap at trim). OFF = the fixed-size eagerly-committed pool.
-  bool vmm = TOMA_VMM != 0;
+  bool vmm = heap_defaults().vmm;
   /// Backing-chunk granule (power-of-two multiple of kChunkSize dividing
   /// pool_bytes); 0 = auto (pool/64 clamped to [256 KB, 4 MB]).
   std::size_t chunk_bytes = 0;
@@ -288,29 +287,20 @@ class GpuAllocator {
   UAlloc& ualloc() { return *ualloc_; }
   san::HeapSan& heapsan() { return *san_; }
 
-  /// Runtime switch for the HeapSan layer (default: the compile-time
-  /// TOMA_HEAPSAN option). Enabling sanitizes subsequent allocations;
-  /// blocks allocated while enabled stay tracked until freed and evicted,
-  /// so disabling mid-run is always safe.
+  /// Runtime switch for the HeapSan layer (default: heap_defaults()).
+  /// Enabling sanitizes subsequent allocations; blocks allocated while
+  /// enabled stay tracked until freed and evicted, so disabling mid-run is
+  /// always safe.
   void set_heapsan(bool on) { san_->set_enabled(on); }
   bool heapsan_enabled() const { return san_->enabled(); }
 
   // --- elastic backing (grow / shrink / defrag) ----------------------------
 
-  /// Was this pool constructed on the elastic backing store? (The
-  /// reservation shape is fixed at construction; set_vmm only gates the
-  /// elastic *operations* at runtime.)
+  /// Was this pool constructed on the elastic backing store (cfg.vmm)?
+  /// Only such a pool grows, shrinks and defragments; cfg.max_chunks caps
+  /// its mapping.
   bool has_vmm() const { return vmm_ != nullptr; }
   vmm::BackingStore& backing() { return *vmm_; }
-
-  /// Runtime switch for grow-on-exhaustion / shrink-at-trim / defrag on a
-  /// vmm-backed pool (default ON when constructed with cfg.vmm). Turning
-  /// it off freezes the mapping at its current size — the pool behaves
-  /// fixed-size from then on. No effect on a fixed-size pool.
-  void set_vmm(bool on) { vmm_on_.store(on, std::memory_order_relaxed); }
-  bool vmm_enabled() const {
-    return vmm_ != nullptr && vmm_on_.load(std::memory_order_relaxed);
-  }
 
   /// Unmap whole free backing chunks back to the OS, never shrinking the
   /// mapping below initial_chunks. Flushes the TBuddy quicklists first so
@@ -330,7 +320,7 @@ class GpuAllocator {
   /// prepare hook but honours one (vetoed blocks stay put); hosts holding
   /// raw pointers register at least a commit hook. HeapSan shadow records
   /// and flight-recorder interning follow moved blocks. Returns bytes
-  /// moved. No-op unless vmm_enabled().
+  /// moved. No-op unless has_vmm().
   std::size_t defrag();
 
   /// One bounded slice of *incremental* compaction, safe concurrently
@@ -340,7 +330,7 @@ class GpuAllocator {
   /// is active, then evacuate at most `budget_bytes` (0 = the
   /// kVmmDefragStepBytes default) of live blocks through the two-phase
   /// hooks. Returns bytes moved this call. Returns 0 immediately when
-  /// another thread is mid-step (try-lock), when vmm is off, or when no
+  /// another thread is mid-step (try-lock), on a fixed-size pool, or when no
   /// prepare hook is registered (incremental compaction requires one —
   /// see RelocationHooks).
   std::size_t defrag_step(std::size_t budget_bytes = 0);
@@ -476,7 +466,6 @@ class GpuAllocator {
   std::unique_ptr<vmm::BackingStore> vmm_;  // null = fixed-size pool
   std::uint32_t vmm_chunk_order_ = 0;       // buddy order of one chunk
   std::uint32_t vmm_initial_chunks_ = 0;    // shrink floor
-  std::atomic<bool> vmm_on_{false};
   std::atomic<std::uint64_t> grow_epoch_{0};
   sync::SpinMutex grow_mu_;
   // Lock order: defrag_mu_ before grow_mu_ before park_mu_; never

@@ -19,6 +19,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "util/bitops.hpp"
 
@@ -85,14 +87,6 @@ inline constexpr std::uint32_t kChunkOrder = 6;
 // Free in Constant Time" (arXiv:2008.04296): one bulk-semaphore
 // transaction buys a whole slab of blocks.
 
-/// Compile-time default for the magazines (CMake option
-/// TOMA_UALLOC_MAGAZINES, default ON). UAlloc::set_magazines() toggles at
-/// runtime; this macro only selects the starting state, so a magazines-OFF
-/// build still compiles (and tests) the machinery.
-#ifndef TOMA_UALLOC_MAGAZINES
-#define TOMA_UALLOC_MAGAZINES 1
-#endif
-
 /// Per-class magazine policy.
 struct MagazinePolicy {
   /// Cached-block bound. A push that crosses it spills the magazine.
@@ -158,21 +152,6 @@ constexpr bool magazine_refills(std::size_t rounded) {
 // the tree. Merges run only when the per-order high-water mark is hit or
 // when trim()/pool pressure demands the memory back.
 
-/// Compile-time default for the TBuddy quicklist (CMake option
-/// TOMA_TBUDDY_QUICKLIST, default ON). TBuddy::set_quicklist() toggles at
-/// runtime; this macro only selects the starting state, so a
-/// quicklist-OFF build still compiles (and tests) the machinery.
-#ifndef TOMA_TBUDDY_QUICKLIST
-#define TOMA_TBUDDY_QUICKLIST 1
-#endif
-
-/// Compile-time default for the optimistic single-CAS descent claim
-/// (CMake option TOMA_TBUDDY_CAS_CLAIM, default ON).
-/// TBuddy::set_cas_claim() toggles at runtime.
-#ifndef TOMA_TBUDDY_CAS_CLAIM
-#define TOMA_TBUDDY_CAS_CLAIM 1
-#endif
-
 /// High-water mark (cached-block cap) of one per-order quicklist. A flat
 /// cap would let large orders strand megabytes, so the cap also shrinks
 /// with the share of the pool one order can hold: at most half the blocks
@@ -204,15 +183,6 @@ constexpr std::uint32_t quicklist_low_water(std::uint32_t cap) {
 // stream order guarantees the old use finished before the new one starts,
 // the same observation cudaMallocAsync's memory pools exploit.
 
-/// Compile-time default for the stream-ordered async front-end (CMake
-/// option TOMA_STREAM_ASYNC, default ON). Pool::set_async() toggles at
-/// runtime; this macro only selects the starting state, so an async-OFF
-/// build still compiles (and tests) the machinery — free_async then
-/// degenerates to an immediate synchronous free.
-#ifndef TOMA_STREAM_ASYNC
-#define TOMA_STREAM_ASYNC 1
-#endif
-
 /// Deferred frees one (pool, stream) slot may hold before free_async
 /// drains it inline — bounds how much memory pending batches can strand
 /// on a stream that never synchronizes.
@@ -226,14 +196,6 @@ inline constexpr std::uint32_t kStreamPendingCap = 4096;
 // each mapped backing chunk is injected as a free block, so an unmapped
 // region is simply absent from the accounting (Busy, recordless, no
 // semaphore unit) and can never be handed out or merged into.
-
-/// Compile-time default for the elastic backing store (CMake option
-/// TOMA_VMM, default ON). HeapConfig{.vmm = ...} selects per pool;
-/// GpuAllocator::set_vmm() gates grow/shrink/defrag at runtime. An OFF
-/// build reverts to the fixed-size eagerly-committed pool.
-#ifndef TOMA_VMM
-#define TOMA_VMM 1
-#endif
 
 /// Default backing-chunk granule as a divisor of the pool size: pool/64
 /// tracks the pool's scale (64 MiB pool -> 1 MiB chunks), clamped to
@@ -294,13 +256,35 @@ inline constexpr std::uint32_t kVmmDefragExtractRetries = 8;
 // semaphore units stay consumed — the same "cached blocks are still
 // allocated to the accounting" trick the magazines and quicklists use.
 
-/// Compile-time default for the HeapSan layer (CMake option TOMA_HEAPSAN,
-/// default OFF). GpuAllocator::set_heapsan() toggles at runtime; this
-/// macro only selects the starting state, so every build compiles (and
-/// tests) the machinery.
-#ifndef TOMA_HEAPSAN
-#define TOMA_HEAPSAN 0
-#endif
+// --- front-end defaults ----------------------------------------------------
+//
+// Each front end above is one runtime switch: a HeapConfig field or Pool
+// setter, and a C config toggle. HeapDefaults holds their starting values.
+// The environment variable TOMA_HEAP_DEFAULTS overrides them for the whole
+// process without a rebuild (the CI arms run one build under several):
+// a comma list of key=0|1 over the C config's toggle names, e.g.
+// TOMA_HEAP_DEFAULTS=magazines=0,heapsan=1. An explicit HeapConfig field,
+// a C config toggle >= 0 or a setter call still wins over it.
+
+struct HeapDefaults {
+  bool heapsan = false;
+  bool magazines = true;
+  bool quicklist = true;
+  bool stream_async = true;
+  bool vmm = true;
+
+  bool operator==(const HeapDefaults&) const = default;
+};
+
+/// HeapDefaults{} with a TOMA_HEAP_DEFAULTS value applied; nullptr or ""
+/// changes nothing. nullopt for an unknown key, a value other than 0 or
+/// 1, or an item without '=', with the reason in `*error` when given.
+std::optional<HeapDefaults> parse_heap_defaults(const char* spec,
+                                                std::string* error = nullptr);
+
+/// The process's defaults: TOMA_HEAP_DEFAULTS parsed once, at first use.
+/// A malformed value aborts with parse_heap_defaults' reason.
+const HeapDefaults& heap_defaults();
 
 static_assert(kChunkSize / kPageSize == (1u << kChunkOrder));
 static_assert(kBinsPerChunk == 64, "one 64-bit word tracks the chunk bins");

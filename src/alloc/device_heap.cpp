@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "alloc/pool.hpp"
 #include "obs/telemetry.hpp"
@@ -36,12 +34,6 @@ GpuAllocator& ensure_device_heap(std::size_t pool_bytes,
     HeapConfig cfg;
     if (pool_bytes != 0) cfg.pool_bytes = pool_bytes;
     if (num_arenas != 0) cfg.num_arenas = num_arenas;
-    // Runtime override of the compile-time HeapSan default for the
-    // implicit heap: TOMA_HEAPSAN=1 (or =0) in the environment, the
-    // no-recompile analogue of ASAN_OPTIONS.
-    if (const char* env = std::getenv("TOMA_HEAPSAN")) {
-      cfg.heapsan = std::strcmp(env, "0") != 0;
-    }
     // The implicit heap is the manager's "default" pool (first call
     // wins; default_pool installs it as the device heap if none exists).
     // It lives for the process, as CUDA's device heap does.

@@ -110,8 +110,8 @@ class Pool {
     return release_threshold_.load(std::memory_order_relaxed);
   }
 
-  /// Runtime switch for the async front-end (default: the compile-time
-  /// TOMA_STREAM_ASYNC). Turning it off drains all pending frees.
+  /// Runtime switch for the async front-end (default: heap_defaults()).
+  /// Turning it off drains all pending frees.
   void set_async(bool on);
   bool async_enabled() const {
     return async_on_.load(std::memory_order_relaxed);
@@ -189,7 +189,7 @@ class Pool {
   GpuAllocator alloc_;
   StreamFrontEnd streams_;
   std::atomic<std::size_t> release_threshold_;
-  std::atomic<bool> async_on_{TOMA_STREAM_ASYNC != 0};
+  std::atomic<bool> async_on_{heap_defaults().stream_async};
   const DefragMode defrag_mode_;
   std::atomic<std::uint32_t> op_counter_{0};  // async-op tick counter
   std::atomic<std::uint64_t> st_syncs_{0};

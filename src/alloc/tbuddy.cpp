@@ -234,17 +234,14 @@ bool TBuddy::claim_candidate(std::uint32_t i) {
   // derive that read the stale Available is corrected by our later fixup,
   // and a derive that locks the parent after our fixup released it
   // observes the CAS'd Busy (lock acquire/release ordering).
-  if (cas_claim_enabled()) {
-    std::atomic_ref<std::uint8_t> b(node_state_[i]);
-    std::uint8_t expected = kAvailable;
-    if (b.compare_exchange_strong(expected, kBusy,
-                                  std::memory_order_acq_rel,
-                                  std::memory_order_relaxed)) {
-      st_cas_claims_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("tbuddy.claim.cas_fast");
-      if (i > 1) fixup_from(parent_of(i));
-      return true;
-    }
+  std::atomic_ref<std::uint8_t> b(node_state_[i]);
+  std::uint8_t expected = kAvailable;
+  if (b.compare_exchange_strong(expected, kBusy, std::memory_order_acq_rel,
+                                std::memory_order_relaxed)) {
+    st_cas_claims_.fetch_add(1, std::memory_order_relaxed);
+    TOMA_CTR_INC("tbuddy.claim.cas_fast");
+    if (i > 1) fixup_from(parent_of(i));
+    return true;
   }
   const bool ok = try_claim(i);
   if (ok) {

@@ -115,25 +115,16 @@ class TBuddy {
   /// is a live TBuddy allocation).
   std::size_t allocation_size(const void* p) const;
 
-  /// Runtime knob for the per-order quicklist front-end (default is the
-  /// compile-time TOMA_TBUDDY_QUICKLIST). Turning it off flushes every
-  /// cached block through the real free path, so the paper-faithful
-  /// configuration is reachable at any quiescent point.
+  /// Runtime knob for the per-order quicklist front-end (default:
+  /// heap_defaults()). Turning it off flushes every cached block through
+  /// the real free path, so the paper-faithful configuration is reachable
+  /// at any quiescent point.
   void set_quicklist(bool on) {
     quicklist_on_.store(on, std::memory_order_relaxed);
     if (!on) flush_quicklists();
   }
   bool quicklist_enabled() const {
     return quicklist_on_.load(std::memory_order_relaxed);
-  }
-
-  /// Runtime knob for the optimistic single-CAS descent claim (default is
-  /// the compile-time TOMA_TBUDDY_CAS_CLAIM).
-  void set_cas_claim(bool on) {
-    cas_claim_on_.store(on, std::memory_order_relaxed);
-  }
-  bool cas_claim_enabled() const {
-    return cas_claim_on_.load(std::memory_order_relaxed);
   }
 
   /// Flush every quicklist: cached blocks re-enter the tree through the
@@ -297,8 +288,7 @@ class TBuddy {
   // Quicklist front-end: one bounded Treiber stack per order, all linking
   // through one shared per-node successor array (a node index is unique
   // across orders, so each node lives in at most one stack).
-  std::atomic<bool> quicklist_on_{TOMA_TBUDDY_QUICKLIST != 0};
-  std::atomic<bool> cas_claim_on_{TOMA_TBUDDY_CAS_CLAIM != 0};
+  std::atomic<bool> quicklist_on_{heap_defaults().quicklist};
   std::unique_ptr<sync::TreiberStack[]> quicklists_;   // [max_order_ + 1]
   std::unique_ptr<std::atomic<std::uint32_t>[]> ql_links_;  // [node_count()]
 

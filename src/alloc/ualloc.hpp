@@ -441,10 +441,10 @@ class UAlloc {
   /// Ablation knob: disable the warp-coalesced allocation path.
   void set_coalescing(bool on) { coalesce_ = on; }
 
-  /// The one switch for the magazines (default is the compile-time
-  /// TOMA_UALLOC_MAGAZINES). Turning magazines off flushes every cached
-  /// block back through the normal free path, so the paper-faithful
-  /// configuration is reachable at any quiescent point.
+  /// The one switch for the magazines (default: heap_defaults()). Turning
+  /// magazines off flushes every cached block back through the normal free
+  /// path, so the paper-faithful configuration is reachable at any
+  /// quiescent point.
   void set_magazines(bool on) {
     magazines_on_.store(on, std::memory_order_relaxed);
     if (!on) release_cached();
@@ -592,7 +592,7 @@ class UAlloc {
   TBuddy* buddy_;
   bool use_tails_;
   bool coalesce_ = true;
-  std::atomic<bool> magazines_on_{TOMA_UALLOC_MAGAZINES != 0};
+  std::atomic<bool> magazines_on_{heap_defaults().magazines};
 
   // Evacuation range (see set_evac_range): bins here are retire-pinned.
   std::atomic<std::uintptr_t> evac_lo_{0};

@@ -50,8 +50,8 @@ toma_status_t to_c(AllocStatus s) {
   return TOMA_ERR_INVALID;
 }
 
-/// -1 in a config toggle keeps the build default already present in
-/// `cfg`; 0/1 forces.
+/// -1 in a config toggle keeps the library default already present in
+/// `cfg` (heap_defaults()); 0/1 forces.
 void apply_toggle(bool& field, int value) {
   if (value >= 0) field = value != 0;
 }

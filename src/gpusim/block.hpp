@@ -178,8 +178,6 @@ struct BlockRun {
   LaunchState* launch = nullptr;
   std::uint64_t block_rank = 0;
   std::uint32_t nthreads = 0;
-  std::uint32_t finished = 0;  // round-robin-policy count of finished fibers
-
   std::uint32_t sm_id = 0;
   std::uint32_t num_warps = 0;
   std::atomic<std::uint32_t> warps_done{0};

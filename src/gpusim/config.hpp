@@ -24,16 +24,6 @@ inline constexpr std::size_t kDefaultStackBytes = 128 * 1024;
 inline constexpr std::size_t kDefaultStackBytes = 32 * 1024;
 #endif
 
-/// Which scheduler drives the SMs (docs/INTERNALS.md §7).
-enum class SchedPolicy : std::uint8_t {
-  /// Warp-granular ready queues with work-stealing workers; barrier-
-  /// blocked warps park instead of being spuriously resumed. Default.
-  kWarpQueue = 0,
-  /// Legacy resume-everything round robin with a static SM-to-worker
-  /// partition. Kept as the ablation baseline for resume counts.
-  kRoundRobin = 1,
-};
-
 struct DeviceConfig {
   /// Number of streaming multiprocessors.
   std::uint32_t num_sms = 8;
@@ -53,8 +43,6 @@ struct DeviceConfig {
   /// runs the launch inline on the calling thread with a deterministic
   /// schedule (the CI replay leg).
   std::uint32_t num_workers = 0;
-  /// Scheduling policy (warp queues by default).
-  SchedPolicy sched = SchedPolicy::kWarpQueue;
 
   /// Architectural ceiling on simultaneously resident threads.
   std::uint64_t max_resident_threads() const {

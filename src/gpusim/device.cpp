@@ -86,52 +86,26 @@ void Device::launch(Dim3 grid, Dim3 block, const Kernel& kernel) {
   launch_stats.blocks = ls.total_blocks;
   launch_stats.threads = ls.total_blocks * ls.threads_per_block;
 
-  if (cfg_.sched == SchedPolicy::kRoundRobin) {
-    // Per-SM counters are cumulative; diff around the launch.
-    std::uint64_t resumes0 = 0, rounds0 = 0;
-    for (const auto& sm : sms_) {
-      resumes0 += sm->fiber_resumes();
-      rounds0 += sm->rounds();
-    }
-    if (nw == 1) {
-      worker_main_rr(0, 1, ls);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(nw);
-      for (std::uint32_t w = 0; w < nw; ++w) {
-        workers.emplace_back(
-            [this, w, nw, &ls] { worker_main_rr(w, nw, ls); });
-      }
-      for (auto& t : workers) t.join();
-    }
-    for (const auto& sm : sms_) {
-      launch_stats.fiber_resumes += sm->fiber_resumes();
-      launch_stats.sched_rounds += sm->rounds();
-    }
-    launch_stats.fiber_resumes -= resumes0;
-    launch_stats.sched_rounds -= rounds0;
+  Scheduler sched(*this, ls, nw);
+  ls.sched = &sched;
+  if (nw == 1) {
+    sched.run_worker(0);
   } else {
-    Scheduler sched(*this, ls, nw);
-    ls.sched = &sched;
-    if (nw == 1) {
-      sched.run_worker(0);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(nw);
-      for (std::uint32_t w = 0; w < nw; ++w) {
-        workers.emplace_back([&sched, w] { sched.run_worker(w); });
-      }
-      for (auto& t : workers) t.join();
+    std::vector<std::thread> workers;
+    workers.reserve(nw);
+    for (std::uint32_t w = 0; w < nw; ++w) {
+      workers.emplace_back([&sched, w] { sched.run_worker(w); });
     }
-    const Scheduler::Totals t = sched.totals();
-    launch_stats.fiber_resumes = t.fiber_resumes;
-    launch_stats.sched_rounds = t.warp_steps;
-    launch_stats.warp_parks = t.parks;
-    launch_stats.warp_unparks = t.unparks;
-    launch_stats.warp_steals = t.steals;
-    launch_stats.wait_skips = t.wait_skips;
-    ls.sched = nullptr;
+    for (auto& t : workers) t.join();
   }
+  const Scheduler::Totals t = sched.totals();
+  launch_stats.fiber_resumes = t.fiber_resumes;
+  launch_stats.sched_rounds = t.warp_steps;
+  launch_stats.warp_parks = t.parks;
+  launch_stats.warp_unparks = t.unparks;
+  launch_stats.warp_steals = t.steals;
+  launch_stats.wait_skips = t.wait_skips;
+  ls.sched = nullptr;
 
   {
     std::lock_guard<std::mutex> g(stats_mu_);
@@ -148,20 +122,6 @@ void Device::launch(Dim3 grid, Dim3 block, const Kernel& kernel) {
   }
 
   if (ls.first_error) std::rethrow_exception(ls.first_error);
-}
-
-void Device::worker_main_rr(std::uint32_t worker_id,
-                            std::uint32_t num_workers, LaunchState& ls) {
-  // Static SM ownership: SM i belongs to worker i % num_workers. A worker
-  // spins its SMs until the whole grid retired; when it momentarily has no
-  // resident blocks it backs off with an OS yield so co-workers progress.
-  while (!ls.done()) {
-    bool any = false;
-    for (std::uint32_t s = worker_id; s < cfg_.num_sms; s += num_workers) {
-      any = sms_[s]->step(ls) || any;
-    }
-    if (!any) std::this_thread::yield();
-  }
 }
 
 DeviceStats Device::stats() const {

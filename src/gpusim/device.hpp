@@ -6,10 +6,9 @@
 // real hardware: an SM admits a new block as soon as a resident one
 // retires, so fiber memory is bounded by residency, not grid size.
 //
-// Scheduling is warp-granular by default (sched.hpp): N OS workers each
-// own a work-stealing deque of runnable warps; barrier-blocked warps park
-// instead of being spuriously resumed. DeviceConfig::sched selects the
-// legacy round-robin policy for comparison.
+// Scheduling is warp-granular (sched.hpp): N OS workers each own a
+// work-stealing deque of runnable warps; barrier-blocked warps park
+// instead of being spuriously resumed.
 #pragma once
 
 #include <atomic>
@@ -44,8 +43,8 @@ struct LaunchState {
   std::uint64_t total_blocks = 0;
   std::uint32_t threads_per_block = 0;
 
-  /// The warp-queue scheduler driving this launch (nullptr under the
-  /// round-robin policy). The barrier park/unpark hooks go through here.
+  /// The warp-queue scheduler driving this launch. The barrier
+  /// park/unpark hooks go through here.
   Scheduler* sched = nullptr;
 
   std::atomic<std::uint64_t> next_block{0};
@@ -65,14 +64,13 @@ struct LaunchStats {
   std::uint64_t blocks = 0;
   std::uint64_t threads = 0;
   std::uint64_t fiber_resumes = 0;
-  /// Warp steps (warp-queue policy) or SM rounds (round-robin) — the
-  /// scheduling quanta of the policy that ran.
+  /// Warp steps: the scheduler's quanta.
   std::uint64_t sched_rounds = 0;
   std::uint64_t warp_parks = 0;
   std::uint64_t warp_unparks = 0;
   std::uint64_t warp_steals = 0;
   /// Lanes a warp step skipped because their wait condition was still
-  /// false (warp-queue policy; round-robin resumes them instead).
+  /// false.
   std::uint64_t wait_skips = 0;
 };
 
@@ -113,7 +111,7 @@ class Device {
   StackPool& stack_pool() { return stack_pool_; }
   DeviceStats stats() const;
 
-  /// Test hook: when non-null, the warp-queue scheduler appends
+  /// Test hook: when non-null, the scheduler appends
   /// (block_rank << 16 | warp_rank) per warp step. Only meaningful with
   /// one worker (multi-worker appends would race); the determinism test
   /// compares two runs' logs. Pass nullptr to detach.
@@ -122,9 +120,6 @@ class Device {
  private:
   friend class Sm;
   friend class Scheduler;
-
-  void worker_main_rr(std::uint32_t worker_id, std::uint32_t num_workers,
-                      LaunchState& ls);
 
   DeviceConfig cfg_;
   StackPool stack_pool_;

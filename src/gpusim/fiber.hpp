@@ -4,7 +4,7 @@
 // suspends (yield, barrier arrival) or finishes; the SM scheduler then
 // resumes the next fiber. Volta's independent thread scheduling guarantee
 // (every resident thread eventually makes progress) maps to the scheduler's
-// round-robin policy over resident fibers.
+// FIFO ready queues over resident warps.
 //
 // Two context-switch backends:
 //  - default: hand-written x86-64 switch (fcontext_x86_64.S), ~10ns

@@ -86,7 +86,7 @@ class ThreadCtx {
   /// does. While the condition is false the warp scheduler skips this
   /// lane instead of resuming it, so a waiter costs a predicate call per
   /// warp step rather than a context switch. The condition is re-checked
-  /// after every resume, so spurious resumes (round-robin policy) are safe.
+  /// after every resume, so spurious resumes are safe.
   void wait_until(WaitReady ready, const void* arg);
   template <typename Pred>
   void wait_until(const Pred& pred) {

@@ -130,7 +130,7 @@ void Scheduler::step_warp(Worker& me, WarpRun& w) {
   BlockRun& br = *w.block;
   ++me.steps;
   // The simulated-time axis: one tick per warp step (the scheduling
-  // quantum of this policy), shared by all workers.
+  // quantum), shared by all workers.
   TOMA_OBS_TICK();
   if (dev_.sched_log_ != nullptr) {
     // Test hook (single-worker only): the exact step order.

@@ -8,17 +8,12 @@
 
 namespace toma::gpu {
 
-namespace detail {
-void set_current(ThreadCtx* ctx);  // defined in this_thread.cpp
-}
-
 void BlockRun::prepare(Device& dev, LaunchState& ls, std::uint64_t rank,
                        std::uint32_t sm) {
   const DeviceConfig& cfg = dev.config();
   launch = &ls;
   block_rank = rank;
   nthreads = ls.threads_per_block;
-  finished = 0;
   sm_id = sm;
 
   const std::uint32_t nwarps = (nthreads + cfg.warp_size - 1) / cfg.warp_size;
@@ -110,13 +105,6 @@ BlockRun* Sm::admit_one(LaunchState& ls) {
   return nullptr;
 }
 
-bool Sm::admit(LaunchState& ls) {
-  std::lock_guard<std::mutex> g(admit_mu_);
-  bool admitted = false;
-  while (admit_one(ls) != nullptr) admitted = true;
-  return admitted;
-}
-
 bool Sm::admit_warps(LaunchState& ls, std::vector<WarpRun*>& out) {
   std::lock_guard<std::mutex> g(admit_mu_);
   bool admitted = false;
@@ -127,22 +115,6 @@ bool Sm::admit_warps(LaunchState& ls, std::vector<WarpRun*>& out) {
     admitted = true;
   }
   return admitted;
-}
-
-void Sm::retire(std::size_t idx, LaunchState& ls) {
-  BlockRun& br = *resident_[idx];
-  TOMA_DASSERT(br.finished == br.nthreads);
-  for (std::uint32_t t = 0; t < br.nthreads; ++t) {
-    dev_.stack_pool().release(br.fibers[t].take_stack());
-  }
-  resident_threads_ -= br.nthreads;
-  ++blocks_run_;
-  TOMA_TRACE_END("block", br.block_rank);
-  ls.blocks_done.fetch_add(1, std::memory_order_acq_rel);
-
-  recycled_.push_back(std::move(resident_[idx]));
-  resident_[idx] = std::move(resident_.back());
-  resident_.pop_back();
 }
 
 void Sm::retire_block(BlockRun* br, LaunchState& ls) {
@@ -166,41 +138,6 @@ void Sm::retire_block(BlockRun* br, LaunchState& ls) {
 
   // Last: `done()` observers must not beat the bookkeeping above.
   ls.blocks_done.fetch_add(1, std::memory_order_acq_rel);
-}
-
-bool Sm::step(LaunchState& ls) {
-  admit(ls);
-  if (resident_.empty()) return false;
-
-  ++rounds_;
-  // The simulated-time axis: one tick per SM scheduling round, shared by
-  // every SM (concurrent rounds interleave, like cycles across real SMs).
-  TOMA_OBS_TICK();
-  // Round-robin every runnable fiber once — including barrier-blocked
-  // lanes (the spurious resumes the warp-queue policy eliminates).
-  // Iterate by index because retire() compacts the vector
-  // (swap-with-last), in which case we re-visit the swapped-in block on
-  // the next round.
-  for (std::size_t b = 0; b < resident_.size();) {
-    BlockRun& br = *resident_[b];
-    for (std::uint32_t t = 0; t < br.nthreads; ++t) {
-      Fiber& f = br.fibers[t];
-      if (f.finished()) continue;
-      detail::set_current(&br.ctxs[t]);
-      TOMA_OBS_SET_THREAD(id_, br.ctxs[t].warp_rank());
-      f.resume();
-      detail::set_current(nullptr);
-      TOMA_OBS_CLEAR_THREAD();
-      ++fiber_resumes_;
-      if (f.finished()) ++br.finished;
-    }
-    if (br.finished == br.nthreads) {
-      retire(b, ls);  // do not advance b: swapped-in block takes this slot
-    } else {
-      ++b;
-    }
-  }
-  return true;
 }
 
 }  // namespace toma::gpu

@@ -1,13 +1,8 @@
 // One streaming multiprocessor: residency accounting plus block
-// admission/retirement. Two scheduling policies drive it:
-//
-//   * Warp-queue (default, sched.hpp): any worker may admit blocks onto
-//     any SM (`admit_warps`) and retire whichever block it finishes
-//     (`retire_block`); `admit_mu_` serializes the residency bookkeeping.
-//   * Round-robin (SchedPolicy::kRoundRobin): the legacy
-//     resume-everything loop in `step`, driven by a static SM-to-worker
-//     partition. Kept as the ablation baseline the parked-warp counter
-//     assertions compare against.
+// admission/retirement. The warp-queue scheduler (sched.hpp) drives it:
+// any worker may admit blocks onto any SM (`admit_warps`) and retire
+// whichever block it finishes (`retire_block`); `admit_mu_` serializes the
+// residency bookkeeping.
 #pragma once
 
 #include <cstdint>
@@ -29,44 +24,32 @@ class Sm {
 
   std::uint32_t id() const { return id_; }
 
-  /// Round-robin policy: one scheduling round — admit blocks if capacity
-  /// allows, then resume every runnable resident fiber once, retiring
-  /// completed blocks. Returns true if the SM did any work.
-  bool step(LaunchState& ls);
-
-  /// Warp-queue policy: admit as many blocks as residency allows,
-  /// appending every new block's WarpRun pointers to `out` (in warp
-  /// order — single-worker determinism). Any worker may call this.
+  /// Admit as many blocks as residency allows, appending every new
+  /// block's WarpRun pointers to `out` (in warp order — single-worker
+  /// determinism). Any worker may call this.
   bool admit_warps(LaunchState& ls, std::vector<WarpRun*>& out);
 
-  /// Warp-queue policy: retire a finished resident block (all warps
-  /// done), releasing its stacks back to the pool. Any worker may call.
+  /// Retire a finished resident block (all warps done), releasing its
+  /// stacks back to the pool. Any worker may call.
   void retire_block(BlockRun* br, LaunchState& ls);
 
   bool idle() const { return resident_.empty(); }
 
-  std::uint64_t fiber_resumes() const { return fiber_resumes_; }
-  std::uint64_t rounds() const { return rounds_; }
   std::uint64_t blocks_run() const { return blocks_run_; }
 
  private:
-  bool admit(LaunchState& ls);
   /// Claim and prepare one block if residency allows; caller holds
   /// admit_mu_. nullptr when full or no blocks left to claim.
   BlockRun* admit_one(LaunchState& ls);
-  void retire(std::size_t idx, LaunchState& ls);
   std::unique_ptr<BlockRun> obtain_block_run();
 
   Device& dev_;
   std::uint32_t id_;
-  /// Serializes admission/retirement across workers (warp-queue policy;
-  /// uncontended under round-robin's static partition).
+  /// Serializes admission/retirement across workers.
   std::mutex admit_mu_;
   std::vector<std::unique_ptr<BlockRun>> resident_;
   std::vector<std::unique_ptr<BlockRun>> recycled_;
   std::uint32_t resident_threads_ = 0;
-  std::uint64_t fiber_resumes_ = 0;
-  std::uint64_t rounds_ = 0;
   std::uint64_t blocks_run_ = 0;
 };
 

@@ -98,8 +98,8 @@ void ThreadCtx::wait_on(WaitReady ready, const void* arg, bool parkable) {
     wait_parkable_ = parkable;
     wait_ready_.store(ready, std::memory_order_release);
     fiber_->suspend();
-    // Resumed: the warp scheduler saw ready(arg), or the round-robin
-    // policy resumed us regardless; the loop re-checks either way.
+    // Resumed: the warp scheduler saw ready(arg); the loop re-checks
+    // anyway, so a spurious resume is harmless.
     wait_ready_.store(nullptr, std::memory_order_relaxed);
   }
 }
@@ -126,9 +126,7 @@ void ThreadCtx::barrier_wait(std::uint32_t gen) {
 }
 
 void ThreadCtx::barrier_released() {
-  if (Scheduler* s = launch_->sched) {
-    s->unpark_block(*block_, warp_rank_);
-  }
+  launch_->sched->unpark_block(*block_, warp_rank_);
 }
 
 void ThreadCtx::sync_block() { block_->barrier.arrive_and_wait(*this); }

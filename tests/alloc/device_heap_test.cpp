@@ -90,12 +90,15 @@ TEST(DeviceHeap, EnsureMismatchIsReportedNotSilent) {
 
 TEST(DeviceHeap, LazyCreationRoutesThroughDefaultPool) {
   // The implicit heap is the PoolManager's default pool, so the legacy
-  // globals and the toma_* C API share one heap.
+  // globals and the toma_* C API share one heap. Its HeapSan switch
+  // follows the process default (TOMA_HEAP_DEFAULTS=heapsan=1 turns it
+  // on without a rebuild).
   GpuAllocator* prev = set_device_heap(nullptr);
   GpuAllocator& heap = ensure_device_heap();
   EXPECT_TRUE(PoolManager::instance().has_default());
   EXPECT_EQ(&heap, &PoolManager::instance().default_pool().allocator());
   EXPECT_EQ(device_heap(), &heap);
+  EXPECT_EQ(heap.heapsan_enabled(), heap_defaults().heapsan);
   set_device_heap(prev);
 }
 

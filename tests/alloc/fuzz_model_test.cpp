@@ -198,7 +198,7 @@ TEST(FuzzModel, GpuKernel) {
 
 // The caching front-ends (UAlloc magazines, TBuddy quicklists) reroute the
 // hot paths entirely, so the model must hold under every toggle
-// combination — not just the build's compile-time default.
+// combination — not just the process default.
 TEST(FuzzModel, ToggleMatrix) {
   for (const bool magazines : {false, true}) {
     for (const bool quicklist : {false, true}) {

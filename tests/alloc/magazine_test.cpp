@@ -261,8 +261,8 @@ TEST(Magazine, RuntimeToggleFlushesAndReroutes) {
 TEST(Magazine, ToggleMatrixChurn) {
   // The magazines must compose with every front-end configuration: buddy
   // quicklists and HeapSan each ON/OFF, with the magazines ON and OFF.
-  // (stream_async is a compile-time pool toggle; its interplay is covered
-  // in stream_async_test.cpp and the CI feature-OFF legs.)
+  // (stream_async is a Pool toggle; its interplay is covered in
+  // stream_async_test.cpp and the CI stream_async=0 arm.)
   for (int mask = 0; mask < 8; ++mask) {
     const bool mags = (mask & 1) != 0;
     const bool quick = (mask & 2) != 0;

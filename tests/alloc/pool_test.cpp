@@ -167,7 +167,7 @@ TEST(Pool, ReleaseThresholdTrimsAtSync) {
   cfg.release_threshold = 0;  // CUDA default: release everything at sync
   cfg.heapsan = false;  // HeapSan bypasses stream deferral by design
   Pool pool("rt-test", cfg);
-  pool.set_async(true);  // deferral is required; don't rely on build default
+  pool.set_async(true);  // deferral is required; don't rely on the default
   gpu::Stream s;
 
   // Churn enough 128 B blocks to strand whole chunks in the UAlloc caches

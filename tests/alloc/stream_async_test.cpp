@@ -24,7 +24,7 @@ HeapConfig small_cfg() {
 
 TEST(StreamAsync, FreeIsDeferredUntilSync) {
   Pool pool("sa-defer", small_cfg());
-  pool.set_async(true);  // the suite tests the machinery, not the build default
+  pool.set_async(true);  // the suite tests the machinery, not the default
   gpu::Stream s;
   void* p = pool.malloc(128);
   ASSERT_NE(p, nullptr);

@@ -223,7 +223,7 @@ TEST_F(TBuddyTest, ConcurrentDistinctOrdersConserveMemory) {
 // --- quicklist front-end (deferred coalescing; INTERNALS §4c) --------------
 
 TEST_F(TBuddyTest, QuicklistLifoReuse) {
-  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist compiled off";
+  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist off by default";
   void* p1 = buddy_.allocate(0);
   void* p2 = buddy_.allocate(0);
   ASSERT_NE(p1, nullptr);
@@ -243,7 +243,7 @@ TEST_F(TBuddyTest, QuicklistLifoReuse) {
 }
 
 TEST_F(TBuddyTest, QuicklistInvisibleToAccounting) {
-  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist compiled off";
+  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist off by default";
   void* p = buddy_.allocate(3);
   ASSERT_NE(p, nullptr);
   const std::size_t free_before = buddy_.free_bytes();
@@ -266,7 +266,7 @@ TEST_F(TBuddyTest, QuicklistInvisibleToAccounting) {
 }
 
 TEST_F(TBuddyTest, QuicklistHighWaterSpillFlushesToLowWater) {
-  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist compiled off";
+  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist off by default";
   const std::uint32_t cap = quicklist_capacity(0, buddy_.max_order());
   ASSERT_EQ(cap, 32u);  // kQuicklistHighWater at this pool size
   const std::uint32_t low = quicklist_low_water(cap);
@@ -296,7 +296,7 @@ TEST_F(TBuddyTest, QuicklistHighWaterSpillFlushesToLowWater) {
 }
 
 TEST_F(TBuddyTest, QuicklistFlushOnTrimReformsMaximalBlocks) {
-  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist compiled off";
+  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist off by default";
   std::vector<void*> ptrs;
   for (int i = 0; i < 16; ++i) {
     void* p = buddy_.allocate(0);
@@ -335,7 +335,7 @@ TEST_F(TBuddyTest, DisablingQuicklistFlushes) {
 }
 
 TEST_F(TBuddyTest, QuicklistServesBeforeTreeUnderExhaustion) {
-  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist compiled off";
+  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist off by default";
   // Exhaust the pool, free a handful (they cache), and reallocate: the
   // cached blocks must be handed out even though the tree itself reports
   // nothing available (pops run before the semaphore).
@@ -361,7 +361,7 @@ TEST_F(TBuddyTest, QuicklistServesBeforeTreeUnderExhaustion) {
 }
 
 TEST_F(TBuddyTest, PoolPressureFlushesQuicklistsAndRetries) {
-  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist compiled off";
+  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist off by default";
   // Fill the pool with order-0 pages, free them all (32 stay cached at
   // order 0, the rest merge), then ask for a block larger than anything
   // the tree can currently form: the allocation must flush the cached
@@ -384,26 +384,20 @@ TEST_F(TBuddyTest, PoolPressureFlushesQuicklistsAndRetries) {
   EXPECT_TRUE(buddy_.check_consistency());
 }
 
-TEST_F(TBuddyTest, CasClaimTogglesAndCounts) {
+TEST_F(TBuddyTest, CasClaimWinsUncontended) {
   buddy_.set_quicklist(false);  // force every allocation through the tree
-  buddy_.set_cas_claim(true);
   void* p = buddy_.allocate(0);
   ASSERT_NE(p, nullptr);
   // Uncontended, the optimistic CAS always wins.
   EXPECT_GT(buddy_.stats().cas_claims, 0u);
   EXPECT_EQ(buddy_.stats().lock_claims, 0u);
   buddy_.free(p);
-  buddy_.set_cas_claim(false);
-  void* q = buddy_.allocate(0);
-  ASSERT_NE(q, nullptr);
-  EXPECT_GT(buddy_.stats().lock_claims, 0u);
-  buddy_.free(q);
   EXPECT_EQ(buddy_.largest_free_block(), kPool);
   EXPECT_TRUE(buddy_.check_consistency());
 }
 
 TEST_F(TBuddyTest, QuicklistConcurrentChurnPreservesInvariants) {
-  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist compiled off";
+  if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist off by default";
   gpu::Device dev(test::small_device());
   dev.launch_linear(2048, 128, [&](gpu::ThreadCtx& t) {
     auto& rng = t.rng();

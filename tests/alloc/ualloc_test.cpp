@@ -328,7 +328,7 @@ TEST_F(UAllocTest, HostThreadsFallbackPath) {
 // ---------------------------------------------------------------------------
 
 TEST_F(UAllocTest, MagazineHitReusesFreedBlock) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
+  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines off by default";
   // 128 B: a class whose magazine is stocked by frees only (the 8..64 B
   // slab refill is covered in magazine_test.cpp).
   void* p = ua_.allocate(128);
@@ -346,7 +346,7 @@ TEST_F(UAllocTest, MagazineHitReusesFreedBlock) {
 }
 
 TEST_F(UAllocTest, MagazineBoundedAndSpills) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
+  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines off by default";
   // 1 KB class: bin capacity 3, so the magazine caps at 6. Freeing 10
   // blocks from one host thread parks 6 and spills 4 through the paper's
   // free path.
@@ -377,7 +377,7 @@ TEST_F(UAllocTest, MagazineBoundedAndSpills) {
 }
 
 TEST_F(UAllocTest, MagazineAccountingInvariantAfterFlush) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
+  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines off by default";
   // allocs counts blocks claimed out of the bins and frees blocks
   // published back, and a cached block stays claimed: at every quiescent
   // point allocs - frees == live + cached. With the magazines on, every
@@ -408,6 +408,7 @@ TEST_F(UAllocTest, MagazineAccountingInvariantAfterFlush) {
 }
 
 TEST_F(UAllocTest, MagazinesDisabledMatchesPaperPath) {
+  const bool was_on = ua_.magazines_enabled();
   ua_.set_magazines(false);
   void* p = ua_.allocate(64);
   ASSERT_NE(p, nullptr);
@@ -420,25 +421,26 @@ TEST_F(UAllocTest, MagazinesDisabledMatchesPaperPath) {
   // the block is claimable again without any flush.
   EXPECT_EQ(ua_.release_cached(), 0u);
   EXPECT_TRUE(ua_.check_consistency());
-  ua_.set_magazines(TOMA_UALLOC_MAGAZINES != 0);
+  ua_.set_magazines(was_on);
 }
 
 TEST_F(UAllocTest, DisablingMagazinesFlushesCachedBlocks) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
+  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines off by default";
   void* p = ua_.allocate(128);
   ASSERT_NE(p, nullptr);
   ua_.free(p);
   ASSERT_EQ(ua_.stats().magazine_cached, 1u);
+  const bool was_on = ua_.magazines_enabled();
   ua_.set_magazines(false);
   const auto st = ua_.stats();
   EXPECT_EQ(st.magazine_cached, 0u);
   EXPECT_EQ(st.magazine_flushes, 1u);
   EXPECT_TRUE(ua_.check_consistency());
-  ua_.set_magazines(TOMA_UALLOC_MAGAZINES != 0);
+  ua_.set_magazines(was_on);
 }
 
 TEST_F(UAllocTest, CrossSmFreeParksInFreeingSmsMagazine) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
+  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines off by default";
   // Alloc on SM i, free on SM j: the block must land in arena j's
   // magazine (the freeing SM reuses it locally next), never arena i's.
   // 128 B is stocked by frees only, so the counts are exact.
@@ -474,7 +476,7 @@ TEST_F(UAllocTest, CrossSmFreeParksInFreeingSmsMagazine) {
 }
 
 TEST_F(UAllocTest, HostThreadFreeOfDeviceAllocation) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
+  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines off by default";
   // Device threads allocate; plain OS threads free. The host-side frees
   // park in hash-chosen arenas and the accounting still closes.
   gpu::Device dev(test::small_device());
@@ -508,7 +510,7 @@ TEST_F(UAllocTest, HostThreadFreeOfDeviceAllocation) {
 }
 
 TEST_F(UAllocTest, CoalescedWarpDrawsFromMagazineFirst) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
+  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines off by default";
   // Churn a full warp through alloc/free twice: round two's allocations
   // should be satisfied by the magazines the round-one frees filled, so
   // lanes peel off before the coalescing rendezvous.
@@ -530,7 +532,7 @@ TEST_F(UAllocTest, CoalescedWarpDrawsFromMagazineFirst) {
 }
 
 TEST_F(UAllocTest, TrimFlushesMagazines) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
+  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines off by default";
   const std::size_t before = buddy_.free_bytes();
   std::vector<void*> ptrs;
   for (int i = 0; i < 200; ++i) {

@@ -37,7 +37,7 @@ TEST(TomaC, ConfigDefaultsAreLibraryDefaults) {
   EXPECT_GT(cfg.num_arenas, 0u);
   EXPECT_EQ(cfg.quota_bytes, 0u);                             // unlimited
   EXPECT_EQ(cfg.release_threshold, TOMA_RELEASE_RETAIN_ALL);  // retain
-  EXPECT_EQ(cfg.heapsan, -1);                                 // build default
+  EXPECT_EQ(cfg.heapsan, -1);                                 // library default
   EXPECT_EQ(cfg.stream_async, -1);
 }
 
@@ -147,7 +147,7 @@ TEST(TomaC, QuotaSurfacesAsQuotaStatus) {
 
 TEST(TomaC, StreamOrderedAllocAndSync) {
   toma_pool_config_t cfg = small_cfg();
-  cfg.stream_async = 1;  // deferral is required; don't rely on build default
+  cfg.stream_async = 1;  // deferral is required; don't rely on the default
   cfg.heapsan = 0;       // HeapSan bypasses deferral by design
   toma_pool_t pool = nullptr;
   ASSERT_EQ(toma_pool_create("capi-stream", &cfg, &pool), TOMA_OK);

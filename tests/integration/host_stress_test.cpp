@@ -171,10 +171,9 @@ TEST(HostStress, BuddyQuicklistChurn) {
 }
 
 TEST(HostStress, QuicklistToggleRace) {
-  // Flip the quicklist and CAS-claim switches while other threads churn:
-  // like the magazine toggle, the switches only gate *entry* into the
-  // fast paths, so every interleaving must keep the semaphore/tree
-  // accounting closed.
+  // Flip the quicklist switch while other threads churn: like the
+  // magazine toggle, the switch only gates *entry* into the fast path, so
+  // every interleaving must keep the semaphore/tree accounting closed.
   constexpr std::size_t kPool = 8 * 1024 * 1024;
   test::AlignedPool pool(kPool);
   alloc::TBuddy buddy(pool.get(), kPool);
@@ -183,11 +182,9 @@ TEST(HostStress, QuicklistToggleRace) {
     if (tid == 0) {  // toggler
       for (int i = 0; i < 200; ++i) {
         buddy.set_quicklist(i % 2 == 0);
-        buddy.set_cas_claim(i % 3 != 0);
         std::this_thread::yield();
       }
       buddy.set_quicklist(true);
-      buddy.set_cas_claim(true);
       stop.store(true, std::memory_order_release);
       return;
     }
@@ -251,13 +248,12 @@ TEST(HostStress, MagazineRefillToggleRace) {
   EXPECT_EQ(st.mallocs, st.frees + st.failed_mallocs);
 }
 
-TEST(HostStress, VmmToggleRace) {
-  // Flip the elastic-backing switch and run shrink passes while other
-  // threads churn sizes that force growth: grow-on-exhaustion (map +
-  // inject under the grow mutex) races ordinary allocation, and shrink
-  // (extract + unmap) races frees pushing blocks back into the tree.
-  // The switch only gates *entry* into grow/shrink, so every
-  // interleaving must keep the tree and mapping accounting closed.
+TEST(HostStress, VmmShrinkRace) {
+  // Run shrink passes while other threads churn sizes that force growth:
+  // grow-on-exhaustion (map + inject under the grow mutex) races ordinary
+  // allocation, and shrink (extract + unmap) races frees pushing blocks
+  // back into the tree. Every interleaving must keep the tree and mapping
+  // accounting closed.
   alloc::HeapConfig cfg;
   cfg.pool_bytes = 16 * 1024 * 1024;
   cfg.num_arenas = 2;
@@ -265,13 +261,11 @@ TEST(HostStress, VmmToggleRace) {
   alloc::GpuAllocator ga(cfg);
   std::atomic<bool> stop{false};
   test::run_os_threads(5, [&](unsigned tid) {
-    if (tid == 0) {  // toggler + shrinker
+    if (tid == 0) {  // shrinker
       for (int i = 0; i < 200; ++i) {
-        ga.set_vmm(i % 2 == 0);
         if (i % 16 == 0) ga.shrink_backing();
         std::this_thread::yield();
       }
-      ga.set_vmm(true);
       stop.store(true, std::memory_order_release);
       return;
     }

@@ -62,8 +62,8 @@ class HeapSanTest : public ::testing::Test {
   void TearDown() override { san::set_report_handler(prev_); }
 
   /// Allocator with HeapSan on and both caching fast paths forced ON
-  /// (whatever the build's compile-time defaults), per the acceptance
-  /// criteria: detection must work *through* magazines and quicklists.
+  /// (whatever the process defaults), per the acceptance criteria:
+  /// detection must work *through* magazines and quicklists.
   static std::unique_ptr<GpuAllocator> make_ga(
       std::size_t pool_bytes = 32 * 1024 * 1024, std::uint32_t arenas = 2) {
     auto ga = std::make_unique<GpuAllocator>(pool_bytes, arenas);

@@ -179,28 +179,6 @@ TEST(Vmm, ShrinkNeverDropsBelowInitialChunks) {
   EXPECT_EQ(ga.stats().vmm.mapped_chunks, 3u);
 }
 
-TEST(Vmm, RuntimeSwitchFreezesTheMapping) {
-  GpuAllocator ga(elastic_cfg());
-  void* a = ga.malloc(128 * 1024);
-  void* b = ga.malloc(128 * 1024);  // chunk 0 now full
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-
-  ga.set_vmm(false);
-  AllocStatus st = AllocStatus::kOk;
-  EXPECT_EQ(ga.malloc(128 * 1024, &st), nullptr);
-  EXPECT_EQ(st, AllocStatus::kOom);  // frozen: behaves fixed-size
-  EXPECT_EQ(ga.shrink_backing(), 0u);
-
-  ga.set_vmm(true);
-  void* c = ga.malloc(128 * 1024, &st);
-  EXPECT_NE(c, nullptr);
-  EXPECT_EQ(st, AllocStatus::kOk);
-  ga.free(a);
-  ga.free(b);
-  ga.free(c);
-}
-
 TEST(Vmm, QuotaChargesMappedBytesNotReservation) {
   // quota = 3 chunks. Fill exactly that much, then punch two half-chunk
   // holes in *different* chunks: the next 256 KB request passes live-byte
@@ -771,7 +749,6 @@ TEST(Vmm, FixedPoolIsUnaffected) {
   cfg.vmm = false;
   GpuAllocator ga(cfg);
   EXPECT_FALSE(ga.has_vmm());
-  EXPECT_FALSE(ga.vmm_enabled());
   EXPECT_EQ(ga.mapped_bytes(), cfg.pool_bytes);
   EXPECT_EQ(ga.shrink_backing(), 0u);
   EXPECT_EQ(ga.defrag(), 0u);
