@@ -22,6 +22,7 @@
 #include "alloc/tbuddy.hpp"
 #include "alloc/ualloc.hpp"
 #include "obs/sample.hpp"
+#include "obs/stats.hpp"
 #include "san/heapsan.hpp"
 #include "sync/rcu.hpp"
 #include "sync/spin_mutex.hpp"
@@ -234,8 +235,8 @@ class GpuAllocator {
 
   /// The four calls above as part of an operation the caller times and
   /// stops (a Pool entry point). The sampled mallocs and frees, one call
-  /// in 64 by this allocator's malloc or free count, record
-  /// alloc.malloc_ns[c] or alloc.free_ns through `timer`
+  /// in 64 by this allocator's malloc or free count in the caller's obs
+  /// shard, record alloc.malloc_ns[c] or alloc.free_ns through `timer`
   /// (obs/sample.hpp).
   void* malloc(std::size_t size, AllocStatus* status, obs::OpTimer& timer);
   void free(void* p, obs::OpTimer& timer);
@@ -358,6 +359,17 @@ class GpuAllocator {
   std::size_t release_cached() { return ualloc_->release_cached(); }
 
   GpuAllocatorStats stats() const;
+
+  /// Malloc and free calls counted in obs shard `shard`: the call indices
+  /// the latency sampling keys on, so alloc.malloc_ns[*] holds
+  /// Σ_shard latency_sample_count(shard_mallocs(shard)) samples
+  /// (obs/sample.hpp; tests).
+  std::uint64_t shard_mallocs(std::uint32_t shard) const {
+    return st_.shard(shard).get(kMallocs);
+  }
+  std::uint64_t shard_frees(std::uint32_t shard) const {
+    return st_.shard(shard).get(kFrees);
+  }
 
   /// Combined quiescent consistency check (tests).
   bool check_consistency() const {
@@ -492,17 +504,36 @@ class GpuAllocator {
   std::atomic<std::size_t> quota_{0};
   std::atomic<std::size_t> in_use_{0};
 
-  mutable std::atomic<std::uint64_t> st_mallocs_{0};
-  mutable std::atomic<std::uint64_t> st_failed_{0};
-  mutable std::atomic<std::uint64_t> st_frees_{0};
-  mutable std::atomic<std::uint64_t> st_reallocs_{0};
-  mutable std::atomic<std::uint64_t> st_reallocs_inplace_{0};
-  mutable std::atomic<std::uint64_t> st_quota_rejects_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_passes_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_steps_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_moved_bytes_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_forwarded_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_pin_stalls_{0};
+  /// Exact statistics, one block per obs shard (obs/stats.hpp), and
+  /// their registry names.
+  enum Stat : std::uint32_t {
+    kMallocs,
+    kFailed,
+    kFrees,
+    kReallocs,
+    kReallocsInplace,
+    kQuotaRejects,
+    kDefragPasses,
+    kDefragSteps,
+    kDefragMovedBytes,
+    kDefragForwarded,
+    kDefragPinStalls,
+    kNumStats
+  };
+  static constexpr const char* kStatNames[kNumStats] = {
+      "alloc.malloc",           "alloc.failed",
+      "alloc.free",             "alloc.realloc",
+      "alloc.realloc_inplace",  "alloc.quota_reject",
+      "vmm.defrag_passes",      "vmm.defrag.steps",
+      "vmm.defrag.moved_bytes", "vmm.defrag.forwarded",
+      "vmm.defrag.pin_stalls",
+  };
+  /// An elastic pool's live-byte flow, derived from in_use_ at each
+  /// snapshot (the fragmentation gauge's numerator is their difference).
+  static constexpr const char* kLiveByteStatNames[2] = {
+      "vmm.live_bytes.charged", "vmm.live_bytes.freed"};
+  mutable obs::ShardedStats<kNumStats> st_;
+  obs::StatsSource stats_source_;  // last: unregisters first
 };
 
 }  // namespace toma::alloc

@@ -85,7 +85,13 @@ Pool::Pool(std::string name, const HeapConfig& cfg)
       streams_(alloc_),
       release_threshold_(cfg.release_threshold),
       defrag_mode_(cfg.defrag_mode),
-      slo_ns_(cfg.slo_latency_ns) {
+      slo_ns_(cfg.slo_latency_ns),
+      stats_source_([this](obs::CounterTotals& out) {
+        out[kStatNames[kSyncs]] += st_.sum(kSyncs);
+        out[kStatNames[kThresholdTrims]] += st_.sum(kThresholdTrims);
+        out[pool_series(kStatNames[kSloViolations], name_)] +=
+            st_.sum(kSloViolations);
+      }) {
   if (defrag_mode_ == DefragMode::kIncremental) {
     IdleDefragRegistry::instance().add(this);
   }
@@ -93,8 +99,6 @@ Pool::Pool(std::string name, const HeapConfig& cfg)
   h_malloc_ns_ =
       &obs::registry().histogram(pool_series("pool.malloc_ns", name_));
   h_free_ns_ = &obs::registry().histogram(pool_series("pool.free_ns", name_));
-  c_slo_violation_ =
-      &obs::registry().counter(pool_series("pool.slo_violation", name_));
 #endif
   TOMA_CTR_INC("pool.create");
 }
@@ -124,10 +128,7 @@ void Pool::end_op(obs::OpTimer& timer) {
 #if TOMA_TELEMETRY
   const std::uint64_t dt = timer.stop();
   const std::uint64_t slo = slo_ns_.load(std::memory_order_relaxed);
-  if (slo != 0 && dt > slo) {
-    st_slo_violations_.fetch_add(1, std::memory_order_relaxed);
-    c_slo_violation_->inc();
-  }
+  if (slo != 0 && dt > slo) st_.add(kSloViolations);
 #else
   (void)timer;
 #endif
@@ -281,8 +282,7 @@ void Pool::free_async(void* p, gpu::Stream& s) {
 
 std::size_t Pool::sync(gpu::Stream& s) {
   const std::size_t n = streams_.sync(s);
-  st_syncs_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("pool.sync");
+  st_.add(kSyncs);
   maybe_release();
   if (obs::recording_enabled()) {
     obs::Recorder::instance().on_sync(record_id(), obs::RecOp::kSync, s.id(),
@@ -293,7 +293,7 @@ std::size_t Pool::sync(gpu::Stream& s) {
 
 std::size_t Pool::sync_all() {
   const std::size_t n = streams_.sync_all();
-  st_syncs_.fetch_add(1, std::memory_order_relaxed);
+  st_.add(kSyncs);
   maybe_release();
   if (obs::recording_enabled()) {
     obs::Recorder::instance().on_sync(record_id(), obs::RecOp::kSyncAll, 0,
@@ -367,17 +367,16 @@ void Pool::maybe_release() {
   if (stranded_bytes() <= threshold) return;
   alloc_.trim();
   alloc_.shrink_backing();
-  st_threshold_trims_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("pool.threshold_trim");
+  st_.add(kThresholdTrims);
 }
 
 PoolStats Pool::stats() const {
   PoolStats s;
   s.alloc = alloc_.stats();
   s.stream = streams_.stats();
-  s.syncs = st_syncs_.load(std::memory_order_relaxed);
-  s.threshold_trims = st_threshold_trims_.load(std::memory_order_relaxed);
-  s.slo_violations = st_slo_violations_.load(std::memory_order_relaxed);
+  s.syncs = st_.sum(kSyncs);
+  s.threshold_trims = st_.sum(kThresholdTrims);
+  s.slo_violations = st_.sum(kSloViolations);
   s.slo_target_ns = slo_ns_.load(std::memory_order_relaxed);
   s.bytes_in_use = alloc_.bytes_in_use();
   s.quota_bytes = alloc_.quota_bytes();

@@ -26,7 +26,6 @@
 #include "gpusim/stream.hpp"
 
 namespace toma::obs {
-class Counter;
 class Histogram;
 }  // namespace toma::obs
 
@@ -35,7 +34,7 @@ namespace toma::alloc {
 struct PoolStats {
   GpuAllocatorStats alloc;
   StreamFrontEndStats stream;
-  std::uint64_t syncs = 0;            // Pool::sync calls
+  std::uint64_t syncs = 0;            // Pool::sync and sync_all calls
   std::uint64_t threshold_trims = 0;  // trims forced by release threshold
   std::uint64_t slo_violations = 0;   // ops slower than the SLO target
   std::uint64_t slo_target_ns = 0;    // 0 = no SLO
@@ -192,17 +191,26 @@ class Pool {
   std::atomic<bool> async_on_{heap_defaults().stream_async};
   const DefragMode defrag_mode_;
   std::atomic<std::uint32_t> op_counter_{0};  // async-op tick counter
-  std::atomic<std::uint64_t> st_syncs_{0};
-  std::atomic<std::uint64_t> st_threshold_trims_{0};
   std::atomic<std::uint64_t> slo_ns_{0};
-  std::atomic<std::uint64_t> st_slo_violations_{0};
   // Registry handles resolved once at construction (null with telemetry
   // compiled out); the registry never deletes instruments.
   obs::Histogram* h_malloc_ns_ = nullptr;
   obs::Histogram* h_free_ns_ = nullptr;
-  obs::Counter* c_slo_violation_ = nullptr;
   std::atomic<std::uint64_t> rec_gen_{0};
   std::atomic<std::uint16_t> rec_id_{0};
+
+  /// Exact statistics (obs/stats.hpp); the SLO violations export under
+  /// the pool's label, `pool.slo_violation{pool="..."}`.
+  enum Stat : std::uint32_t {
+    kSyncs,
+    kThresholdTrims,
+    kSloViolations,
+    kNumStats
+  };
+  static constexpr const char* kStatNames[kNumStats] = {
+      "pool.sync", "pool.threshold_trim", "pool.slo_violation"};
+  obs::ShardedStats<kNumStats> st_;
+  obs::StatsSource stats_source_;  // last: unregisters first
 };
 
 /// Process-wide registry of named pools. Leaky singleton (like the obs

@@ -30,11 +30,9 @@ void StreamFrontEnd::free_async(void* p, gpu::Stream& s) {
     slot.pending_ += 1;
     overflow = slot.pending_ >= kStreamPendingCap;
   }
-  st_deferred_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("pool.stream.free_async");
+  st_.add(kDeferred);
   if (overflow) {
-    st_overflow_drains_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("pool.stream.overflow_drain");
+    st_.add(kOverflowDrains);
     drain(slot);
   }
 }
@@ -67,13 +65,7 @@ void* StreamFrontEnd::try_reuse(std::size_t effective, gpu::Stream& s) {
     }
     if (p != nullptr) slot->pending_ -= 1;
   }
-  if (p != nullptr) {
-    st_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("pool.stream.reuse.hit");
-  } else {
-    st_reuse_misses_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("pool.stream.reuse.miss");
-  }
+  st_.add(p != nullptr ? kReuseHits : kReuseMisses);
   return p;
 }
 
@@ -105,8 +97,9 @@ std::size_t StreamFrontEnd::drain(StreamSlot& slot) {
     ++n;
   }
   if (n > 0) {
-    st_drained_.fetch_add(n, std::memory_order_relaxed);
-    st_drain_batches_.fetch_add(1, std::memory_order_relaxed);
+    auto& st = st_.local();
+    st.add(kDrained, n);
+    st.add(kDrainBatches);
     TOMA_HIST("pool.stream.drain_batch", n);
     TOMA_HIST("pool.stream.drain_ns", TOMA_NOW_NS() - t0);
   }
@@ -154,12 +147,12 @@ std::size_t StreamFrontEnd::release_stream(gpu::Stream& s) {
 
 StreamFrontEndStats StreamFrontEnd::stats() const {
   StreamFrontEndStats st;
-  st.deferred = st_deferred_.load(std::memory_order_relaxed);
-  st.reuse_hits = st_reuse_hits_.load(std::memory_order_relaxed);
-  st.reuse_misses = st_reuse_misses_.load(std::memory_order_relaxed);
-  st.drained = st_drained_.load(std::memory_order_relaxed);
-  st.drain_batches = st_drain_batches_.load(std::memory_order_relaxed);
-  st.overflow_drains = st_overflow_drains_.load(std::memory_order_relaxed);
+  st.deferred = st_.sum(kDeferred);
+  st.reuse_hits = st_.sum(kReuseHits);
+  st.reuse_misses = st_.sum(kReuseMisses);
+  st.drained = st_.sum(kDrained);
+  st.drain_batches = st_.sum(kDrainBatches);
+  st.overflow_drains = st_.sum(kOverflowDrains);
   st.pending = st.deferred - st.drained - st.reuse_hits;
   return st;
 }

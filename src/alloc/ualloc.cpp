@@ -54,8 +54,7 @@ void* Arena::allocate(std::uint32_t cls, bool may_refill) {
       // plain pop instead of a warp rendezvous.
       if (may_refill && mag.count() < pol.top_up &&
           mag.try_begin_refill()) {
-        TOMA_CTR_INC("ualloc.magazine.topup");
-        parent_->st_mag_[cls].topups.fetch_add(1, std::memory_order_relaxed);
+        parent_->st_.add(UAlloc::mag_stat(cls, UAlloc::kMagTopups));
         void* extra = refill(cls, kMagazineRefillBatches);
         if (extra != nullptr && !mag.push(extra, pol.capacity)) {
           // Frees filled the magazine while the slab was fetched.
@@ -144,7 +143,6 @@ void* Arena::refill(std::uint32_t cls, std::uint32_t max_batches) {
   // slab instead of once per block.
   Magazine& mag = magazines_[cls];
   const MagazinePolicy& pol = kMagazinePolicy[cls];
-  UAlloc::MagazineCounters& st = parent_->st_mag_[cls];
   void* blocks[kMagazineMaxSlab];
   void* first = nullptr;
   for (std::uint32_t b = 0; b < max_batches; ++b) {
@@ -155,10 +153,9 @@ void* Arena::refill(std::uint32_t cls, std::uint32_t max_batches) {
     const std::uint32_t got =
         parent_->allocate_batch(index_, cls, blocks, pol.slab);
     if (got == 0) break;
-    TOMA_CTR_INC("ualloc.magazine.refill");
-    TOMA_CTR_ADD("ualloc.magazine.refill_blocks", got);
-    st.refills.fetch_add(1, std::memory_order_relaxed);
-    st.refill_blocks.fetch_add(got, std::memory_order_relaxed);
+    auto& st = parent_->st_.local();
+    st.add(UAlloc::mag_stat(cls, UAlloc::kMagRefills));
+    st.add(UAlloc::mag_stat(cls, UAlloc::kMagRefillBlocks), got);
     std::uint32_t keep = 0;
     if (first == nullptr) {
       first = blocks[0];
@@ -231,7 +228,7 @@ std::uint32_t Arena::allocate_batch(std::uint32_t cls, void** out,
   for (std::uint32_t i = 0; i < n; ++i) {
     out[i] = parent_->block_addr(bin, i);
   }
-  parent_->st_allocs_.fetch_add(n, std::memory_order_relaxed);
+  parent_->st_.add(UAlloc::kAllocs, n);
   return n;
 }
 
@@ -270,7 +267,7 @@ void* Arena::allocate_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
       // go to threads instead of stranding behind warp-sized demands.
       return allocate_individual(cls);
     }
-    parent_->st_allocs_.fetch_add(1, std::memory_order_relaxed);
+    parent_->st_.add(UAlloc::kAllocs);
     gpu::warp_broadcast(ctx, g, reinterpret_cast<std::uint64_t>(bin));
     return parent_->block_addr(bin, 0);
   }
@@ -279,7 +276,7 @@ void* Arena::allocate_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
   if (v == kFailed) return allocate_individual(cls);  // frontier fallback
   if (v == kClaim) return claim_block(cls);
   auto* bin = reinterpret_cast<BinHeader*>(v);
-  parent_->st_allocs_.fetch_add(1, std::memory_order_relaxed);
+  parent_->st_.add(UAlloc::kAllocs);
   return parent_->block_addr(bin, g.rank());
 }
 
@@ -322,11 +319,10 @@ void* Arena::claim_block(std::uint32_t cls) {
       // Outside the read-side critical section: a grace period may be
       // needed to unlink the bin we exhausted.
       if (exhausted != nullptr) ua.maybe_unlink_exhausted(exhausted);
-      ua.st_allocs_.fetch_add(1, std::memory_order_relaxed);
+      ua.st_.add(UAlloc::kAllocs);
       return result;
     }
-    ua.st_list_retries_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("ualloc.list_retry");
+    ua.st_.add(UAlloc::kListRetries);
     bo.pause();
   }
 }
@@ -371,18 +367,17 @@ void Arena::claim_blocks(std::uint32_t cls, std::uint32_t n, void** out) {
     }
     for (BinHeader* bin : exhausted) ua.maybe_unlink_exhausted(bin);
     if (got < n && got == got_before) {
-      ua.st_list_retries_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("ualloc.list_retry");
+      ua.st_.add(UAlloc::kListRetries);
       bo.pause();
     }
   }
-  ua.st_allocs_.fetch_add(n, std::memory_order_relaxed);
+  ua.st_.add(UAlloc::kAllocs, n);
 }
 
 void* Arena::grow_bin(std::uint32_t cls) {
   BinHeader* bin = create_bin(cls, /*pre_claimed=*/1);
   if (bin == nullptr) return nullptr;
-  parent_->st_allocs_.fetch_add(1, std::memory_order_relaxed);
+  parent_->st_.add(UAlloc::kAllocs);
   return parent_->block_addr(bin, 0);
 }
 
@@ -434,8 +429,7 @@ BinHeader* Arena::create_bin(std::uint32_t cls, std::uint32_t pre_claimed) {
 
   cs.blocks.signal(bin->capacity - pre_claimed,
                    bin->capacity - pre_claimed);
-  ua.st_bins_created_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.bin_create");
+  ua.st_.add(UAlloc::kBinsCreated);
   bin->cold_lock.lock();
   ua.drain_parked(bin);  // pick up frees that raced the insertion
   return bin;
@@ -502,10 +496,8 @@ void* Arena::claim_bin_slot() {
     list_splice_mu_.unlock();
   }
   bin_slots_.signal(kDataBins - 1, kDataBins - 1);
-  ua.st_chunks_created_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.chunk_fetch");
-  TOMA_TRACE("ualloc.chunk_fetch", ua.st_chunks_created_.load(
-                                       std::memory_order_relaxed));
+  ua.st_.add(UAlloc::kChunksCreated);
+  TOMA_TRACE("ualloc.chunk_fetch", ua.st_.sum(UAlloc::kChunksCreated));
   return static_cast<char*>(mem) + kHeaderBins * kBinSize;
 }
 
@@ -552,8 +544,7 @@ void* UAlloc::allocate_from(std::uint32_t home_arena, std::size_t size,
         (home_arena + off) % static_cast<std::uint32_t>(arenas_.size());
     p = arenas_[a]->allocate(cls, /*may_refill=*/false);
     if (p != nullptr) {
-      st_arena_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("ualloc.arena_fallback");
+      st_.add(kArenaFallbacks);
       return p;
     }
   }
@@ -575,8 +566,7 @@ std::uint32_t UAlloc::allocate_batch(std::uint32_t home_arena,
         (home_arena + off) % static_cast<std::uint32_t>(arenas_.size());
     got = arenas_[a]->allocate_batch(cls, out, want);
     if (got != 0) {
-      st_arena_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("ualloc.arena_fallback");
+      st_.add(kArenaFallbacks);
       return got;
     }
   }
@@ -620,26 +610,15 @@ void UAlloc::spill(Magazine& mag, std::uint32_t cls, std::uint64_t spilled) {
     publish(p);
     ++spilled;
   }
-  TOMA_CTR_INC("ualloc.magazine.spill");
-  TOMA_CTR_ADD("ualloc.magazine.spill_blocks", spilled);
-  st_mag_[cls].spills.fetch_add(1, std::memory_order_relaxed);
-  st_mag_[cls].spill_blocks.fetch_add(spilled, std::memory_order_relaxed);
+  auto& st = st_.local();
+  st.add(mag_stat(cls, kMagSpills));
+  st.add(mag_stat(cls, kMagSpillBlocks), spilled);
 }
 
 void UAlloc::publish(void* p) {
   std::uint32_t idx;
   BinHeader* bin = decode(p, &idx);
   free_slow(bin, idx);
-}
-
-void UAlloc::count_hit(std::uint32_t cls) {
-  TOMA_CTR_INC("ualloc.magazine.hit");
-  st_mag_[cls].hits.fetch_add(1, std::memory_order_relaxed);
-}
-
-void UAlloc::count_miss(std::uint32_t cls) {
-  TOMA_CTR_INC("ualloc.magazine.miss");
-  st_mag_[cls].misses.fetch_add(1, std::memory_order_relaxed);
 }
 
 void UAlloc::free_slow(BinHeader* bin, std::uint32_t idx) {
@@ -649,7 +628,7 @@ void UAlloc::free_slow(BinHeader* bin, std::uint32_t idx) {
                   idx, static_cast<void*>(bin), bin->size_class,
                   size_of_class(bin->size_class),
                   static_cast<void*>(bin->chunk), bin->chunk->arena->index());
-  st_frees_.fetch_add(1, std::memory_order_relaxed);
+  st_.add(kFrees);
   publish_free_block(bin);
 }
 
@@ -714,8 +693,7 @@ void UAlloc::drain_parked(BinHeader* bin) {
       cs.listed.fetch_add(1, std::memory_order_acq_rel);
       bin->cold_lock.lock();
       bin->state.store(BinState::kListed, std::memory_order_release);
-      st_bin_relists_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("ualloc.bin_relist");
+      st_.add(kBinRelists);
       continue;  // still locked: drain the parked units into the semaphore
     }
 
@@ -744,8 +722,7 @@ void UAlloc::maybe_unlink_exhausted(BinHeader* bin) {
   cs.bins.unlink_locked(&bin->list_node);
   cs.bins.writer_unlock();
   cs.listed.fetch_sub(1, std::memory_order_acq_rel);
-  st_bin_unlinks_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.bin_unlink");
+  st_.add(kBinUnlinks);
 
   // Deferred completion: the bin may be re-linked only after every reader
   // that might still be traversing it has exited. Delegated to an
@@ -826,8 +803,7 @@ void UAlloc::finish_retire(BinHeader* bin) {
   TOMA_DASSERT(bin->state.load(std::memory_order_relaxed) ==
                BinState::kRetiring);
   TOMA_DASSERT(bin->parked.load(std::memory_order_relaxed) == 0);
-  st_bins_retired_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.bin_retire");
+  st_.add(kBinsRetired);
   release_bin_slot(bin);
 }
 
@@ -872,10 +848,8 @@ void UAlloc::maybe_retire_chunk(ChunkHeader* chunk) {
     arena->chunks_.erase(chunk);
     arena->list_splice_mu_.unlock();
   }
-  st_chunks_retired_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.chunk_retire");
-  TOMA_TRACE("ualloc.chunk_retire",
-             st_chunks_retired_.load(std::memory_order_relaxed));
+  st_.add(kChunksRetired);
+  TOMA_TRACE("ualloc.chunk_retire", st_.sum(kChunksRetired));
   chunk->~ChunkHeader();
   buddy_->free(chunk);
 }
@@ -894,8 +868,7 @@ std::size_t UAlloc::release_cached(std::uint32_t first_cls,
         ++n;
       }
       if (n > 0) {
-        TOMA_CTR_ADD("ualloc.magazine.flush", n);
-        st_mag_[c].flushes.fetch_add(n, std::memory_order_relaxed);
+        st_.add(mag_stat(c, kMagFlushes), n);
         flushed += n;
       }
     }
@@ -908,8 +881,7 @@ std::size_t UAlloc::trim() {
   // magazines before scavenging — otherwise a fully-idle chunk whose
   // blocks sit in magazines would never retire.
   release_cached();
-  const std::uint64_t chunks_before =
-      st_chunks_retired_.load(std::memory_order_relaxed);
+  const std::uint64_t chunks_before = st_.sum(kChunksRetired);
   for (auto& arena : arenas_) {
     // Flush any deferred reclamations still queued in the domain.
     arena->rcu_.synchronize();
@@ -963,8 +935,7 @@ std::size_t UAlloc::trim() {
     }
     for (ChunkHeader* ch : candidates) maybe_retire_chunk(ch);
   }
-  return static_cast<std::size_t>(
-      st_chunks_retired_.load(std::memory_order_relaxed) - chunks_before);
+  return static_cast<std::size_t>(st_.sum(kChunksRetired) - chunks_before);
 }
 
 std::vector<UAlloc::BinOccupancy> UAlloc::snapshot_bins() {
@@ -1094,15 +1065,15 @@ BinHeader* UAlloc::decode(void* p, std::uint32_t* block_idx) const {
 
 UAllocStats UAlloc::stats() const {
   UAllocStats s;
-  s.allocs = st_allocs_.load(std::memory_order_relaxed);
-  s.frees = st_frees_.load(std::memory_order_relaxed);
-  s.bins_created = st_bins_created_.load(std::memory_order_relaxed);
-  s.bins_retired = st_bins_retired_.load(std::memory_order_relaxed);
-  s.chunks_created = st_chunks_created_.load(std::memory_order_relaxed);
-  s.chunks_retired = st_chunks_retired_.load(std::memory_order_relaxed);
-  s.bin_unlinks = st_bin_unlinks_.load(std::memory_order_relaxed);
-  s.bin_relists = st_bin_relists_.load(std::memory_order_relaxed);
-  s.list_retries = st_list_retries_.load(std::memory_order_relaxed);
+  s.allocs = st_.sum(kAllocs);
+  s.frees = st_.sum(kFrees);
+  s.bins_created = st_.sum(kBinsCreated);
+  s.bins_retired = st_.sum(kBinsRetired);
+  s.chunks_created = st_.sum(kChunksCreated);
+  s.chunks_retired = st_.sum(kChunksRetired);
+  s.bin_unlinks = st_.sum(kBinUnlinks);
+  s.bin_relists = st_.sum(kBinRelists);
+  s.list_retries = st_.sum(kListRetries);
   const MagazineStats m = magazine_stats();
   s.magazine_hits = m.hits;
   s.magazine_misses = m.misses;
@@ -1113,7 +1084,7 @@ UAllocStats UAlloc::stats() const {
   s.magazine_spill_blocks = m.spill_blocks;
   s.magazine_flushes = m.flushes;
   s.magazine_cached = m.cached;
-  s.arena_fallbacks = st_arena_fallbacks_.load(std::memory_order_relaxed);
+  s.arena_fallbacks = st_.sum(kArenaFallbacks);
   return s;
 }
 
@@ -1121,18 +1092,30 @@ MagazineStats UAlloc::magazine_stats(std::uint32_t first_cls,
                                      std::uint32_t end_cls) const {
   MagazineStats s;
   for (std::uint32_t c = first_cls; c < end_cls; ++c) {
-    const MagazineCounters& m = st_mag_[c];
-    s.hits += m.hits.load(std::memory_order_relaxed);
-    s.misses += m.misses.load(std::memory_order_relaxed);
-    s.refills += m.refills.load(std::memory_order_relaxed);
-    s.refill_blocks += m.refill_blocks.load(std::memory_order_relaxed);
-    s.topups += m.topups.load(std::memory_order_relaxed);
-    s.spills += m.spills.load(std::memory_order_relaxed);
-    s.spill_blocks += m.spill_blocks.load(std::memory_order_relaxed);
-    s.flushes += m.flushes.load(std::memory_order_relaxed);
+    s.hits += st_.sum(mag_stat(c, kMagHits));
+    s.misses += st_.sum(mag_stat(c, kMagMisses));
+    s.refills += st_.sum(mag_stat(c, kMagRefills));
+    s.refill_blocks += st_.sum(mag_stat(c, kMagRefillBlocks));
+    s.topups += st_.sum(mag_stat(c, kMagTopups));
+    s.spills += st_.sum(mag_stat(c, kMagSpills));
+    s.spill_blocks += st_.sum(mag_stat(c, kMagSpillBlocks));
+    s.flushes += st_.sum(mag_stat(c, kMagFlushes));
     for (const auto& arena : arenas_) s.cached += arena->magazines_[c].count();
   }
   return s;
+}
+
+void UAlloc::collect(obs::CounterTotals& out) const {
+  for (std::uint32_t f = 0; f < kNumPlainStats; ++f) {
+    if (kStatNames[f] != nullptr) out[kStatNames[f]] += st_.sum(f);
+  }
+  for (std::uint32_t f = 0; f < kNumMagStats; ++f) {
+    std::uint64_t total = 0;
+    for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
+      total += st_.sum(mag_stat(c, static_cast<MagStat>(f)));
+    }
+    out[kMagStatNames[f]] += total;
+  }
 }
 
 bool UAlloc::check_consistency() const {

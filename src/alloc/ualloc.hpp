@@ -64,6 +64,7 @@
 #include "alloc/config.hpp"
 #include "alloc/tbuddy.hpp"
 #include "gpusim/warp.hpp"
+#include "obs/stats.hpp"
 #include "sync/bulk_semaphore.hpp"
 #include "sync/collective_mutex.hpp"
 #include "sync/rcu.hpp"
@@ -548,8 +549,8 @@ class UAlloc {
   void spill(Magazine& mag, std::uint32_t cls, std::uint64_t spilled);
   /// Return one cached block to the bin accounting (decode + free_slow).
   void publish(void* p);
-  void count_hit(std::uint32_t cls);
-  void count_miss(std::uint32_t cls);
+  void count_hit(std::uint32_t cls) { st_.add(mag_stat(cls, kMagHits)); }
+  void count_miss(std::uint32_t cls) { st_.add(mag_stat(cls, kMagMisses)); }
 
   // --- bin lifecycle (cold paths) -----------------------------------------
   /// The paper's free path: clear the bitmap bit of block `idx` and
@@ -599,30 +600,61 @@ class UAlloc {
   std::atomic<std::uintptr_t> evac_hi_{0};
   std::vector<std::unique_ptr<Arena>> arenas_;
 
-  mutable std::atomic<std::uint64_t> st_allocs_{0};
-  mutable std::atomic<std::uint64_t> st_frees_{0};
-  mutable std::atomic<std::uint64_t> st_bins_created_{0};
-  mutable std::atomic<std::uint64_t> st_bins_retired_{0};
-  mutable std::atomic<std::uint64_t> st_chunks_created_{0};
-  mutable std::atomic<std::uint64_t> st_chunks_retired_{0};
-  mutable std::atomic<std::uint64_t> st_bin_unlinks_{0};
-  mutable std::atomic<std::uint64_t> st_bin_relists_{0};
-  mutable std::atomic<std::uint64_t> st_list_retries_{0};
-  mutable std::atomic<std::uint64_t> st_arena_fallbacks_{0};
-
-  /// The magazine counters, one set per size class (MagazineStats minus
-  /// the `cached` census).
-  struct MagazineCounters {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> refills{0};
-    std::atomic<std::uint64_t> refill_blocks{0};
-    std::atomic<std::uint64_t> topups{0};
-    std::atomic<std::uint64_t> spills{0};
-    std::atomic<std::uint64_t> spill_blocks{0};
-    std::atomic<std::uint64_t> flushes{0};
+  // --- exact statistics (obs/stats.hpp) ------------------------------------
+  enum Stat : std::uint32_t {
+    kAllocs,
+    kFrees,
+    kBinsCreated,
+    kBinsRetired,
+    kChunksCreated,
+    kChunksRetired,
+    kBinUnlinks,
+    kBinRelists,
+    kListRetries,
+    kArenaFallbacks,
+    kNumPlainStats
   };
-  mutable MagazineCounters st_mag_[kNumSizeClasses];
+  static constexpr const char* kStatNames[kNumPlainStats] = {
+      nullptr,
+      nullptr,
+      "ualloc.bin_create",
+      "ualloc.bin_retire",
+      "ualloc.chunk_fetch",
+      "ualloc.chunk_retire",
+      "ualloc.bin_unlink",
+      "ualloc.bin_relist",
+      "ualloc.list_retry",
+      "ualloc.arena_fallback",
+  };
+  /// The magazine counters, one set per size class (MagazineStats minus
+  /// the `cached` census); exported summed over the classes.
+  enum MagStat : std::uint32_t {
+    kMagHits,
+    kMagMisses,
+    kMagRefills,
+    kMagRefillBlocks,
+    kMagTopups,
+    kMagSpills,
+    kMagSpillBlocks,
+    kMagFlushes,
+    kNumMagStats
+  };
+  static constexpr const char* kMagStatNames[kNumMagStats] = {
+      "ualloc.magazine.hit",          "ualloc.magazine.miss",
+      "ualloc.magazine.refill",       "ualloc.magazine.refill_blocks",
+      "ualloc.magazine.topup",        "ualloc.magazine.spill",
+      "ualloc.magazine.spill_blocks", "ualloc.magazine.flush",
+  };
+  static constexpr std::size_t mag_stat(std::uint32_t cls, MagStat f) {
+    return kNumPlainStats + cls * kNumMagStats + f;
+  }
+  static constexpr std::size_t kNumStats =
+      kNumPlainStats + kNumSizeClasses * kNumMagStats;
+  void collect(obs::CounterTotals& out) const;
+
+  mutable obs::ShardedStats<kNumStats> st_;
+  obs::StatsSource stats_source_{
+      [this](obs::CounterTotals& out) { collect(out); }};
 };
 
 }  // namespace toma::alloc

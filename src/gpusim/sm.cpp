@@ -125,7 +125,6 @@ void Sm::retire_block(BlockRun* br, LaunchState& ls) {
     dev_.stack_pool().release(br->fibers[t].take_stack());
   }
   resident_threads_ -= br->nthreads;
-  ++blocks_run_;
   TOMA_TRACE_END("block", br->block_rank);
 
   auto it = std::find_if(

@@ -33,10 +33,6 @@ class Sm {
   /// stacks back to the pool. Any worker may call.
   void retire_block(BlockRun* br, LaunchState& ls);
 
-  bool idle() const { return resident_.empty(); }
-
-  std::uint64_t blocks_run() const { return blocks_run_; }
-
  private:
   /// Claim and prepare one block if residency allows; caller holds
   /// admit_mu_. nullptr when full or no blocks left to claim.
@@ -50,7 +46,6 @@ class Sm {
   std::vector<std::unique_ptr<BlockRun>> resident_;
   std::vector<std::unique_ptr<BlockRun>> recycled_;
   std::uint32_t resident_threads_ = 0;
-  std::uint64_t blocks_run_ = 0;
 };
 
 }  // namespace toma::gpu

@@ -130,11 +130,18 @@ SeriesName parse_series_name(const std::string& name) {
 
 std::string prometheus_metric_name(const std::string& metric,
                                    const std::string& prefix) {
-  std::string out = prefix.empty() ? "" : prefix + "_";
+  // A name may not be empty or start with a digit.
+  const std::string& head = prefix.empty() ? metric : prefix;
+  std::string out = head.empty() || (head[0] >= '0' && head[0] <= '9')
+                        ? "_"
+                        : "";
+  if (!prefix.empty()) {
+    out += prefix;
+    out += '_';
+  }
   for (const char c : metric) {
     out.push_back(is_metric_char(c) ? c : '_');
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 

@@ -67,11 +67,28 @@ HistogramVec& Registry::histogram_vec(const std::string& name,
   return *slot;
 }
 
+std::uint64_t Registry::add_collector(Collector fn) {
+  std::lock_guard<std::mutex> g(mu_);
+  const std::uint64_t id = next_collector_++;
+  collectors_.emplace(id, std::move(fn));
+  return id;
+}
+
+void Registry::remove_collector(std::uint64_t id) {
+  std::lock_guard<std::mutex> g(mu_);
+  const auto it = collectors_.find(id);
+  TOMA_ASSERT_MSG(it != collectors_.end(), "unknown collector id");
+  it->second(folded_);
+  collectors_.erase(it);
+}
+
 Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> g(mu_);
   Snapshot s;
+  s.counters = folded_;
+  for (const auto& [id, collect] : collectors_) collect(s.counters);
   for (const auto& [name, c] : counters_) {
-    s.counters[name] = c->value();
+    s.counters[name] += c->value();
   }
   for (const auto& [name, cv] : counter_vecs_) {
     for (std::uint32_t i = 0; i < cv->width(); ++i) {
@@ -184,7 +201,10 @@ std::string Snapshot::to_text() const {
 }
 
 std::string Snapshot::to_json() const {
-  return "{" + to_json_body() + "}\n";
+  std::string out = "{";
+  out += to_json_body();
+  out += "}\n";
+  return out;
 }
 
 std::string Snapshot::to_json_body() const {

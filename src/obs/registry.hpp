@@ -3,12 +3,15 @@
 //
 // Handles returned by counter()/histogram() are stable for the registry's
 // lifetime (instruments are never deleted), which is what lets the macros
-// cache them in function-local statics. The process-wide registry() is a
-// leaky singleton so allocator destructors running during static teardown
-// can still bump counters safely.
+// cache them in function-local statics. Counters that duplicate a stats
+// owner's exact statistics are not instruments: the owner registers a
+// collector (obs/stats.hpp) that snapshots sum in. The process-wide
+// registry() is a leaky singleton so allocator destructors running during
+// static teardown can still bump counters and fold their collectors.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,11 +22,14 @@
 
 namespace toma::obs {
 
+/// Counter totals by name.
+using CounterTotals = std::map<std::string, std::uint64_t>;
+
 /// A point-in-time, fully aggregated view of a Registry. Value type:
 /// snapshots can be stored, diffed and exported after the registry moved
 /// on (or was torn down).
 struct Snapshot {
-  std::map<std::string, std::uint64_t> counters;
+  CounterTotals counters;
   std::map<std::string, HistogramSnapshot> histograms;
 
   /// Activity since `before` (counters subtract; histogram buckets/counts
@@ -67,10 +73,29 @@ class Registry {
   Histogram& histogram(const std::string& name);
   HistogramVec& histogram_vec(const std::string& name, std::uint32_t width);
 
+  /// A stats owner's export: adds the owner's totals into `out` by name
+  /// (obs/stats.hpp). Called under the registry lock, which is what keeps
+  /// a snapshot from reading an owner mid-destruction; so it must not
+  /// call back into the registry.
+  using Collector = std::function<void(CounterTotals& out)>;
+
+  /// Register a collector; every snapshot adds what it writes. Returns
+  /// its id (never 0).
+  std::uint64_t add_collector(Collector fn);
+  /// Unregister collector `id`, folding its last totals into the
+  /// registry so the counters it fed stay monotonic. Once this returns,
+  /// no snapshot calls it again.
+  void remove_collector(std::uint64_t id);
+
+  /// Counters (named and collected), histograms, and the totals of
+  /// removed collectors.
   Snapshot snapshot() const;
 
  private:
   mutable std::mutex mu_;
+  std::map<std::uint64_t, Collector> collectors_;
+  std::uint64_t next_collector_ = 1;
+  CounterTotals folded_;  // totals of removed collectors
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<CounterVec>> counter_vecs_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

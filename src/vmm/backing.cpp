@@ -182,7 +182,7 @@ void* BackingStore::map_next() {
     if (mapped_[i] == 0) {
       const bool ok = map_chunk(i);
       TOMA_ASSERT(ok);
-      st_grows_.fetch_add(1, std::memory_order_relaxed);
+      st_.add(kGrows);
       return chunk_addr(i);
     }
   }
@@ -205,14 +205,14 @@ void BackingStore::unmap_chunk(std::uint32_t idx) {
   mapped_[idx] = 0;
   mapped_chunks_.fetch_sub(1, std::memory_order_relaxed);
   set_state(idx, ChunkState::kRetired);
-  st_shrinks_.fetch_add(1, std::memory_order_relaxed);
+  st_.add(kShrinks);
   TOMA_CTR_ADD("vmm.unmap_bytes", chunk_bytes_);
 }
 
 BackingStats BackingStore::stats() const {
   BackingStats s;
-  s.grows = st_grows_.load(std::memory_order_relaxed);
-  s.shrinks = st_shrinks_.load(std::memory_order_relaxed);
+  s.grows = st_.sum(kGrows);
+  s.shrinks = st_.sum(kShrinks);
   s.mapped_chunks = mapped_chunks();
   s.mapped_bytes = mapped_bytes();
   s.max_chunks = max_chunks_;

@@ -16,8 +16,10 @@
 namespace toma {
 namespace {
 
-TEST(Stress, ManyWavesMixedSizes) {
-  gpu::Device dev(test::small_device(4, 512, 1));
+// Many waves of mixed sizes on `workers` gpusim workers, then the
+// quiescent checks and the telemetry invariant.
+void many_waves_mixed_sizes(std::uint32_t workers) {
+  gpu::Device dev(test::small_device(4, 512, workers));
   alloc::GpuAllocator ga(64 * 1024 * 1024, dev.num_sms());
   constexpr std::uint64_t kThreads = 20000;
   std::atomic<std::uint64_t> completed{0};
@@ -78,11 +80,11 @@ TEST(Stress, ManyWavesMixedSizes) {
   }
 
 #if TOMA_TELEMETRY
-  // Telemetry invariant: the sharded counters must agree exactly with the
-  // allocator's own (exact, atomic) statistics — a lost counter bump means
-  // sharding misrouted or a path is uninstrumented. This allocator is the
-  // only one live during the launch, so the registry delta is all ours.
-  // A counter whose call site never executed is absent, which counts as 0.
+  // Telemetry invariant: the registry counters a stats owner exports
+  // must agree exactly with its stats() (obs/stats.hpp) — a misnamed or
+  // unexported field, or a shard the sums miss, shows up here. This
+  // allocator is the only one live during the launch, so the registry
+  // delta is all ours.
   const obs::Snapshot obs_delta =
       obs::registry().snapshot().diff_since(obs_before);
   const auto ctr = [&](const char* name) -> std::uint64_t {
@@ -92,28 +94,55 @@ TEST(Stress, ManyWavesMixedSizes) {
   EXPECT_EQ(ctr("alloc.malloc"), st.mallocs);
   EXPECT_EQ(ctr("alloc.free"), st.frees);
   EXPECT_EQ(ctr("alloc.failed"), st.failed_mallocs);
-  EXPECT_EQ(ctr("ualloc.magazine.hit"), st.ualloc.magazine_hits);
-  EXPECT_EQ(ctr("ualloc.magazine.miss"), st.ualloc.magazine_misses);
-  EXPECT_EQ(ctr("ualloc.magazine.refill"), st.ualloc.magazine_refills);
-  EXPECT_EQ(ctr("ualloc.magazine.refill_blocks"),
-            st.ualloc.magazine_refill_blocks);
-  EXPECT_EQ(ctr("ualloc.magazine.topup"), st.ualloc.magazine_topups);
-  EXPECT_EQ(ctr("ualloc.magazine.spill"), st.ualloc.magazine_spills);
-  EXPECT_EQ(ctr("ualloc.magazine.spill_blocks"),
-            st.ualloc.magazine_spill_blocks);
-  EXPECT_EQ(ctr("ualloc.magazine.flush"), st.ualloc.magazine_flushes);
-  // Latencies are sampled by call index (obs/sample.hpp): every sampled
-  // malloc attempt records one sample in some size class, every sampled
-  // free one sample, so each count follows exactly from the exact one.
+  EXPECT_EQ(ctr("ualloc.magazine.hit"), us.magazine_hits);
+  EXPECT_EQ(ctr("ualloc.magazine.miss"), us.magazine_misses);
+  EXPECT_EQ(ctr("ualloc.magazine.refill"), us.magazine_refills);
+  EXPECT_EQ(ctr("ualloc.magazine.refill_blocks"), us.magazine_refill_blocks);
+  EXPECT_EQ(ctr("ualloc.magazine.topup"), us.magazine_topups);
+  EXPECT_EQ(ctr("ualloc.magazine.spill"), us.magazine_spills);
+  EXPECT_EQ(ctr("ualloc.magazine.spill_blocks"), us.magazine_spill_blocks);
+  EXPECT_EQ(ctr("ualloc.magazine.flush"), us.magazine_flushes);
+  EXPECT_EQ(ctr("ualloc.bin_create"), us.bins_created);
+  EXPECT_EQ(ctr("ualloc.bin_retire"), us.bins_retired);
+  EXPECT_EQ(ctr("ualloc.chunk_fetch"), us.chunks_created);
+  EXPECT_EQ(ctr("ualloc.chunk_retire"), us.chunks_retired);
+  EXPECT_EQ(ctr("ualloc.bin_unlink"), us.bin_unlinks);
+  EXPECT_EQ(ctr("ualloc.bin_relist"), us.bin_relists);
+  EXPECT_EQ(ctr("ualloc.list_retry"), us.list_retries);
+  EXPECT_EQ(ctr("ualloc.arena_fallback"), us.arena_fallbacks);
+  const auto& bs = st.buddy;
+  EXPECT_EQ(ctr("tbuddy.quicklist.hit"), bs.quicklist_hits);
+  EXPECT_EQ(ctr("tbuddy.quicklist.miss"), bs.quicklist_misses);
+  EXPECT_EQ(ctr("tbuddy.quicklist.spill"), bs.quicklist_spills);
+  EXPECT_EQ(ctr("tbuddy.quicklist.flush"), bs.quicklist_flushes);
+  EXPECT_EQ(ctr("tbuddy.split"), bs.splits);
+  EXPECT_EQ(ctr("tbuddy.merge"), bs.merges);
+  EXPECT_EQ(ctr("tbuddy.descent_retry"), bs.descent_retries);
+  EXPECT_EQ(ctr("tbuddy.claim.cas_fast"), bs.cas_claims);
+  EXPECT_EQ(ctr("tbuddy.claim.lock_slow"), bs.lock_claims);
+  EXPECT_GT(us.chunks_created, 0u);
+  EXPECT_GT(bs.splits, 0u);
+  // Latencies are sampled by each obs shard's call index (obs/sample.hpp):
+  // every sampled malloc attempt records one sample in some size class,
+  // every sampled free one sample, so each count follows exactly from
+  // the per-shard counts.
+  std::uint64_t want_mallocs = 0, want_frees = 0;
+  for (std::uint32_t s = 0; s < obs::kShards; ++s) {
+    want_mallocs += obs::latency_sample_count(ga.shard_mallocs(s));
+    want_frees += obs::latency_sample_count(ga.shard_frees(s));
+  }
   std::uint64_t hist_samples = 0;
   for (const auto& [name, h] : obs_delta.histograms) {
     if (name.rfind("alloc.malloc_ns[", 0) == 0) hist_samples += h.count;
   }
-  EXPECT_EQ(hist_samples, obs::latency_sample_count(st.mallocs));
-  EXPECT_EQ(obs_delta.histograms.at("alloc.free_ns").count,
-            obs::latency_sample_count(st.frees));
+  EXPECT_EQ(hist_samples, want_mallocs);
+  EXPECT_EQ(obs_delta.histograms.at("alloc.free_ns").count, want_frees);
 #endif
 }
+
+TEST(Stress, ManyWavesMixedSizes) { many_waves_mixed_sizes(1); }
+
+TEST(Stress, ManyWavesMixedSizesFourWorkers) { many_waves_mixed_sizes(4); }
 
 TEST(Stress, SameSizeThundering) {
   // Every thread allocates the same size simultaneously: the worst case

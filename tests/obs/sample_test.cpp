@@ -1,7 +1,8 @@
 // Latency sampling (obs/sample.hpp): the 1-in-64 rule, OpTimer's shared
 // clock reads, and the rule as the allocator and the pools apply it: the
 // sampled operations repeat on every one-worker run, and each latency
-// histogram holds exactly the number of samples the rule predicts.
+// histogram holds exactly the number of samples the rule predicts from
+// the allocator's per-shard call counts.
 #include "obs/sample.hpp"
 
 #include <gtest/gtest.h>
@@ -97,12 +98,16 @@ struct ChurnSamples {
   std::array<std::uint64_t, kClasses> predicted{};  // by call index
   std::uint64_t frees = 0;
   std::uint64_t mallocs_counted = 0, frees_counted = 0;
+  // Σ over obs shards of latency_sample_count(the shard's calls).
+  std::uint64_t malloc_formula = 0, free_formula = 0;
+  std::uint32_t malloc_shards = 0;  // shards that counted a malloc
 };
 
 // One-worker churn on a fresh allocator. Each malloc takes its call index
-// from `seq` right before the call: on one worker no other fiber runs in
-// between, so it is the index the allocator's malloc count hands out and
-// the test can predict which calls the rule times.
+// from its obs shard's `seq` right before the call: on one worker no other
+// fiber runs in between, so it is the shard-local index the allocator's
+// malloc count hands out and the test can predict which calls the rule
+// times.
 ChurnSamples one_worker_churn() {
   gpu::Device dev(test::small_device(4, 256, 1));
   alloc::HeapConfig cfg;
@@ -111,7 +116,7 @@ ChurnSamples one_worker_churn() {
   cfg.heapsan = false;  // class = log2(size) - 3 exactly
   alloc::GpuAllocator ga(cfg);
   constexpr std::uint64_t kThreads = 2048;
-  std::atomic<std::uint64_t> seq{0};
+  std::vector<std::atomic<std::uint64_t>> seq(kShards);
   std::vector<std::atomic<std::uint32_t>> sampled(kClasses);
   const Snapshot before = registry().snapshot();
   dev.launch_linear(kThreads, 128, [&](gpu::ThreadCtx& t) {
@@ -119,7 +124,8 @@ ChurnSamples one_worker_churn() {
     auto& rng = t.rng();
     for (int round = 0; round < 6; ++round) {
       const auto cls = static_cast<std::uint32_t>(rng.next_below(kClasses));
-      const std::uint64_t idx = seq.fetch_add(1, std::memory_order_relaxed);
+      const std::uint64_t idx =
+          seq[current_shard()].fetch_add(1, std::memory_order_relaxed);
       void* p = ga.malloc(std::size_t{8} << cls);
       if (latency_sampled(idx)) sampled[cls].fetch_add(1);
       t.yield();
@@ -136,6 +142,11 @@ ChurnSamples one_worker_churn() {
   const auto st = ga.stats();
   out.mallocs_counted = st.mallocs;
   out.frees_counted = st.frees;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    out.malloc_formula += latency_sample_count(ga.shard_mallocs(s));
+    out.free_formula += latency_sample_count(ga.shard_frees(s));
+    if (ga.shard_mallocs(s) != 0) ++out.malloc_shards;
+  }
   return out;
 }
 
@@ -144,12 +155,14 @@ TEST(LatencySampling, SameOpsSampledOnEveryOneWorkerRun) {
   const ChurnSamples b = one_worker_churn();
   EXPECT_EQ(a.mallocs_counted, 2048u * 6);
   EXPECT_EQ(a.per_class, a.predicted)
-      << "the timed mallocs are exactly those with call index % 64 == 0";
+      << "the timed mallocs are those with shard-local index % 64 == 0";
   EXPECT_EQ(a.per_class, b.per_class) << "same ops sampled on every run";
   std::uint64_t total = 0;
   for (const std::uint64_t n : a.per_class) total += n;
-  EXPECT_EQ(total, latency_sample_count(a.mallocs_counted));
-  EXPECT_EQ(a.frees, latency_sample_count(a.frees_counted));
+  EXPECT_EQ(total, a.malloc_formula);
+  EXPECT_EQ(a.frees, a.free_formula);
+  EXPECT_EQ(a.malloc_shards, 4u) << "each SM counts on its own shard";
+  EXPECT_EQ(b.malloc_formula, a.malloc_formula);
   EXPECT_EQ(b.frees, a.frees);
 }
 

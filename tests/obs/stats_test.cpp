@@ -1,0 +1,161 @@
+// Exact per-shard statistics (obs/stats.hpp) and their export: shard
+// routing, registry collectors that sum live owners and fold destroyed
+// ones, and the allocator's stats as the source of its registry counters.
+#include "obs/stats.hpp"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <memory>
+#include <thread>
+
+#include "alloc/alloc.hpp"
+#include "gpusim/gpusim.hpp"
+#include "obs/telemetry.hpp"
+#include "support/test_support.hpp"
+
+namespace toma::obs {
+namespace {
+
+TEST(ShardedStats, AddReturnsTheShardLocalIndex) {
+  ShardedStats<2> st;
+  EXPECT_EQ(st.add(0), 0u);
+  EXPECT_EQ(st.add(0), 1u);
+  EXPECT_EQ(st.add(0, 5), 2u);
+  EXPECT_EQ(st.add(1), 0u) << "fields count separately";
+  EXPECT_EQ(st.sum(0), 7u);
+  EXPECT_EQ(st.shard(current_shard()).get(0), 7u)
+      << "one host thread bumps one shard";
+}
+
+#if TOMA_TELEMETRY
+TEST(ShardedStats, KernelFibersShardBySm) {
+  // Each SM's fibers bump the block of their own SM's shard, so every
+  // shard-local index sequence starts at 0. (With telemetry compiled out
+  // the scheduler publishes no fiber identity: a kernel's bumps shard by
+  // worker thread instead.)
+  constexpr std::uint32_t kSms = 4;
+  gpu::Device dev(test::small_device(kSms, 256, 0));
+  ShardedStats<1> st;
+  std::atomic<std::uint64_t> firsts{0};
+  dev.launch_linear(1024, 64, [&](gpu::ThreadCtx&) {
+    if (st.add(0) == 0) firsts.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(st.sum(0), 1024u);
+  std::uint64_t per_sm = 0;
+  for (std::uint32_t s = 0; s < kSms; ++s) per_sm += st.shard(s).get(0);
+  EXPECT_EQ(per_sm, 1024u) << "kernel bumps land on SM shards only";
+  EXPECT_EQ(firsts.load(), kSms);
+}
+#endif
+
+TEST(ShardedStats, ConcurrentHostThreadsLoseNothing) {
+  ShardedStats<1> st;
+  test::run_os_threads(4, [&](unsigned) {
+    for (int i = 0; i < 10000; ++i) st.add(0);
+  });
+  EXPECT_EQ(st.sum(0), 40000u);
+}
+
+// A collector over a plain counter, standing in for a stats owner.
+Registry::Collector counting(const std::atomic<std::uint64_t>& n) {
+  return [&n](CounterTotals& out) {
+    out["owner.events"] += n.load(std::memory_order_relaxed);
+  };
+}
+
+TEST(Registry, CollectorsOfLiveOwnersSum) {
+  Registry r;
+  std::atomic<std::uint64_t> a{5}, b{7};
+  r.add_collector(counting(a));
+  r.add_collector(counting(b));
+  r.counter("owner.events").add(1);  // a named counter joins the sum
+  EXPECT_EQ(r.snapshot().counters.at("owner.events"), 13u);
+  b += 3;
+  EXPECT_EQ(r.snapshot().counters.at("owner.events"), 16u);
+}
+
+TEST(Registry, RemovedCollectorFoldsSoCountersStayMonotonic) {
+  Registry r;
+  std::atomic<std::uint64_t> a{5}, b{7};
+  const std::uint64_t ida = r.add_collector(counting(a));
+  r.add_collector(counting(b));
+  const Snapshot before = r.snapshot();
+  a += 2;
+  r.remove_collector(ida);
+  a += 100;  // the owner is gone: nothing it does counts any more
+  const Snapshot after = r.snapshot();
+  EXPECT_EQ(after.counters.at("owner.events"), 14u);
+  EXPECT_EQ(after.diff_since(before).counters.at("owner.events"), 2u);
+  b += 1;
+  EXPECT_EQ(r.snapshot().counters.at("owner.events"), 15u);
+}
+
+#if TOMA_TELEMETRY
+
+std::uint64_t counter(const Snapshot& s, const char* name) {
+  const auto it = s.counters.find(name);
+  return it == s.counters.end() ? 0 : it->second;
+}
+
+TEST(StatsSource, AllocatorsAreTheSourceOfTheirCounters) {
+  // Two live allocators sum; destroying one keeps its counts.
+  alloc::HeapConfig cfg;
+  cfg.pool_bytes = 4 << 20;
+  cfg.num_arenas = 2;
+  const Snapshot before = registry().snapshot();
+  auto a = std::make_unique<alloc::GpuAllocator>(cfg);
+  alloc::GpuAllocator b(cfg);
+  for (int i = 0; i < 3; ++i) a->free(a->malloc(64));
+  for (int i = 0; i < 4; ++i) b.free(b.malloc(8192));
+  Snapshot d = registry().snapshot().diff_since(before);
+  EXPECT_EQ(counter(d, "alloc.malloc"), 7u);
+  EXPECT_EQ(counter(d, "alloc.free"), 7u);
+  const std::uint64_t splits =
+      a->stats().buddy.splits + b.stats().buddy.splits;
+  EXPECT_GT(splits, 0u);
+  EXPECT_EQ(counter(d, "tbuddy.split"), splits);
+  a.reset();
+  d = registry().snapshot().diff_since(before);
+  EXPECT_EQ(counter(d, "alloc.malloc"), 7u) << "a destroyed owner folds";
+  EXPECT_EQ(counter(d, "tbuddy.split"), splits);
+  b.free(b.malloc(16));
+  d = registry().snapshot().diff_since(before);
+  EXPECT_EQ(counter(d, "alloc.malloc"), 8u);
+}
+
+TEST(StatsSource, LiveBytesFollowBytesInUseOnElasticPools) {
+  alloc::HeapConfig cfg;
+  cfg.pool_bytes = 16 << 20;
+  cfg.num_arenas = 2;
+  cfg.vmm = true;
+  cfg.heapsan = false;
+  alloc::GpuAllocator ga(cfg);
+  const auto live = [] {
+    const Snapshot s = registry().snapshot();
+    return static_cast<std::int64_t>(counter(s, "vmm.live_bytes.charged")) -
+           static_cast<std::int64_t>(counter(s, "vmm.live_bytes.freed"));
+  };
+  const Snapshot s0 = registry().snapshot();
+  const std::int64_t base = live();
+  void* p = ga.malloc(1 << 16);
+  void* q = ga.malloc(100);
+  ASSERT_NE(p, nullptr);
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(live() - base, static_cast<std::int64_t>(ga.bytes_in_use()));
+  ga.free(p);
+  const Snapshot s1 = registry().snapshot();
+  EXPECT_EQ(live() - base, static_cast<std::int64_t>(ga.bytes_in_use()));
+  EXPECT_GE(counter(s1, "vmm.live_bytes.charged"),
+            counter(s0, "vmm.live_bytes.charged"));
+  EXPECT_GE(counter(s1, "vmm.live_bytes.freed"),
+            counter(s0, "vmm.live_bytes.freed") + (1 << 16))
+      << "the drop since the last snapshot counts as freed";
+  ga.free(q);
+  EXPECT_EQ(live(), base);
+}
+
+#endif  // TOMA_TELEMETRY
+
+}  // namespace
+}  // namespace toma::obs

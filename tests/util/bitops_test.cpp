@@ -74,7 +74,9 @@ TEST_P(BitopsProperty, Identities) {
   const unsigned lf = log2_floor(x);
   const unsigned lc = log2_ceil(x);
   EXPECT_LE(1ull << lf, x);
-  if (lf < 63) EXPECT_GT(1ull << (lf + 1), x);
+  if (lf < 63) {
+    EXPECT_GT(1ull << (lf + 1), x);
+  }
   EXPECT_GE(1ull << lc, x);
   EXPECT_TRUE(lc == lf || lc == lf + 1);
   EXPECT_EQ(lc == lf, is_pow2(x));

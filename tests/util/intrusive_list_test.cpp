@@ -8,7 +8,8 @@ namespace toma::util {
 namespace {
 
 struct Item {
-  int value = 0;
+  explicit Item(int v = 0) : value(v) {}
+  int value;
   ListNode node;
 };
 

@@ -18,10 +18,11 @@ With --catalog=DOC (e.g. docs/OBSERVABILITY.md), checks that the metric
 catalog table in DOC names exactly the metrics the library registers: every
 name literal under src/ passed to TOMA_CTR_INC/ADD, TOMA_CTRV_INC,
 TOMA_HIST/HISTV, TOMA_OP_HIST/OP_HISTV or registry().counter/histogram
-(directly or through pool_series). Fails on a name missing from either
-side. In the table's first column, `a.b.c` / `d` is shorthand for a.b.c
-and a.b.d (a bare name inherits the first name's prefix); `[i]` and
-`{...}` suffixes are dropped.
+(directly or through pool_series), and every name in a stats owner's
+collector table (a `k...StatNames[...] = {...}` array, obs/stats.hpp).
+Fails on a name missing from either side. In the table's first column,
+`a.b.c` / `d` is shorthand for a.b.c and a.b.d (a bare name inherits the
+first name's prefix); `[i]` and `{...}` suffixes are dropped.
 
 Usage: lint_prometheus.py [--require=PREFIX ...] [--catalog=DOC] [FILE...]
 """
@@ -156,6 +157,10 @@ SRC_METRIC_RE = re.compile(
     r"(?:TOMA_(?:CTR_INC|CTR_ADD|CTRV_INC|HIST|HISTV|OP_HIST|OP_HISTV)"
     r"|registry\(\)\.(?:counter|histogram))"
     r'\(\s*(?:pool_series\(\s*)?"([^"]+)"')
+# A collector's name table: the registry names of a stats owner's fields.
+STAT_TABLE_RE = re.compile(
+    r"\bk\w*StatNames\s*\[[^\]]*\]\s*=\s*\{(.*?)\};", re.DOTALL)
+STRING_RE = re.compile(r'"([^"]+)"')
 CATALOG_NAME_RE = re.compile(r"`([^`]+)`")
 
 
@@ -163,7 +168,10 @@ def source_metrics(src_dir: pathlib.Path) -> set:
     names = set()
     for path in sorted(src_dir.rglob("*")):
         if path.suffix in (".cpp", ".hpp", ".h"):
-            names.update(SRC_METRIC_RE.findall(path.read_text("utf-8")))
+            text = path.read_text("utf-8")
+            names.update(SRC_METRIC_RE.findall(text))
+            for table in STAT_TABLE_RE.findall(text):
+                names.update(STRING_RE.findall(table))
     return names
 
 
