@@ -157,10 +157,10 @@ Out run(const Options& opt, alloc::DefragMode mode, const char* name) {
     pool.sync(stream);
   }
   if (mode == alloc::DefragMode::kIncremental) {
-    // Idle settle: traffic stopped mid-evacuation, so give the driver
-    // the idle slices it would get from the scheduler's empty slots
-    // (gpusim integration) until the backlog drains. Density is
-    // measured after this — the churn-time cost already sits in p99.
+    // Settle: traffic stopped mid-evacuation, so give the driver the
+    // explicit slices an idle host would (toma_pool_defrag) until the
+    // backlog drains. Density is measured after this — the churn-time
+    // cost already sits in p99.
     for (int i = 0; i < 4096; ++i) {
       pool.defrag_step();
       if (i % 64 == 63) pool.sync(stream);

@@ -133,14 +133,15 @@ bool GpuAllocator::evac_park(void* p) {
   if (evac == UINT32_MAX) return false;
   if (vmm_->chunk_index(p) != evac) return false;
   sync::LockGuard<sync::SpinMutex> g(park_mu_);
-  // Re-check under the lock: the evacuation may have transitioned away
-  // since the relaxed peek. A block in a chunk that just left
-  // kEvacuating is fine to hand out — retirement's extraction fails
-  // while it lives and re-arms.
-  if (active_ == nullptr ||
-      active_->chunk != evac_chunk_.load(std::memory_order_acquire)) {
-    return false;
-  }
+  // Re-check under the lock, before touching active_: the evacuation may
+  // have transitioned away since the peek. begin_forwarding clears
+  // evac_chunk_ under this lock and only then moves active_ out, so
+  // while the chunk still reads as evacuating here, active_ is its
+  // state and stays put until we unlock. A block in a chunk that just
+  // left kEvacuating is fine to hand out — retirement's extraction
+  // fails while it lives and re-arms.
+  if (evac_chunk_.load(std::memory_order_acquire) != evac) return false;
+  TOMA_DASSERT(active_ != nullptr && active_->chunk == evac);
   if (util::is_aligned(p, kPageSize)) {
     active_->held_buddy.push_back(p);
   } else {
@@ -493,8 +494,7 @@ std::size_t GpuAllocator::defrag() {
   // Quiescent-point preamble: every cached block must re-enter the bin
   // accounting or the occupancy census undercounts (a magazine/quarantine
   // resident keeps its bitmap bit claimed but is dead weight).
-  if (san_->engaged()) san_->flush_quarantine();
-  ualloc_->release_cached();
+  flush_caches();
   select_backoff_ = 0;
   // The incremental state machine, run to completion. Nothing else runs,
   // so nothing changes between sweeps: each victim is swept once and
@@ -516,8 +516,7 @@ std::size_t GpuAllocator::defrag() {
     // call (or step) to retire; never wait on it here.
     if (!forwarding_.empty() || !select_victim(&run)) break;
   }
-  ualloc_->trim();
-  buddy_->trim();
+  trim();
   shrink_backing();
   if (moved_bytes != 0) st_.add(kDefragMovedBytes, moved_bytes);
   return moved_bytes;
@@ -767,8 +766,7 @@ std::size_t GpuAllocator::step_evacuate(
       // Vetoes usually mean cache-parked blocks (magazines, quarantine):
       // flush them back into the bin accounting so the next sweep sees
       // them freed.
-      if (san_->engaged()) san_->flush_quarantine();
-      ualloc_->release_cached();
+      flush_caches();
     }
     if (ev.stall_sweeps > kVmmDefragStallLimit) {
       // Not converging (a host that keeps vetoing, or tenants churning
@@ -827,13 +825,13 @@ bool GpuAllocator::step_retire(std::uint32_t max_retries) {
     head.held_addrs.clear();
     head.released = true;
   }
-  // Emptied bins retire and coalesce, then the whole chunk is claimed
-  // out of the tree. Extraction is the safety authority: it succeeds
-  // only when the chunk really is one free block, so a tenant
-  // allocation that slipped in after the release simply fails the claim
-  // and we retry, at most `max_retries` times.
-  ualloc_->trim();
-  buddy_->trim();
+  // Caches flush, emptied bins retire and coalesce, then the whole chunk
+  // is claimed out of the tree. Extraction is the safety authority: it
+  // succeeds only when the chunk really is one free block, so a tenant
+  // allocation that slipped in after the release (or a block a tenant
+  // cached since this trim) simply fails the claim and the next attempt
+  // trims again, at most `max_retries` times.
+  trim();
   bool done = false;
   {
     sync::LockGuard<sync::SpinMutex> g(grow_mu_);
@@ -870,13 +868,7 @@ bool GpuAllocator::step_retire(std::uint32_t max_retries) {
       done = true;
     }
   }
-  if (!done) {
-    // A failed claim is often a pool cache pinning one of the chunk's
-    // bins; flush them so the next attempt can retire those bins.
-    if (san_->engaged()) san_->flush_quarantine();
-    ualloc_->release_cached();
-    return false;
-  }
+  if (!done) return false;
   forwarding_.erase(forwarding_.begin());
   return true;
 }

@@ -51,7 +51,7 @@ inline constexpr std::size_t kReleaseRetainAll = SIZE_MAX;
 ///   kSync         defrag() at Pool::sync: the state machine run to
 ///                 completion at the quiescent point
 ///   kIncremental  bounded defrag_step() slices concurrent with traffic —
-///                 piggybacked on async ops and scheduler idle slots, zero
+///                 piggybacked on async ops and sync points, zero
 ///                 stop-the-world phases
 enum class DefragMode : std::uint8_t { kOff = 0, kSync = 1, kIncremental = 2 };
 
@@ -353,11 +353,6 @@ class GpuAllocator {
     return chunks;
   }
 
-  /// Flush the UAlloc magazines only (cached blocks re-enter the bin
-  /// accounting; no chunk is returned to the buddy). Returns blocks
-  /// flushed.
-  std::size_t release_cached() { return ualloc_->release_cached(); }
-
   GpuAllocatorStats stats() const;
 
   /// Malloc and free calls counted in obs shard `shard`: the call indices
@@ -438,6 +433,15 @@ class GpuAllocator {
   /// set (true) so route_alloc retries — the compactor strictly drains
   /// the victim's free space instead of racing tenant traffic for it.
   bool evac_park(void* p);
+
+  /// Compaction's cache flush: the HeapSan quarantine (when engaged),
+  /// then every magazine, so cached blocks re-enter the bin accounting
+  /// the census reads. trim() runs the same two steps, the magazines
+  /// through UAlloc::trim(), before its scavenge and quicklist flush.
+  void flush_caches() {
+    if (san_->engaged()) san_->flush_quarantine();
+    ualloc_->release_cached();
+  }
 
   /// Forwarding-queue head retirement, once a poll of its cookie says the
   /// grace period ended (never waits). A head whose chunk still fails

@@ -1,10 +1,8 @@
 #include "alloc/pool.hpp"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "alloc/device_heap.hpp"
-#include "gpusim/sched.hpp"
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
@@ -32,50 +30,6 @@ std::uint8_t outcome_of(AllocStatus st) {
   return static_cast<std::uint8_t>(st);
 }
 
-/// Pools in kIncremental mode, round-robined by the gpusim scheduler's
-/// idle hook (one defrag_step per idle slot). A plain mutex + vector:
-/// registration is rare, and the hook only try-locks, so an idle worker
-/// never blocks behind pool construction/destruction. ~Pool removes
-/// itself under the mutex, which is what makes the raw Pool* safe — the
-/// hook can never be running against a pool past its destructor.
-class IdleDefragRegistry {
- public:
-  static IdleDefragRegistry& instance() {
-    static IdleDefragRegistry r;
-    return r;
-  }
-
-  void add(Pool* p) {
-    std::lock_guard<std::mutex> g(mu_);
-    if (std::find(pools_.begin(), pools_.end(), p) == pools_.end()) {
-      pools_.push_back(p);
-    }
-    gpu::set_scheduler_idle_hook(&IdleDefragRegistry::idle_hook);
-  }
-
-  void remove(Pool* p) {
-    std::lock_guard<std::mutex> g(mu_);
-    pools_.erase(std::remove(pools_.begin(), pools_.end(), p),
-                 pools_.end());
-    if (pools_.empty()) gpu::set_scheduler_idle_hook(nullptr);
-  }
-
-  static bool idle_hook() {
-    IdleDefragRegistry& r = instance();
-    std::unique_lock<std::mutex> g(r.mu_, std::try_to_lock);
-    if (!g.owns_lock() || r.pools_.empty()) return false;
-    Pool* p = r.pools_[r.rr_++ % r.pools_.size()];
-    // Worth the idle slot only if the step actually evacuated something;
-    // a zero step lets the worker go back to yielding.
-    return p->defrag_step() != 0;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<Pool*> pools_;
-  std::size_t rr_ = 0;
-};
-
 }  // namespace
 
 Pool::Pool(std::string name, const HeapConfig& cfg)
@@ -92,9 +46,6 @@ Pool::Pool(std::string name, const HeapConfig& cfg)
         out[pool_series(kStatNames[kSloViolations], name_)] +=
             st_.sum(kSloViolations);
       }) {
-  if (defrag_mode_ == DefragMode::kIncremental) {
-    IdleDefragRegistry::instance().add(this);
-  }
 #if TOMA_TELEMETRY
   h_malloc_ns_ =
       &obs::registry().histogram(pool_series("pool.malloc_ns", name_));
@@ -104,9 +55,6 @@ Pool::Pool(std::string name, const HeapConfig& cfg)
 }
 
 Pool::~Pool() {
-  // Out of the idle registry first: from here no scheduler worker can
-  // start a defrag_step against this pool.
-  IdleDefragRegistry::instance().remove(this);
   streams_.sync_all();
   if (device_heap() == &alloc_) set_device_heap(nullptr);
   TOMA_CTR_INC("pool.destroy");

@@ -142,10 +142,11 @@ class Pool {
   /// evacuation state machine to completion (GpuAllocator::defrag) at
   /// sync points; kIncremental runs bounded defrag_step() slices
   /// piggybacked on the async surface (one per kVmmDefragOpInterval ops),
-  /// at sync points, and in gpusim scheduler idle slots. Only meaningful
-  /// on a vmm-backed pool. kIncremental additionally requires two-phase
-  /// relocation hooks with a prepare callback (set_relocation_hooks) —
-  /// steps are no-ops until one is registered.
+  /// at sync points, and on explicit defrag_step() calls: always on a
+  /// thread that called into this pool. Only meaningful on a vmm-backed
+  /// pool. kIncremental additionally requires two-phase relocation hooks
+  /// with a prepare callback (set_relocation_hooks) — steps are no-ops
+  /// until one is registered.
   DefragMode defrag_mode() const { return defrag_mode_; }
 
   /// One bounded incremental compaction slice (GpuAllocator::defrag_step);

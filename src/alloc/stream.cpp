@@ -115,7 +115,6 @@ std::size_t StreamFrontEnd::sync(gpu::Stream& s) {
   }
   const std::size_t n = slot != nullptr ? drain(*slot) : 0;
   s.complete_to(s.submitted());
-  TOMA_CTR_INC("pool.stream.sync");
   return n;
 }
 

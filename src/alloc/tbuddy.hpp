@@ -246,10 +246,6 @@ class TBuddy {
   /// falling back to try_claim. On success the parent is recomputed
   /// through the ordinary locked fixup either way.
   bool claim_candidate(std::uint32_t i);
-  /// Release an owned node (-> Available) under locks; returns true if the
-  /// release instead merged with an Available sibling (both -> parent).
-  void release_node(std::uint32_t i);
-
   /// Scattered descent for an Available node of height `order`; retries
   /// until claimed (unit-holder guarantee). Returns the node index.
   std::uint32_t find_and_claim(std::uint32_t order);

@@ -16,18 +16,6 @@ void set_current(ThreadCtx* ctx);  // defined in this_thread.cpp
 
 thread_local Scheduler::Worker* Scheduler::tl_worker_ = nullptr;
 
-namespace {
-std::atomic<IdleHook> g_idle_hook{nullptr};
-}  // namespace
-
-void set_scheduler_idle_hook(IdleHook hook) {
-  g_idle_hook.store(hook, std::memory_order_release);
-}
-
-IdleHook scheduler_idle_hook() {
-  return g_idle_hook.load(std::memory_order_acquire);
-}
-
 Scheduler::Scheduler(Device& dev, LaunchState& ls, std::uint32_t num_workers)
     : dev_(dev), ls_(ls), num_workers_(num_workers) {
   TOMA_ASSERT(num_workers_ > 0);
@@ -146,10 +134,10 @@ void Scheduler::step_warp(Worker& me, WarpRun& w) {
       continue;
     }
     detail::set_current(&ctx);
-    TOMA_OBS_SET_THREAD(w.sm_id, w.warp_rank);
+    obs::set_thread_context(w.sm_id, w.warp_rank);
     f.resume();
     detail::set_current(nullptr);
-    TOMA_OBS_CLEAR_THREAD();
+    obs::clear_thread_context();
     ++me.resumes;
     if (f.finished()) ++w.finished_lanes;
   }
@@ -227,10 +215,7 @@ void Scheduler::run_worker(std::uint32_t worker_id) {
     }
     if (w == nullptr) {
       // Momentarily idle: all remaining warps run (or park) elsewhere.
-      // Spend the slot on background work (incremental defrag) when a
-      // hook is installed and has something to do; otherwise yield.
-      const IdleHook hook = g_idle_hook.load(std::memory_order_acquire);
-      if (hook == nullptr || !hook()) std::this_thread::yield();
+      std::this_thread::yield();
       continue;
     }
     w->state.store(WarpRun::kRunning, std::memory_order_relaxed);

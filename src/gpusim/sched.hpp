@@ -34,7 +34,6 @@
 // pattern, which is what the record->replay CI leg relies on.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,16 +45,6 @@ namespace toma::gpu {
 
 class Device;
 struct LaunchState;
-
-/// Global scheduler idle hook: invoked by a worker with no runnable warp
-/// (before it yields). Return true if the hook did useful work — the
-/// worker then rechecks its deque immediately instead of yielding. Used
-/// by Pool's kIncremental defrag driver to spend idle scheduler slots on
-/// compaction steps. The hook must be cheap-ish, non-blocking, and safe
-/// from any worker thread; nullptr disables it.
-using IdleHook = bool (*)();
-void set_scheduler_idle_hook(IdleHook hook);
-IdleHook scheduler_idle_hook();
 
 class Scheduler {
  public:

@@ -44,7 +44,9 @@ inline std::uint32_t current_shard() {
   return detail::host_thread_shard();
 }
 
-/// Scheduler hook: publish the identity of the fiber about to run.
+/// Scheduler hook: publish the identity of the fiber about to run. Not
+/// gated on TOMA_TELEMETRY: the sharded stats and the SRCU reader shards
+/// key on it in every build.
 inline void set_thread_context(std::uint32_t sm, std::uint32_t warp) {
   detail::tl_sm = sm;
   detail::tl_warp = warp;

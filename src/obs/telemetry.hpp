@@ -103,10 +103,8 @@
 #define TOMA_TRACE_END(name, id)                                          \
   ::toma::obs::trace_event(name, ::toma::obs::TracePhase::kEnd, id)
 
-/// Scheduler hooks (tick source + fiber identity).
+/// Scheduler tick source.
 #define TOMA_OBS_TICK() ::toma::obs::advance_tick()
-#define TOMA_OBS_SET_THREAD(sm, warp) ::toma::obs::set_thread_context(sm, warp)
-#define TOMA_OBS_CLEAR_THREAD() ::toma::obs::clear_thread_context()
 
 #else  // !TOMA_TELEMETRY — every macro is a no-op; arguments unevaluated.
 
@@ -123,7 +121,5 @@
 #define TOMA_TRACE_BEGIN(name, id) ((void)0)
 #define TOMA_TRACE_END(name, id) ((void)0)
 #define TOMA_OBS_TICK() ((void)0)
-#define TOMA_OBS_SET_THREAD(sm, warp) ((void)0)
-#define TOMA_OBS_CLEAR_THREAD() ((void)0)
 
 #endif  // TOMA_TELEMETRY

@@ -28,12 +28,10 @@ TEST(ShardedStats, AddReturnsTheShardLocalIndex) {
       << "one host thread bumps one shard";
 }
 
-#if TOMA_TELEMETRY
 TEST(ShardedStats, KernelFibersShardBySm) {
   // Each SM's fibers bump the block of their own SM's shard, so every
-  // shard-local index sequence starts at 0. (With telemetry compiled out
-  // the scheduler publishes no fiber identity: a kernel's bumps shard by
-  // worker thread instead.)
+  // shard-local index sequence starts at 0 — in telemetry-off builds too,
+  // where the scheduler publishes the fiber identity all the same.
   constexpr std::uint32_t kSms = 4;
   gpu::Device dev(test::small_device(kSms, 256, 0));
   ShardedStats<1> st;
@@ -47,7 +45,6 @@ TEST(ShardedStats, KernelFibersShardBySm) {
   EXPECT_EQ(per_sm, 1024u) << "kernel bumps land on SM shards only";
   EXPECT_EQ(firsts.load(), kSms);
 }
-#endif
 
 TEST(ShardedStats, ConcurrentHostThreadsLoseNothing) {
   ShardedStats<1> st;

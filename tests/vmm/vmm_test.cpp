@@ -10,7 +10,7 @@
 
 #include "alloc/allocator.hpp"
 #include "alloc/pool.hpp"
-#include "gpusim/sched.hpp"
+#include "gpusim/gpusim.hpp"
 #include "obs/recorder.hpp"
 #include "support/test_support.hpp"
 #include "util/bitops.hpp"
@@ -801,64 +801,84 @@ TEST(Vmm, PoolSyncRunsDefragWhenEnabled) {
 }
 
 // kIncremental mode needs no explicit driver: steps piggyback on the
-// pool's own async traffic (every kVmmDefragOpInterval-th op) and on
-// gpusim scheduler idle slots (registered while the mode is on). The
-// sync pass must never run.
+// pool's own async traffic (every kVmmDefragOpInterval-th op) and sync
+// points. The sync pass must never run.
 TEST(Vmm, PoolIncrementalDefragPiggybacksOnTraffic) {
-  {
-    HeapConfig cfg = elastic_cfg();
-    cfg.defrag_mode = alloc::DefragMode::kIncremental;
-    cfg.release_threshold = 0;
-    alloc::Pool pool("vmm-defrag-inc", cfg);
-    // The idle-slot driver is installed while an incremental pool lives.
-    EXPECT_NE(gpu::scheduler_idle_hook(), nullptr);
+  HeapConfig cfg = elastic_cfg();
+  cfg.defrag_mode = alloc::DefragMode::kIncremental;
+  cfg.release_threshold = 0;
+  alloc::Pool pool("vmm-defrag-inc", cfg);
 
-    std::map<void*, int> cur;
-    pool.set_relocation_hooks(alloc::RelocationHooks{
-        [&](void* from, void*, std::size_t) { return cur.count(from) != 0; },
-        [&](void* from, void* to, std::size_t) {
-          const auto it = cur.find(from);
-          ASSERT_NE(it, cur.end());
-          const int idx = it->second;
-          cur.erase(it);
-          cur[to] = idx;
-        },
-        nullptr});
+  std::map<void*, int> cur;
+  pool.set_relocation_hooks(alloc::RelocationHooks{
+      [&](void* from, void*, std::size_t) { return cur.count(from) != 0; },
+      [&](void* from, void* to, std::size_t) {
+        const auto it = cur.find(from);
+        ASSERT_NE(it, cur.end());
+        const int idx = it->second;
+        cur.erase(it);
+        cur[to] = idx;
+      },
+      nullptr});
 
-    std::vector<void*> held;
-    for (int i = 0; i < 2048; ++i) held.push_back(pool.malloc(256));
-    for (int i = 0; i < 2048; ++i) {
-      if (i % 8 == 0) {
-        cur[held[i]] = i;
-      } else {
-        pool.free(held[i]);
-      }
+  std::vector<void*> held;
+  for (int i = 0; i < 2048; ++i) held.push_back(pool.malloc(256));
+  for (int i = 0; i < 2048; ++i) {
+    if (i % 8 == 0) {
+      cur[held[i]] = i;
+    } else {
+      pool.free(held[i]);
     }
-    pool.trim();
-    const std::size_t mapped_before = pool.stats().alloc.mapped_bytes;
-
-    // Plain traffic, no defrag calls anywhere: the op-interval tick does
-    // all the driving.
-    gpu::Stream s;
-    for (int round = 0; round < 16384; ++round) {
-      void* t = pool.malloc_async(64, s);
-      ASSERT_NE(t, nullptr);
-      pool.free_async(t, s);
-      if (round % 64 == 63) pool.sync(s);
-    }
-    pool.sync(s);
-
-    const auto st = pool.stats();
-    EXPECT_GT(st.alloc.defrag_steps, 0u) << "ticks never fired";
-    EXPECT_GT(st.alloc.defrag_moved_bytes, 0u);
-    EXPECT_EQ(st.alloc.defrag_passes, 0u) << "no stop-the-world pass";
-    EXPECT_LT(pool.stats().alloc.mapped_bytes, mapped_before);
-
-    for (const auto& kv : cur) pool.free(kv.first);
-    EXPECT_TRUE(pool.check_consistency());
   }
-  // Last incremental pool gone: the idle hook must be uninstalled.
-  EXPECT_EQ(gpu::scheduler_idle_hook(), nullptr);
+  pool.trim();
+  const std::size_t mapped_before = pool.stats().alloc.mapped_bytes;
+
+  // Plain traffic, no defrag calls anywhere: the op-interval tick does
+  // all the driving.
+  gpu::Stream s;
+  for (int round = 0; round < 16384; ++round) {
+    void* t = pool.malloc_async(64, s);
+    ASSERT_NE(t, nullptr);
+    pool.free_async(t, s);
+    if (round % 64 == 63) pool.sync(s);
+  }
+  pool.sync(s);
+
+  const auto st = pool.stats();
+  EXPECT_GT(st.alloc.defrag_steps, 0u) << "ticks never fired";
+  EXPECT_GT(st.alloc.defrag_moved_bytes, 0u);
+  EXPECT_EQ(st.alloc.defrag_passes, 0u) << "no stop-the-world pass";
+  EXPECT_LT(pool.stats().alloc.mapped_bytes, mapped_before);
+
+  for (const auto& kv : cur) pool.free(kv.first);
+  EXPECT_TRUE(pool.check_consistency());
+}
+
+// Slices run only on threads that call into the pool. A kernel launched
+// while an incremental pool lives leaves it alone, however long the
+// simulator's workers sit idle: its plain malloc/free drive no tick, and
+// no scheduler slot steps the pool behind its back.
+TEST(Vmm, PoolIncrementalDefragIgnoresIdleSchedulerWorkers) {
+  HeapConfig cfg = elastic_cfg();
+  cfg.defrag_mode = alloc::DefragMode::kIncremental;
+  alloc::Pool pool("vmm-defrag-idle", cfg);
+  // A prepare hook makes every step count, even one with nothing to move.
+  pool.set_relocation_hooks(alloc::RelocationHooks{
+      [](void*, void*, std::size_t) { return false; }, nullptr, nullptr});
+
+  // One lane on one SM of a two-worker device: the other worker finds
+  // nothing to run for the whole launch.
+  gpu::Device dev(test::small_device(2, 256, /*workers=*/2));
+  dev.launch(gpu::Dim3{1}, gpu::Dim3{1}, [&](gpu::ThreadCtx& t) {
+    for (int i = 0; i < 256; ++i) {
+      void* p = pool.malloc(64);
+      ASSERT_NE(p, nullptr);
+      pool.free(p);
+      t.yield();
+    }
+  });
+  EXPECT_EQ(pool.stats().alloc.defrag_steps, 0u);
+  EXPECT_TRUE(pool.check_consistency());
 }
 
 // Records one deterministic workload and returns (trace, moved bytes).
