@@ -175,7 +175,7 @@ inline void finish_telemetry(const Options& opt) {
   if (opt.metrics) {
     const obs::Snapshot snap = obs::registry().snapshot();
     if (!opt.metrics_path.empty()) {
-      if (snap.write_json(opt.metrics_path.c_str())) {
+      if (obs::write_stable_json(snap, opt.metrics_path)) {
         std::printf("metrics written to %s\n", opt.metrics_path.c_str());
       } else {
         std::fprintf(stderr, "failed to write %s\n",

@@ -298,6 +298,20 @@ void TBuddy::record_allocation(void* p, std::uint32_t order) {
   rec.store(static_cast<std::uint8_t>(order), std::memory_order_release);
 }
 
+std::uint32_t TBuddy::clear_allocation(void* p) {
+  const std::size_t page =
+      (static_cast<const char*>(p) - static_cast<const char*>(pool_)) /
+      page_size_;
+  std::atomic_ref<std::uint8_t> rec(order_of_page_[page]);
+  const std::uint8_t order = rec.load(std::memory_order_acquire);
+  TOMA_ASSERT_FMT(order != kNoAllocation,
+                  "TBuddy double free or foreign pointer: %p (page %zu of "
+                  "%zu, pool %p) has no live allocation recorded",
+                  p, page, pool_bytes_ / page_size_, pool_);
+  rec.store(kNoAllocation, std::memory_order_release);
+  return order;
+}
+
 void* TBuddy::quicklist_pop(std::uint32_t order) {
   const std::uint32_t node = quicklists_[order].try_pop(ql_links_.get());
   if (node == sync::TreiberStack::kNil) {
@@ -399,13 +413,7 @@ void* TBuddy::allocate_from_tree(std::uint32_t order) {
     return nullptr;
   }
   // Un-register the parent allocation record; it is being split, not used.
-  {
-    const std::size_t page = (static_cast<const char*>(parent_mem) -
-                              static_cast<const char*>(pool_)) /
-                             page_size_;
-    std::atomic_ref<std::uint8_t> rec(order_of_page_[page]);
-    rec.store(kNoAllocation, std::memory_order_release);
-  }
+  clear_allocation(parent_mem);
 
   const std::uint32_t pnode = node_at(parent_mem, order + 1);
   const std::uint32_t keep = left_child(pnode);
@@ -439,12 +447,7 @@ void* TBuddy::allocate_from_tree(std::uint32_t order) {
   st.add(kAllocs);
 
   void* p = node_addr(keep);
-  const std::size_t page =
-      (static_cast<const char*>(p) - static_cast<const char*>(pool_)) /
-      page_size_;
-  std::atomic_ref<std::uint8_t> rec(order_of_page_[page]);
-  TOMA_DASSERT(rec.load(std::memory_order_relaxed) == kNoAllocation);
-  rec.store(static_cast<std::uint8_t>(order), std::memory_order_release);
+  record_allocation(p, order);
   return p;
 }
 
@@ -459,14 +462,7 @@ void TBuddy::free(void* p) {
       static_cast<const char*>(p) - static_cast<const char*>(pool_);
   TOMA_ASSERT_MSG(off % page_size_ == 0,
                   "TBuddy pointers are page aligned by construction");
-  const std::size_t page = off / page_size_;
-  std::atomic_ref<std::uint8_t> rec(order_of_page_[page]);
-  const std::uint8_t order = rec.load(std::memory_order_acquire);
-  TOMA_ASSERT_FMT(order != kNoAllocation,
-                  "TBuddy double free or foreign pointer: %p (page %zu of "
-                  "%zu, pool %p) has no live allocation recorded",
-                  p, page, pool_bytes_ / page_size_, pool_);
-  rec.store(kNoAllocation, std::memory_order_release);
+  const std::uint32_t order = clear_allocation(p);
   st_.add(kFrees);
   const std::uint32_t node = node_at(p, order);
   if (quicklist_enabled() && quicklists_[order].capacity() != 0) {

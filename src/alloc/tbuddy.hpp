@@ -270,8 +270,13 @@ class TBuddy {
   /// quicklists and retry).
   void* allocate_from_tree(std::uint32_t order);
 
-  /// Record/clear the per-page allocation order for a block base.
+  /// Record the per-page allocation order for a block base.
   void record_allocation(void* p, std::uint32_t order);
+
+  /// Clear the record of the block at `p` (page aligned, inside the pool)
+  /// and return its order. Aborts when no allocation is recorded there:
+  /// a double free or a foreign pointer.
+  std::uint32_t clear_allocation(void* p);
 
   /// Pop the quicklist of `order`; nullptr on empty (counts hit/miss).
   void* quicklist_pop(std::uint32_t order);

@@ -84,10 +84,12 @@ void* Arena::allocate(std::uint32_t cls, bool may_refill) {
   constexpr std::uint32_t kWarpSize = 32;
   if (parent_->coalesce_ && parent_->class_capacity(cls) >= kWarpSize) {
     if (gpu::ThreadCtx* ctx = gpu::this_thread::current()) {
-      return allocate_coalesced(cls, *ctx);
+      if (void* p = allocate_coalesced(cls, *ctx)) return p;
     }
   }
-  return allocate_individual(cls);
+  void* p = nullptr;
+  allocate_batch(cls, &p, 1);
+  return p;
 }
 
 void* Arena::refill_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
@@ -181,163 +183,89 @@ void* Arena::refill(std::uint32_t cls, std::uint32_t max_batches) {
   return first;
 }
 
-void* Arena::allocate_individual(std::uint32_t cls) {
-  SizeClassState& cs = *classes_[cls];
+std::uint32_t Arena::allocate_batch(std::uint32_t cls, void** out,
+                                    std::uint32_t want) {
   const std::uint32_t cap = parent_->class_capacity(cls);
+  const std::uint32_t n = want < cap ? want : cap;
+  return take_granted(cls, grant(cls, n), 0, n, out);
+}
 
-  // Stage 1: accounting. Either a claimable block is guaranteed to exist
-  // (kAcquired) or we are elected to produce a fresh bin (kMustGrow).
-  const auto res = cs.blocks.wait(1, cap);
-  if (res == sync::BulkSemaphore::WaitResult::kAcquired) {
-    TOMA_CTR_INC("ualloc.bin_hit");
-    return claim_block(cls);
+void* Arena::allocate_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
+  const gpu::CoalescedGroup g = gpu::coalesce_warp(ctx, classes_[cls].get());
+  if (g.size() == 1) return nullptr;
+  std::uint64_t v = kGrantFailed;
+  if (g.is_leader()) {
+    TOMA_CTR_INC("ualloc.coalesced_groups");
+    TOMA_CTR_ADD("ualloc.coalesced_threads", g.size());
+    v = grant(cls, g.size());
   }
-  TOMA_CTR_INC("ualloc.bin_miss");
-  TOMA_TRACE("ualloc.grow_bin", cls);
-  void* p = grow_bin(cls);
-  if (p == nullptr) {
-    cs.blocks.signal(0, cap - 1);  // growth failed; let waiters re-decide
-  }
+  v = gpu::warp_broadcast(ctx, g, v);
+  // Each member takes one block of the group's grant: a claim from the
+  // listed bins, or block `rank` of the bin grown for the group. A failed
+  // grow leaves every member to the single-block take: the group claim is
+  // all-or-nothing, so at the exhaustion frontier the last (group size -
+  // 1) free blocks could never cover a full group — re-probing one block
+  // at a time gives the pool's final blocks to threads instead of
+  // stranding them behind warp-sized demands.
+  void* p = nullptr;
+  take_granted(cls, v, g.rank(), 1, &p);
   return p;
 }
 
-std::uint32_t Arena::allocate_batch(std::uint32_t cls, void** out,
-                                    std::uint32_t want) {
+std::uint64_t Arena::grant(std::uint32_t cls, std::uint32_t n) {
   SizeClassState& cs = *classes_[cls];
   const std::uint32_t cap = parent_->class_capacity(cls);
-  const std::uint32_t n = want < cap ? want : cap;
-  TOMA_DASSERT(n >= 1);
-
-  // One bulk-semaphore transaction for the whole slab — the same
-  // amortization the warp-coalesced path buys for a group, here bought
-  // for a magazine refill.
-  const auto res = cs.blocks.wait(n, cap);
-  if (res == sync::BulkSemaphore::WaitResult::kAcquired) {
+  TOMA_DASSERT(n >= 1 && n <= cap);
+  // Stage 1: accounting. Either n claimable blocks are guaranteed to exist
+  // (kAcquired) or we are elected to produce a fresh bin (kMustGrow) —
+  // one bin for all n, blocks [0, n) pre-taken.
+  if (cs.blocks.wait(n, cap) == sync::BulkSemaphore::WaitResult::kAcquired) {
     TOMA_CTR_INC("ualloc.bin_hit");
-    claim_blocks(cls, n, out);
-    return n;
+    return kGrantClaim;
   }
   TOMA_CTR_INC("ualloc.bin_miss");
   TOMA_TRACE("ualloc.grow_bin", cls);
-  // Grow once for the whole slab: one fresh bin, blocks 0..n-1 pre-taken.
   BinHeader* bin = create_bin(cls, n);
   if (bin == nullptr) {
     cs.blocks.signal(0, cap - n);  // growth failed; let waiters re-decide
-    return 0;
+    return kGrantFailed;
   }
+  return reinterpret_cast<std::uint64_t>(bin);
+}
+
+std::uint32_t Arena::take_granted(std::uint32_t cls, std::uint64_t granted,
+                                  std::uint32_t first, std::uint32_t n,
+                                  void** out) {
+  if (granted == kGrantFailed) return 0;
+  if (granted == kGrantClaim) {
+    claim_blocks(cls, n, out);
+    return n;
+  }
+  auto* bin = reinterpret_cast<BinHeader*>(granted);
   for (std::uint32_t i = 0; i < n; ++i) {
-    out[i] = parent_->block_addr(bin, i);
+    out[i] = parent_->block_addr(bin, first + i);
   }
   parent_->st_.add(UAlloc::kAllocs, n);
   return n;
 }
 
-void* Arena::allocate_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
-  SizeClassState& cs = *classes_[cls];
-  const std::uint32_t cap = parent_->class_capacity(cls);
-
-  const gpu::CoalescedGroup g = gpu::coalesce_warp(ctx, &cs);
-  if (g.size() == 1) return allocate_individual(cls);
-
-  // Broadcast protocol: 0 = grow failed (OOM for everyone),
-  // 1 = leader acquired units for the whole group (claim individually),
-  // otherwise = pointer to a fresh bin whose blocks [0, size) are ours.
-  constexpr std::uint64_t kFailed = 0;
-  constexpr std::uint64_t kClaim = 1;
-
-  if (g.is_leader()) {
-    TOMA_CTR_INC("ualloc.coalesced_groups");
-    TOMA_CTR_ADD("ualloc.coalesced_threads", g.size());
-    const auto res = cs.blocks.wait(g.size(), cap);
-    if (res == sync::BulkSemaphore::WaitResult::kAcquired) {
-      TOMA_CTR_INC("ualloc.bin_hit");
-      gpu::warp_broadcast(ctx, g, kClaim);
-      return claim_block(cls);
-    }
-    TOMA_CTR_INC("ualloc.bin_miss");
-    TOMA_TRACE("ualloc.grow_bin", cls);
-    // Grow once for the whole group: one bin, blocks 0..size-1 pre-taken.
-    BinHeader* bin = create_bin(cls, g.size());
-    if (bin == nullptr) {
-      cs.blocks.signal(0, cap - g.size());
-      gpu::warp_broadcast(ctx, g, kFailed);
-      // The group claim is all-or-nothing: at the exhaustion frontier the
-      // last (group size - 1) free blocks can never cover a full group,
-      // so every member re-probes individually — the pool's final blocks
-      // go to threads instead of stranding behind warp-sized demands.
-      return allocate_individual(cls);
-    }
-    parent_->st_.add(UAlloc::kAllocs);
-    gpu::warp_broadcast(ctx, g, reinterpret_cast<std::uint64_t>(bin));
-    return parent_->block_addr(bin, 0);
-  }
-
-  const std::uint64_t v = gpu::warp_broadcast(ctx, g, 0);
-  if (v == kFailed) return allocate_individual(cls);  // frontier fallback
-  if (v == kClaim) return claim_block(cls);
-  auto* bin = reinterpret_cast<BinHeader*>(v);
-  parent_->st_.add(UAlloc::kAllocs);
-  return parent_->block_addr(bin, g.rank());
-}
-
-void* Arena::claim_block(std::uint32_t cls) {
-  SizeClassState& cs = *classes_[cls];
-  UAlloc& ua = *parent_;
-  sync::Backoff bo;
-  for (;;) {
-    BinHeader* exhausted = nullptr;
-    void* result = nullptr;
-    {
-      // Stage 2: tracking. Walk the listed bins under RCU and claim a
-      // block from the first bin whose free counter we can decrement.
-      sync::RcuReadGuard guard(rcu_);
-      for (sync::RcuListNode* n = cs.bins.reader_begin();
-           !cs.bins.is_end(n) && result == nullptr;
-           n = sync::RcuList::reader_next(n)) {
-        BinHeader* bin = UAlloc::bin_of_node(n);
-        std::uint32_t fc = bin->free_count.load(std::memory_order_acquire);
-        while (fc > 0) {
-          if (bin->free_count.compare_exchange_weak(
-                  fc, fc - 1, std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
-            // The decrement reserved a bitmap bit: one must be claimable.
-            std::uint32_t idx;
-            util::AtomicBitmapRef bm = bin->bitmap();
-            while ((idx = bm.claim_clear_bit(
-                        gpu::this_thread::scatter_seed())) ==
-                   util::AtomicBitmapRef::kNone) {
-              gpu::this_thread::yield();
-            }
-            result = ua.block_addr(bin, idx);
-            if (fc == 1) exhausted = bin;  // we took the last block
-            break;
-          }
-        }
-      }
-    }
-    if (result != nullptr) {
-      // Outside the read-side critical section: a grace period may be
-      // needed to unlink the bin we exhausted.
-      if (exhausted != nullptr) ua.maybe_unlink_exhausted(exhausted);
-      ua.st_.add(UAlloc::kAllocs);
-      return result;
-    }
-    ua.st_.add(UAlloc::kListRetries);
-    bo.pause();
-  }
-}
-
 void Arena::claim_blocks(std::uint32_t cls, std::uint32_t n, void** out) {
   SizeClassState& cs = *classes_[cls];
   UAlloc& ua = *parent_;
+  TOMA_DASSERT(n <= kMagazineMaxSlab);
   std::uint32_t got = 0;
   sync::Backoff bo;
   while (got < n) {
-    std::vector<BinHeader*> exhausted;
+    // Each bin this pass exhausts gave it at least one block, so there are
+    // at most n <= kMagazineMaxSlab of them; a stack array keeps the claim
+    // free of heap allocation.
+    BinHeader* exhausted[kMagazineMaxSlab];
+    std::uint32_t num_exhausted = 0;
     const std::uint32_t got_before = got;
     {
-      // Same stage-2 tracking walk as claim_block, but each successful
-      // free_count CAS reserves a whole span of bits at once.
+      // Stage 2: tracking. Walk the listed bins under RCU; each successful
+      // free_count CAS reserves that many bitmap bits, which must then be
+      // claimable.
       sync::RcuReadGuard guard(rcu_);
       for (sync::RcuListNode* node = cs.bins.reader_begin();
            !cs.bins.is_end(node) && got < n;
@@ -359,26 +287,23 @@ void Arena::claim_blocks(std::uint32_t cls, std::uint32_t n, void** out) {
               }
               out[got++] = ua.block_addr(bin, idx);
             }
-            if (fc == take) exhausted.push_back(bin);
+            if (fc == take) exhausted[num_exhausted++] = bin;
             break;  // took everything this bin had (or all we needed)
           }
         }
       }
     }
-    for (BinHeader* bin : exhausted) ua.maybe_unlink_exhausted(bin);
+    // Outside the read-side critical section: a grace period may be
+    // needed to unlink the bins we exhausted.
+    for (std::uint32_t i = 0; i < num_exhausted; ++i) {
+      ua.maybe_unlink_exhausted(exhausted[i]);
+    }
     if (got < n && got == got_before) {
       ua.st_.add(UAlloc::kListRetries);
       bo.pause();
     }
   }
   ua.st_.add(UAlloc::kAllocs, n);
-}
-
-void* Arena::grow_bin(std::uint32_t cls) {
-  BinHeader* bin = create_bin(cls, /*pre_claimed=*/1);
-  if (bin == nullptr) return nullptr;
-  parent_->st_.add(UAlloc::kAllocs);
-  return parent_->block_addr(bin, 0);
 }
 
 BinHeader* Arena::create_bin(std::uint32_t cls, std::uint32_t pre_claimed) {
@@ -519,58 +444,48 @@ UAlloc::UAlloc(TBuddy& buddy, std::uint32_t num_arenas, bool use_tails)
 UAlloc::~UAlloc() = default;
 
 void* UAlloc::allocate(std::size_t size, bool refill) {
-  const std::uint32_t a = gpu::this_thread::sm_id_or_hash(
+  const std::uint32_t a = gpu::this_thread::sm_id_or_ordinal(
       static_cast<std::uint32_t>(arenas_.size()));
   return allocate_from(a, size, refill);
+}
+
+template <typename Take>
+auto UAlloc::sweep(std::uint32_t home_arena, const Take& take) {
+  TOMA_DASSERT(home_arena < arenas_.size());
+  // When the home arena is out, its chunk lists are drained and TBuddy
+  // refused it a new chunk. Chunks are arena-private, so pool memory is
+  // not fungible across SMs — another arena may still hold half-empty
+  // chunks, a magazine stock of this class (or win a freshly coalesced
+  // chunk). Sweep the siblings before reporting OOM; without this, a small
+  // pool degenerates to "whichever arena grabbed the last chunk serves its
+  // SM, every other SM fails 100%".
+  const auto n = static_cast<std::uint32_t>(arenas_.size());
+  for (std::uint32_t off = 0; off < n; ++off) {
+    if (auto got = take(*arenas_[(home_arena + off) % n], off == 0)) {
+      if (off != 0) st_.add(kArenaFallbacks);
+      return got;
+    }
+  }
+  return decltype(take(*arenas_[home_arena], true)){};
 }
 
 void* UAlloc::allocate_from(std::uint32_t home_arena, std::size_t size,
                             bool refill) {
   TOMA_DASSERT(util::is_pow2(size));
   TOMA_DASSERT(size >= kMinAlloc && size <= kMaxUAllocSize);
-  TOMA_DASSERT(home_arena < arenas_.size());
   const std::uint32_t cls = size_class_of(size);
-  void* p = arenas_[home_arena]->allocate(cls, refill);
-  if (p != nullptr) return p;
-  // The home arena is out: its chunk lists are drained and TBuddy refused
-  // it a new chunk. Chunks are arena-private, so pool memory is not
-  // fungible across SMs — another arena may still hold half-empty chunks,
-  // a magazine stock of this class (or win a freshly coalesced chunk).
-  // Sweep the siblings before reporting OOM; without this, a small pool
-  // degenerates to "whichever arena grabbed the last chunk serves its SM,
-  // every other SM fails 100%".
-  for (std::uint32_t off = 1; off < arenas_.size(); ++off) {
-    const std::uint32_t a =
-        (home_arena + off) % static_cast<std::uint32_t>(arenas_.size());
-    p = arenas_[a]->allocate(cls, /*may_refill=*/false);
-    if (p != nullptr) {
-      st_.add(kArenaFallbacks);
-      return p;
-    }
-  }
-  return nullptr;
+  return sweep(home_arena, [&](Arena& a, bool home) {
+    return a.allocate(cls, home && refill);
+  });
 }
 
 std::uint32_t UAlloc::allocate_batch(std::uint32_t home_arena,
                                      std::uint32_t cls, void** out,
                                      std::uint32_t want) {
   TOMA_DASSERT(cls < kNumSizeClasses);
-  TOMA_DASSERT(home_arena < arenas_.size());
-  std::uint32_t got = arenas_[home_arena]->allocate_batch(cls, out, want);
-  if (got != 0) return got;
-  // Same sibling sweep as allocate_from: a batch is refused only when the
-  // arena can neither claim nor grow, and another arena may still hold
-  // half-empty chunks.
-  for (std::uint32_t off = 1; off < arenas_.size(); ++off) {
-    const std::uint32_t a =
-        (home_arena + off) % static_cast<std::uint32_t>(arenas_.size());
-    got = arenas_[a]->allocate_batch(cls, out, want);
-    if (got != 0) {
-      st_.add(kArenaFallbacks);
-      return got;
-    }
-  }
-  return 0;
+  return sweep(home_arena, [&](Arena& a, bool) {
+    return a.allocate_batch(cls, out, want);
+  });
 }
 
 void UAlloc::free(void* p) {
@@ -586,7 +501,7 @@ void UAlloc::free_decoded(BinHeader* bin, std::uint32_t idx, void* p) {
     // identity in the chunk/bin headers, so a later pop needs no routing.
     // The bitmap bit stays claimed while cached: to the accounting, the
     // block is still allocated.
-    const std::uint32_t a = gpu::this_thread::sm_id_or_hash(
+    const std::uint32_t a = gpu::this_thread::sm_id_or_ordinal(
         static_cast<std::uint32_t>(arenas_.size()));
     const std::uint32_t cls = bin->size_class;
     Magazine& mag = arenas_[a]->magazines_[cls];

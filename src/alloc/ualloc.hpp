@@ -4,7 +4,7 @@
 //
 //   arena  — one per SM; holds per-size-class bin free-lists and the
 //            chunk list. A thread allocates from the arena of the SM it
-//            runs on (hashed OS-thread id outside a kernel).
+//            runs on (the host thread's ordinal outside a kernel).
 //   chunk  — 512 KB from TBuddy, 512 KB aligned, split into 64 bins.
 //            Bin 0 starts with the 128 B chunk header; the remaining
 //            3,968 B of bins 0 and 1 are 62 tail slots of 128 B, one per
@@ -251,12 +251,13 @@ class Arena {
   /// its stock but never fetches a slab into it.
   void* allocate(std::uint32_t cls, bool may_refill);
 
-  /// Claim up to `want` blocks of `cls` in ONE bulk-semaphore
-  /// transaction (a magazine's slab refill). Returns the number of
-  /// blocks written to `out` — `min(want, capacity)` on success, 0 when
-  /// this arena is out of memory. Either a batched claim over the listed
-  /// bins or one freshly grown bin whose first `want` slots become the
-  /// slab.
+  /// Take up to `want` (<= kMagazineMaxSlab) blocks of `cls` from the
+  /// bins in ONE bulk-semaphore transaction: the one way blocks leave the
+  /// bins (a single block is want = 1, a magazine refill one slab).
+  /// Returns the number of blocks written to `out` — `min(want,
+  /// capacity)` on success, 0 when this arena is out of memory. Either a
+  /// batched claim over the listed bins or one freshly grown bin whose
+  /// first slots are the caller's.
   std::uint32_t allocate_batch(std::uint32_t cls, void** out,
                                std::uint32_t want);
 
@@ -291,35 +292,42 @@ class Arena {
   /// block can still succeed where a slab could not.
   void* refill(std::uint32_t cls, std::uint32_t max_batches);
 
-  /// Single-thread allocation path (also the fallback).
-  void* allocate_individual(std::uint32_t cls);
-
   /// Warp-coalesced path (paper §2.2: requests of warp-mates invoking the
   /// allocator concurrently are transparently coalesced): the group's
-  /// leader performs ONE semaphore wait for the whole group, and on the
-  /// grow path ONE new bin serves every member. Only used in-kernel for
-  /// classes whose bins hold at least a warp's worth of blocks.
+  /// leader runs stage 1 ONCE for the whole group and broadcasts the
+  /// grant, so on the grow path ONE new bin serves every member. nullptr
+  /// sends the caller to the single-block take (a singleton group, or a
+  /// group whose grow failed). Only used in-kernel for classes whose bins
+  /// hold at least a warp's worth of blocks.
   void* allocate_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx);
 
-  /// Claim one block from a listed bin of class `cls` (caller holds a
-  /// semaphore unit, so a block is guaranteed to exist eventually).
-  void* claim_block(std::uint32_t cls);
+  /// Stage 1 of a take of `n` (<= capacity) blocks of `cls`: one
+  /// bulk-semaphore wait. Returns kGrantClaim when the caller holds `n`
+  /// units to claim from the listed bins; the address of a new bin whose
+  /// blocks [0, n) are the caller's when it was elected to grow; or
+  /// kGrantFailed when that growth failed (its failure already signalled
+  /// to the semaphore). One word, so a warp's leader can broadcast it.
+  std::uint64_t grant(std::uint32_t cls, std::uint32_t n);
+  static constexpr std::uint64_t kGrantFailed = 0;
+  static constexpr std::uint64_t kGrantClaim = 1;
 
-  /// Claim `n` blocks from listed bins of `cls` (caller holds `n`
-  /// semaphore units). Writes block addresses to `out`; like claim_block
-  /// this only returns once all n are claimed (the units guarantee
-  /// eventual success).
+  /// Stage 2 of a take granted `granted`: claim `n` blocks from the
+  /// listed bins, or take blocks [first, first + n) of the granted bin.
+  /// Returns the number of blocks written to `out` (0 for kGrantFailed).
+  std::uint32_t take_granted(std::uint32_t cls, std::uint64_t granted,
+                             std::uint32_t first, std::uint32_t n,
+                             void** out);
+
+  /// Claim `n` (<= kMagazineMaxSlab) blocks from listed bins of `cls`
+  /// (caller holds `n` semaphore units). Writes block addresses to `out`;
+  /// only returns once all n are claimed (the units guarantee eventual
+  /// success). Makes no heap allocation.
   void claim_blocks(std::uint32_t cls, std::uint32_t n, void** out);
 
-  /// Build a new bin for `cls` (grow path); returns the first block or
-  /// nullptr on pool exhaustion. On success the bin is listed and the
-  /// class semaphore is signaled with capacity-1 units.
-  void* grow_bin(std::uint32_t cls);
-
-  /// Shared machinery of the grow paths: carve a bin slot, initialise the
-  /// header with blocks [0, pre_claimed) already taken, list the bin and
-  /// publish capacity - pre_claimed claimable units. nullptr on OOM (the
-  /// caller owns the semaphore failure signal).
+  /// The grow path of grant(): carve a bin slot, initialise the header
+  /// with blocks [0, pre_claimed) already taken, list the bin and publish
+  /// capacity - pre_claimed claimable units. nullptr on OOM (the caller
+  /// owns the semaphore failure signal).
   BinHeader* create_bin(std::uint32_t cls, std::uint32_t pre_claimed);
 
   /// Claim a bin slot in some chunk of this arena, growing a chunk from
@@ -407,11 +415,11 @@ class UAlloc {
   /// Free a block previously returned by allocate (any thread).
   void free(void* p);
 
-  /// Claim up to `want` blocks of class `cls` in one bulk transaction,
-  /// preferring `home_arena` and sweeping the other arenas on OOM (the
-  /// same fallback discipline as allocate_from). Returns the number of
-  /// blocks written to `out`, 0 when every arena is exhausted. All blocks
-  /// of one call come from one arena.
+  /// Claim up to `want` (<= kMagazineMaxSlab) blocks of class `cls` in
+  /// one bulk transaction, preferring `home_arena` and sweeping the other
+  /// arenas on OOM (the same sweep as allocate_from). Returns the number
+  /// of blocks written to `out`, 0 when every arena is exhausted. All
+  /// blocks of one call come from one arena.
   std::uint32_t allocate_batch(std::uint32_t home_arena, std::uint32_t cls,
                                void** out, std::uint32_t want);
 
@@ -540,6 +548,13 @@ class UAlloc {
 
  private:
   friend class Arena;
+
+  /// The out-of-memory sweep shared by allocate_from and allocate_batch:
+  /// `take(arena, is_home)` on the home arena, then on the others in ring
+  /// order; the first non-zero result wins, counted as an arena fallback
+  /// when a sibling served it. Zero when every arena refused.
+  template <typename Take>
+  auto sweep(std::uint32_t home_arena, const Take& take);
 
   // --- magazine policy and counters ----------------------------------------
   /// Spill hysteresis: drain `mag` (class `cls`) down to its low-water

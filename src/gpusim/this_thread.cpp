@@ -6,6 +6,7 @@
 #include "gpusim/device.hpp"
 #include "gpusim/sched.hpp"
 #include "gpusim/sm.hpp"
+#include "obs/context.hpp"
 #include "util/assert.hpp"
 #include "util/prng.hpp"
 
@@ -14,13 +15,8 @@ namespace toma::gpu {
 namespace {
 thread_local ThreadCtx* tl_current = nullptr;
 
-std::uint64_t os_thread_hash() {
-  return util::hash64(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()));
-}
-
-util::Xorshift& os_thread_rng() {
-  thread_local util::Xorshift rng(os_thread_hash());
+util::Xorshift& host_thread_rng() {
+  thread_local util::Xorshift rng(obs::host_thread_ordinal());
   return rng;
 }
 }  // namespace
@@ -54,15 +50,15 @@ void wait_until(WaitReady ready, const void* arg) {
 
 util::Xorshift& rng() {
   if (ThreadCtx* ctx = tl_current) return ctx->rng();
-  return os_thread_rng();
+  return host_thread_rng();
 }
 
 std::uint64_t scatter_seed() { return rng().next(); }
 
-std::uint32_t sm_id_or_hash(std::uint32_t num_sms) {
+std::uint32_t sm_id_or_ordinal(std::uint32_t num_sms) {
   TOMA_DASSERT(num_sms > 0);
   if (ThreadCtx* ctx = tl_current) return ctx->sm_id() % num_sms;
-  return static_cast<std::uint32_t>(os_thread_hash() % num_sms);
+  return obs::host_thread_ordinal() % num_sms;
 }
 
 }  // namespace this_thread

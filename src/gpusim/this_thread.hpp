@@ -39,8 +39,9 @@ util::Xorshift& rng();
 /// Fresh scatter seed; different on every call.
 std::uint64_t scatter_seed();
 
-/// The SM the calling thread runs on, or a stable hash of the OS thread id
-/// outside a kernel (so arena selection still works in plain tests).
-std::uint32_t sm_id_or_hash(std::uint32_t num_sms);
+/// The SM the calling thread runs on, or the host thread's ordinal
+/// (obs::host_thread_ordinal) outside a kernel, modulo `num_sms` — so
+/// arena selection still works in plain tests and repeats across runs.
+std::uint32_t sm_id_or_ordinal(std::uint32_t num_sms);
 
 }  // namespace toma::gpu::this_thread

@@ -3,15 +3,13 @@
 // obs sits between util and gpusim, so it cannot ask the simulator "which
 // SM am I on?". Instead the scheduler pushes the identity of the fiber it
 // is about to resume down through set_thread_context(); host threads
-// (tests, benchmark setup) fall back to a stable hash of their OS thread
-// id. Everything here is header-only and dependency-free.
+// (tests, benchmark setup) fall back to a process-wide ordinal taken on
+// first use. Everything here is header-only and dependency-free.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <thread>
 
 namespace toma::obs {
 
@@ -28,20 +26,29 @@ inline constexpr std::uint32_t kNoSm = 0xffffffffu;
 inline thread_local std::uint32_t tl_sm = kNoSm;
 inline thread_local std::uint32_t tl_warp = 0;
 
-inline std::uint32_t host_thread_shard() {
-  static thread_local const std::uint32_t shard = static_cast<std::uint32_t>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards);
-  return shard;
-}
+inline std::atomic<std::uint32_t> g_host_threads{0};
 
 }  // namespace detail
 
-/// Shard index for the calling context: the resident SM inside a kernel, a
-/// stable hash of the OS thread id outside one.
+/// The calling host thread's ordinal: 0 for the first thread that asks, 1
+/// for the next, and so on, fixed for the thread's life. A program whose
+/// threads first ask in the same order gets the same ordinals on every
+/// run — a hash of the OS thread id would not (on glibc it is an address,
+/// which ASLR moves). The shard, the home arena and the PRNG seed of a
+/// host thread derive from it.
+inline std::uint32_t host_thread_ordinal() {
+  static thread_local const std::uint32_t ordinal =
+      detail::g_host_threads.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
+}
+
+/// Shard index for the calling context: the resident SM inside a kernel,
+/// the host thread's ordinal outside one (so kShards host threads started
+/// one after another land on distinct shards).
 inline std::uint32_t current_shard() {
   const std::uint32_t sm = detail::tl_sm;
   if (sm != detail::kNoSm) return sm % kShards;
-  return detail::host_thread_shard();
+  return host_thread_ordinal() % kShards;
 }
 
 /// Scheduler hook: publish the identity of the fiber about to run. Not
@@ -58,7 +65,7 @@ inline void clear_thread_context() { detail::tl_sm = detail::kNoSm; }
 /// report kShards + shard so traces distinguish them from real SMs.
 inline std::uint32_t current_sm() {
   const std::uint32_t sm = detail::tl_sm;
-  return sm != detail::kNoSm ? sm : kShards + detail::host_thread_shard();
+  return sm != detail::kNoSm ? sm : kShards + host_thread_ordinal() % kShards;
 }
 inline std::uint32_t current_warp() {
   return detail::tl_sm != detail::kNoSm ? detail::tl_warp : 0;

@@ -69,6 +69,64 @@ void json_escape_into(std::string& out, const std::string& s) {
   }
 }
 
+/// The "counters", "derived" and "histograms" sections of the stable JSON
+/// (without the enclosing braces).
+void append_json_sections(std::string& out, const Snapshot& snap) {
+  out += "\"counters\":{";
+  char buf[64];
+  bool first = true;
+  for (const auto& [name, v] : snap.counters) {
+    if (!first) out += ",";
+    first = false;
+    out += "\n\"";
+    json_escape_into(out, name);
+    std::snprintf(buf, sizeof(buf), "\":%" PRIu64, v);
+    out += buf;
+  }
+  out += "\n},\"derived\":{";
+  first = true;
+  for (const auto& [name, r] : snap.derived_rates()) {
+    if (!first) out += ",";
+    first = false;
+    out += "\n\"";
+    json_escape_into(out, name);
+    std::snprintf(buf, sizeof(buf), "\":%.6g", r);
+    out += buf;
+  }
+  out += "\n},\"histograms\":{";
+  first = true;
+  for (const auto& [name, h] : snap.histograms) {
+    if (!first) out += ",";
+    first = false;
+    out += "\n\"";
+    json_escape_into(out, name);
+    std::snprintf(buf, sizeof(buf), "\":{\"count\":%" PRIu64, h.count);
+    out += buf;
+    std::snprintf(buf, sizeof(buf), ",\"sum\":%" PRIu64, h.sum);
+    out += buf;
+    std::snprintf(buf, sizeof(buf), ",\"min\":%" PRIu64, h.min);
+    out += buf;
+    std::snprintf(buf, sizeof(buf), ",\"max\":%" PRIu64, h.max);
+    out += buf;
+    std::snprintf(buf, sizeof(buf), ",\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g",
+                  h.p50(), h.p95(), h.p99());
+    out += buf;
+    // Trailing zero buckets are elided; bucket i covers [2^(i-1), 2^i).
+    std::uint32_t last = 0;
+    for (std::uint32_t b = 0; b < kHistBuckets; ++b) {
+      if (h.buckets[b] != 0) last = b + 1;
+    }
+    out += ",\"buckets\":[";
+    for (std::uint32_t b = 0; b < last; ++b) {
+      std::snprintf(buf, sizeof(buf), "%s%" PRIu64, b == 0 ? "" : ",",
+                    h.buckets[b]);
+      out += buf;
+    }
+    out += "]}";
+  }
+  out += "\n}";
+}
+
 bool write_file(const std::string& body, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
@@ -269,7 +327,7 @@ std::string to_stable_json(const Snapshot& snap) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%" PRIu32 ",", kExportSchemaVersion);
   out += buf;
-  out += snap.to_json_body();
+  append_json_sections(out, snap);
   out += ",\"slo\":{";
   std::string open_pool;
   bool first_pool = true;

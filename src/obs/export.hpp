@@ -64,9 +64,9 @@ std::vector<SloSummary> slo_summaries(const Snapshot& snap);
 std::string to_prometheus(const Snapshot& snap,
                           const std::string& prefix = "toma");
 
-/// Stable JSON: {"schema_version":N,"counters":...,"derived":...,
-/// "histograms":...,"slo":{"<pool>":{"<op>":{...}}}}. The inner three
-/// sections are byte-identical to Snapshot::to_json().
+/// Stable JSON, the one JSON form of a snapshot:
+/// {"schema_version":N,"counters":{...},"derived":{...},
+/// "histograms":{...},"slo":{"<pool>":{"<op>":{...}}}}.
 std::string to_stable_json(const Snapshot& snap);
 
 /// File forms; false on I/O failure.

@@ -16,21 +16,6 @@ std::string vec_name(const std::string& base, std::uint32_t i) {
   return base + buf;
 }
 
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 Counter& Registry::counter(const std::string& name) {
@@ -198,80 +183,6 @@ std::string Snapshot::to_text() const {
     out += buf;
   }
   return out;
-}
-
-std::string Snapshot::to_json() const {
-  std::string out = "{";
-  out += to_json_body();
-  out += "}\n";
-  return out;
-}
-
-std::string Snapshot::to_json_body() const {
-  std::string out = "\"counters\":{";
-  char buf[64];
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n\"";
-    json_escape_into(out, name);
-    std::snprintf(buf, sizeof(buf), "\":%" PRIu64, v);
-    out += buf;
-  }
-  out += "\n},\"derived\":{";
-  first = true;
-  for (const auto& [name, r] : derived_rates()) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n\"";
-    json_escape_into(out, name);
-    std::snprintf(buf, sizeof(buf), "\":%.6g", r);
-    out += buf;
-  }
-  out += "\n},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n\"";
-    json_escape_into(out, name);
-    std::snprintf(buf, sizeof(buf), "\":{\"count\":%" PRIu64, h.count);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), ",\"sum\":%" PRIu64, h.sum);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), ",\"min\":%" PRIu64, h.min);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), ",\"max\":%" PRIu64, h.max);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), ",\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g",
-                  h.p50(), h.p95(), h.p99());
-    out += buf;
-    // Trailing zero buckets are elided; bucket i covers [2^(i-1), 2^i).
-    std::uint32_t last = 0;
-    for (std::uint32_t b = 0; b < kHistBuckets; ++b) {
-      if (h.buckets[b] != 0) last = b + 1;
-    }
-    out += ",\"buckets\":[";
-    for (std::uint32_t b = 0; b < last; ++b) {
-      std::snprintf(buf, sizeof(buf), "%s%" PRIu64, b == 0 ? "" : ",",
-                    h.buckets[b]);
-      out += buf;
-    }
-    out += "]}";
-  }
-  out += "\n}";
-  return out;
-}
-
-bool Snapshot::write_json(const std::string& path) const {
-  const std::string json = to_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool all = written == json.size();
-  const bool closed = std::fclose(f) == 0;
-  return all && closed;
 }
 
 }  // namespace toma::obs

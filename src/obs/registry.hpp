@@ -1,5 +1,6 @@
 // The telemetry registry: named counters, counter vectors, histograms and
-// histogram vectors, plus snapshotting with diff and text/JSON export.
+// histogram vectors, plus snapshotting with diff and a text report (the
+// export formats are obs/export.hpp).
 //
 // Handles returned by counter()/histogram() are stable for the registry's
 // lifetime (instruments are never deleted), which is what lets the macros
@@ -45,19 +46,6 @@ struct Snapshot {
   /// count/mean/p50/p95/p99/max. Zero-valued counters are kept — absence
   /// of events is information too.
   std::string to_text() const;
-
-  /// Machine-readable JSON:
-  /// {"counters":{...},"derived":{...},"histograms":{...}}.
-  std::string to_json() const;
-
-  /// The body of to_json() without the enclosing braces
-  /// (`"counters":{...},"derived":{...},"histograms":{...}`), so richer
-  /// exports (obs/export.hpp) can embed the same representation next to
-  /// their own sections without re-serializing.
-  std::string to_json_body() const;
-
-  /// to_json() to a file; false on I/O failure.
-  bool write_json(const std::string& path) const;
 };
 
 class Registry {

@@ -3,9 +3,9 @@
 // A stats owner (GpuAllocator, UAlloc, TBuddy, Pool, StreamFrontEnd,
 // BackingStore) keeps its exact counters in a ShardedStats
 // (obs/counter.hpp): one cache-line-aligned block per obs shard
-// (obs/context.hpp: the SM inside a kernel, a hashed OS thread outside
-// one). An event is one relaxed fetch_add on a line only the calling
-// SM's worker normally writes. (With telemetry compiled out the
+// (obs/context.hpp: the SM inside a kernel, the host thread's ordinal
+// outside one). An event is one relaxed fetch_add on a line only the
+// calling SM's worker normally writes. (With telemetry compiled out the
 // scheduler publishes no fiber identity, so a kernel's events shard by
 // worker thread: still one writer per line.) Reads sum the shards and
 // are approximate under concurrency, like every statistics read in the

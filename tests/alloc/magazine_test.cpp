@@ -339,7 +339,7 @@ TEST(Magazine, CrossSmFreeLandsOnFreeingSm) {
 
   // Phase A: the first kN threads on SM 0 allocate.
   dev.launch_linear(1024, 512, [&](gpu::ThreadCtx&) {
-    if (gpu::this_thread::sm_id_or_hash(2) != 0) return;
+    if (gpu::this_thread::sm_id_or_ordinal(2) != 0) return;
     const std::uint32_t i = claimed.fetch_add(1, std::memory_order_relaxed);
     if (i >= kN) return;
     void* p = ga.malloc(kSize);
@@ -358,7 +358,7 @@ TEST(Magazine, CrossSmFreeLandsOnFreeingSm) {
   // Phase B: the first kN threads on SM 1 free them.
   claimed.store(0);
   dev.launch_linear(1024, 512, [&](gpu::ThreadCtx&) {
-    if (gpu::this_thread::sm_id_or_hash(2) != 1) return;
+    if (gpu::this_thread::sm_id_or_ordinal(2) != 1) return;
     const std::uint32_t i = claimed.fetch_add(1, std::memory_order_relaxed);
     if (i >= kN) return;
     void* p = slots[i].exchange(nullptr);
@@ -374,7 +374,7 @@ TEST(Magazine, CrossSmFreeLandsOnFreeingSm) {
   const std::uint64_t hits_before = ga.stats().lane.hits;
   claimed.store(0);
   dev.launch_linear(1024, 512, [&](gpu::ThreadCtx&) {
-    if (gpu::this_thread::sm_id_or_hash(2) != 1) return;
+    if (gpu::this_thread::sm_id_or_ordinal(2) != 1) return;
     const std::uint32_t i = claimed.fetch_add(1, std::memory_order_relaxed);
     if (i >= kN) return;
     slots[i].store(ga.malloc(kSize), std::memory_order_release);
@@ -438,7 +438,7 @@ std::vector<void*> exhaust_from_sm0(gpu::Device& dev, GpuAllocator& ga) {
   held.reserve(16 * 1024);
   std::atomic<std::uint32_t> claimed{0};
   dev.launch_linear(1024, 512, [&](gpu::ThreadCtx&) {
-    if (gpu::this_thread::sm_id_or_hash(2) != 0) return;
+    if (gpu::this_thread::sm_id_or_ordinal(2) != 0) return;
     if (claimed.fetch_add(1, std::memory_order_relaxed) != 0) return;
     while (void* p = ga.malloc(64)) held.push_back(p);
   });
@@ -450,7 +450,7 @@ template <class Fn>
 void on_one_thread_of(gpu::Device& dev, std::uint32_t sm, Fn fn) {
   std::atomic<std::uint32_t> claimed{0};
   dev.launch_linear(1024, 512, [&](gpu::ThreadCtx&) {
-    if (gpu::this_thread::sm_id_or_hash(2) != sm) return;
+    if (gpu::this_thread::sm_id_or_ordinal(2) != sm) return;
     if (claimed.fetch_add(1, std::memory_order_relaxed) != 0) return;
     fn();
   });

@@ -578,5 +578,42 @@ TEST(UAllocArenaFallback, SingleChunkPoolServesAllArenas) {
   EXPECT_TRUE(ua.check_consistency());
 }
 
+TEST(UAllocExhaustion, WarpGroupsHandTheLastBlocksToLanes) {
+  // A warp group's grant is all-or-nothing: a group that finds fewer free
+  // blocks than lanes and cannot grow a bin gets none. Its lanes must then
+  // take one block at a time, or the class's last blocks strand behind
+  // warp-sized demands. Magazines off, one arena, a one-chunk pool: one
+  // warp of 24 lanes (24 does not divide the pool's 1984 blocks of 128 B;
+  // capacity 32, so the class coalesces) must take exactly as many blocks
+  // as one host thread does.
+  constexpr std::size_t kPool = kChunkSize;
+  constexpr std::size_t kSize = 128;
+  const auto fill = [&](bool in_kernel) {
+    test::AlignedPool pool(kPool);
+    TBuddy buddy(pool.get(), kPool);
+    UAlloc ua(buddy, /*num_arenas=*/1);
+    ua.set_magazines(false);
+    std::vector<void*> held(kPool / kSize);
+    std::atomic<std::size_t> n{0};
+    const auto take_all = [&] {
+      while (void* p = ua.allocate(kSize)) {
+        held[n.fetch_add(1, std::memory_order_relaxed)] = p;
+      }
+    };
+    if (in_kernel) {
+      gpu::Device dev(test::small_device());
+      dev.launch_linear(24, 24, [&](gpu::ThreadCtx&) { take_all(); });
+    } else {
+      take_all();
+    }
+    for (std::size_t i = 0; i < n.load(); ++i) ua.free(held[i]);
+    EXPECT_TRUE(ua.check_consistency());
+    return n.load();
+  };
+  const std::size_t solo = fill(false);
+  EXPECT_EQ(solo, std::size_t{kDataBins} * 32);
+  EXPECT_EQ(fill(true), solo) << "warp groups stranded the last blocks";
+}
+
 }  // namespace
 }  // namespace toma::alloc

@@ -171,7 +171,7 @@ TEST(ThisThread, OutsideKernelFallbacks) {
   const std::uint64_t a = this_thread::scatter_seed();
   const std::uint64_t b = this_thread::scatter_seed();
   EXPECT_NE(a, b);
-  EXPECT_LT(this_thread::sm_id_or_hash(8), 8u);
+  EXPECT_LT(this_thread::sm_id_or_ordinal(8), 8u);
 }
 
 TEST(ThisThread, InsideKernelIdentity) {
@@ -180,7 +180,7 @@ TEST(ThisThread, InsideKernelIdentity) {
   dev.launch(Dim3{2}, Dim3{32}, [&](ThreadCtx& t) {
     if (!this_thread::in_kernel()) bad.fetch_add(1);
     if (this_thread::current() != &t) bad.fetch_add(1);
-    if (this_thread::sm_id_or_hash(t.device().num_sms()) != t.sm_id())
+    if (this_thread::sm_id_or_ordinal(t.device().num_sms()) != t.sm_id())
       bad.fetch_add(1);
   });
   EXPECT_EQ(bad.load(), 0);

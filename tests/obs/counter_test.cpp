@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <thread>
 
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
@@ -28,7 +30,7 @@ TEST(Counter, HostThreadsLandOnStableShards) {
     for (int i = 0; i < 1000; ++i) c.inc();
   });
   EXPECT_EQ(c.value(), 4000u);
-  // Each host thread hashes to one fixed shard, so the per-shard sums must
+  // Each host thread keeps one fixed shard, so the per-shard sums must
   // be multiples of its per-thread contribution.
   std::uint64_t shard_sum = 0;
   for (std::uint32_t s = 0; s < Counter::shard_count(); ++s) {
@@ -36,6 +38,19 @@ TEST(Counter, HostThreadsLandOnStableShards) {
     shard_sum += c.shard_value(s);
   }
   EXPECT_EQ(shard_sum, 4000u);
+}
+
+TEST(Counter, SequentialHostThreadsLandOnDistinctShards) {
+  // A host thread's shard is its first-use ordinal, so kShards threads
+  // started one after another cover every shard once. A hash of the OS
+  // thread id does not: glibc hands a joined thread's id to the next one.
+  std::set<std::uint32_t> shards;
+  for (std::uint32_t i = 0; i < kShards; ++i) {
+    std::uint32_t shard = 0;
+    std::thread([&] { shard = current_shard(); }).join();
+    shards.insert(shard);
+  }
+  EXPECT_EQ(shards.size(), kShards);
 }
 
 TEST(Counter, KernelFibersShardBySm) {

@@ -1,5 +1,5 @@
-// Snapshot export formats: text report, JSON (golden structural check with
-// a minimal validating parser), and the Chrome trace-event file.
+// Snapshot export formats: text report, stable JSON (golden structural
+// check with a minimal validating parser), and the Chrome trace-event file.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -86,7 +87,7 @@ TEST(SnapshotExport, JsonGolden) {
   h.record(0);
   h.record(5);
   h.record(5);
-  const std::string json = r.snapshot().to_json();
+  const std::string json = to_stable_json(r.snapshot());
 
   EXPECT_TRUE(json_shape_ok(json)) << json;
   // Golden structural substrings (stable: maps iterate sorted by name).
@@ -117,7 +118,7 @@ TEST(SnapshotExport, DerivedHitRates) {
   ASSERT_EQ(rates.size(), 1u);
   EXPECT_DOUBLE_EQ(rates.at("cache.hit_rate"), 0.75);
 
-  const std::string json = s.to_json();
+  const std::string json = to_stable_json(s);
   EXPECT_TRUE(json_shape_ok(json)) << json;
   EXPECT_NE(json.find("\"derived\":{"), std::string::npos);
   EXPECT_NE(json.find("\"cache.hit_rate\":0.75"), std::string::npos);
@@ -133,15 +134,15 @@ TEST(SnapshotExport, WriteJsonRoundTripsThroughDisk) {
   Registry r;
   r.counter("disk.count").add(9);
   TempFile f("obs_export_test.json");
-  ASSERT_TRUE(r.snapshot().write_json(f.path()));
+  ASSERT_TRUE(write_stable_json(r.snapshot(), f.path()));
   const std::string loaded = slurp(f.path());
-  EXPECT_EQ(loaded, r.snapshot().to_json());
+  EXPECT_EQ(loaded, to_stable_json(r.snapshot()));
   EXPECT_TRUE(json_shape_ok(loaded));
 }
 
 TEST(SnapshotExport, EmptySnapshotIsStillValidJson) {
   Registry r;
-  EXPECT_TRUE(json_shape_ok(r.snapshot().to_json()));
+  EXPECT_TRUE(json_shape_ok(to_stable_json(r.snapshot())));
 }
 
 TEST(ChromeTrace, FileIsValidTraceEventJson) {
