@@ -142,16 +142,20 @@ bool GpuAllocator::evac_park(void* p) {
   // fails while it lives and re-arms.
   if (evac_chunk_.load(std::memory_order_acquire) != evac) return false;
   TOMA_DASSERT(active_ != nullptr && active_->chunk == evac);
-  if (util::is_aligned(p, kPageSize)) {
-    active_->held_buddy.push_back(p);
-  } else {
-    std::uint32_t idx;
-    BinHeader* bin = ualloc_->decode_block(p, &idx);
-    active_->held.emplace_back(bin, idx);
-  }
-  active_->held_addrs.insert(p);
+  active_->hold(p, *ualloc_);
   TOMA_CTR_INC("vmm.defrag.parked");
   return true;
+}
+
+void GpuAllocator::EvacState::hold(void* p, const UAlloc& ua) {
+  if (util::is_aligned(p, kPageSize)) {
+    held_buddy.push_back(p);
+  } else {
+    std::uint32_t idx;
+    BinHeader* bin = ua.decode_block(p, &idx);
+    held.emplace_back(bin, idx);
+  }
+  held_addrs.insert(p);
 }
 
 void* GpuAllocator::resolve_forward(void* p, bool consume) const {
@@ -530,10 +534,9 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
   // Never held across the hooks — a host holding its own lock in prepare
   // may be mallocing on another thread that is parking under park_mu_ at
   // that very moment.
-  const auto hold = [&](BinHeader* b, std::uint32_t i, const void* addr) {
+  const auto hold = [&](void* p) {
     sync::LockGuard<sync::SpinMutex> g(park_mu_);
-    ev.held.emplace_back(b, i);
-    ev.held_addrs.insert(addr);
+    ev.hold(p, *ualloc_);
   };
   void* dest;
   // Bounded: every rejected probe holds one free slot of the victim (or
@@ -547,9 +550,7 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
         (no_landing == nullptr || no_landing->count(dc) == 0)) {
       break;
     }
-    std::uint32_t didx;
-    BinHeader* dbin = ualloc_->decode_block(dest, &didx);
-    hold(dbin, didx, dest);
+    hold(dest);
   }
   if (dest == nullptr) return MoveResult::kNoDest;
   // Prospective user pointers for the two-phase contract: under HeapSan
@@ -595,7 +596,7 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
   // address can never be reallocated while its entry is live.
   vmm_->forward().insert(old_user, new_user);
   if (hooks_.commit) hooks_.commit(old_user, new_user, user_bytes);
-  hold(bin, idx, old_block);
+  hold(old_block);
   return MoveResult::kMoved;
 }
 

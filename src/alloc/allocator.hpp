@@ -416,6 +416,11 @@ class GpuAllocator {
     std::vector<std::pair<BinHeader*, std::uint32_t>> held;  // ualloc slots
     std::vector<void*> held_buddy;  // parked tenant-path buddy blocks
     std::set<const void*> held_addrs;
+
+    /// Hold block `p` until release: a TBuddy block (page-aligned) or a
+    /// UAlloc slot, routed by alignment as free() is. Caller holds
+    /// park_mu_.
+    void hold(void* p, const UAlloc& ua);
   };
 
   /// The pool's read-side domain when armed, nullptr when off (so a

@@ -15,7 +15,6 @@ StreamSlot& StreamFrontEnd::slot_of(gpu::Stream& s) {
 
 void StreamFrontEnd::free_async(void* p, gpu::Stream& s) {
   StreamSlot& slot = slot_of(s);
-  s.ticket();
   // Classify by the same alignment test free() routes on; the capacity
   // read is safe because the block is still allocated to the accounting.
   bool overflow;
@@ -113,9 +112,7 @@ std::size_t StreamFrontEnd::sync(gpu::Stream& s) {
     auto it = slots_.find(s.id());
     if (it != slots_.end()) slot = it->second.get();
   }
-  const std::size_t n = slot != nullptr ? drain(*slot) : 0;
-  s.complete_to(s.submitted());
-  return n;
+  return slot != nullptr ? drain(*slot) : 0;
 }
 
 std::size_t StreamFrontEnd::sync_all() {
@@ -139,9 +136,7 @@ std::size_t StreamFrontEnd::release_stream(gpu::Stream& s) {
     slot = std::move(it->second);
     slots_.erase(it);
   }
-  const std::size_t n = drain(*slot);
-  s.complete_to(s.submitted());
-  return n;
+  return drain(*slot);
 }
 
 StreamFrontEndStats StreamFrontEnd::stats() const {

@@ -86,8 +86,8 @@ class StreamFrontEnd {
   /// nullptr on miss.
   void* try_reuse(std::size_t effective, gpu::Stream& s);
 
-  /// Drain every pending free of `s` through the pool's free path and
-  /// complete the stream's tickets. Returns the batch size.
+  /// Drain every pending free of `s` through the pool's free path.
+  /// Returns the batch size.
   std::size_t sync(gpu::Stream& s);
 
   /// Drain everything regardless of stream (pool teardown, trim).

@@ -37,12 +37,13 @@ Arena::Arena(UAlloc& parent, std::uint32_t index)
 }
 
 void* Arena::allocate(std::uint32_t cls, bool may_refill) {
+  const bool mags = parent_->magazines_enabled();
   // Magazine front-end: cached blocks of this (arena, class) are served
   // in constant time, touching neither the semaphore nor the RCU bin
   // lists. Each lane pops for itself *before* any warp rendezvous, so a
   // coalesced group is formed only by the lanes the magazine could not
   // satisfy.
-  if (parent_->magazines_enabled()) {
+  if (mags) {
     Magazine& mag = magazines_[cls];
     const MagazinePolicy& pol = kMagazinePolicy[cls];
     if (void* p = mag.pop()) {
@@ -65,66 +66,91 @@ void* Arena::allocate(std::uint32_t cls, bool may_refill) {
       }
       return p;
     }
-    if (may_refill && pol.slab != 0) {
-      // Miss on a refill class: fetch a slab. In-kernel, the lanes of
-      // this warp that missed the same magazine share one transaction.
-      // A refill that found no memory (or lost the gate) falls through to
-      // the per-block path below.
-      gpu::ThreadCtx* ctx = gpu::this_thread::current();
-      void* p = ctx != nullptr ? refill_coalesced(cls, *ctx)
-                               : refill_gated(cls);
-      if (p != nullptr) return p;
+  }
+  // Transparent request coalescing (paper §2.2): warp-mates that missed
+  // the same (arena, class) together meet once, and their leader takes
+  // every member's block. Only when one bin can hold a warp's worth.
+  constexpr std::uint32_t kWarpSize = 32;
+  if (parent_->coalesce_ && parent_->class_capacity(cls) >= kWarpSize) {
+    if (gpu::ThreadCtx* ctx = gpu::this_thread::current()) {
+      const gpu::CoalescedGroup g =
+          gpu::coalesce_warp(*ctx, classes_[cls].get());
+      if (g.size() > 1) return allocate_grouped(cls, may_refill, *ctx, g);
+    }
+  }
+  // Solo: a refill class fetches a slab under the single-refiller gate; a
+  // refill that found no memory (or lost the gate) falls through to the
+  // single-block take, which can succeed where a slab could not.
+  void* p = nullptr;
+  if (mags) {
+    if (may_refill && kMagazinePolicy[cls].slab != 0) {
+      p = refill_gated(cls);
     } else {
       parent_->count_miss(cls);
     }
   }
-  // Transparent request coalescing (paper §2.2): warp-mates concurrently
-  // allocating the same class take a specialized group path. Only when
-  // one bin can hold a whole warp's worth of blocks.
-  constexpr std::uint32_t kWarpSize = 32;
-  if (parent_->coalesce_ && parent_->class_capacity(cls) >= kWarpSize) {
-    if (gpu::ThreadCtx* ctx = gpu::this_thread::current()) {
-      if (void* p = allocate_coalesced(cls, *ctx)) return p;
-    }
-  }
-  void* p = nullptr;
-  allocate_batch(cls, &p, 1);
+  if (p == nullptr) allocate_batch(cls, &p, 1);
   return p;
 }
 
-void* Arena::refill_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
-  Magazine& mag = magazines_[cls];
-  const gpu::CoalescedGroup g = gpu::coalesce_warp(ctx, &mag);
-  if (g.size() == 1) return refill_gated(cls);
-  constexpr std::uint64_t kFailed = 0, kStocked = 1;
+void* Arena::allocate_grouped(std::uint32_t cls, bool may_refill,
+                              gpu::ThreadCtx& ctx,
+                              const gpu::CoalescedGroup& g) {
+  // A group is one warp's lanes: at most 64 (CoalescedGroup::mask).
+  constexpr std::uint32_t kMaxGroup = 64;
+  const std::uint32_t n = g.size();
+  TOMA_DASSERT(n <= kMaxGroup);
+  std::uint64_t handed[kMaxGroup];
   if (g.is_leader()) {
-    // The rendezvous takes scheduling rounds; another warp's leader may
-    // have stocked the magazine meanwhile. Only fetch a slab if the stock
-    // cannot cover this group. One batch, ungated: a stampede of leaders
-    // briefly over-stocks and the spill hysteresis reclaims the excess.
-    void* lead = nullptr;
-    bool ok = mag.count() >= g.size();
-    if (!ok) {
-      parent_->count_miss(cls);
-      lead = refill(cls, /*max_batches=*/1);
-      ok = lead != nullptr;
+    UAlloc& ua = *parent_;
+    auto& st = ua.st_.local();
+    st.add(UAlloc::kCoalescedGroups);
+    st.add(UAlloc::kCoalescedThreads, n);
+    const bool mags = ua.magazines_enabled();
+    const std::uint32_t slab = mags ? kMagazinePolicy[cls].slab : 0;
+    void* blocks[kMaxGroup + kMagazineMaxSlab];
+    // Stock that landed during the rendezvous (another warp's take, a
+    // free) serves first, exactly as each lane's own pop would have.
+    std::uint32_t got = 0;
+    if (mags) {
+      for (; got < n; ++got) {
+        blocks[got] = magazines_[cls].pop();
+        if (blocks[got] == nullptr) break;
+      }
     }
-    gpu::warp_broadcast(ctx, g, ok ? kStocked : kFailed);
-    if (lead != nullptr) return lead;
-    if (!ok) return nullptr;
-  } else if (gpu::warp_broadcast(ctx, g, kFailed) == kFailed) {
-    // The leader's slab found no memory; every member falls through to
-    // the per-block path, which can succeed where a slab could not.
-    parent_->count_miss(cls);
-    return nullptr;
+    const std::uint32_t hits = got;
+    if (got < n) {
+      // One bulk transaction for the rest: one semaphore wait and one
+      // claim walk or one new bin for the whole group. A refill class
+      // takes a whole slab from any arena, as refill() does, and stocks
+      // the surplus. (A home-only slab would send the lanes of an arena
+      // out of chunks to its siblings one by one, where near exhaustion
+      // their small takes fail while slab takers hold the expected
+      // units.)
+      const std::uint32_t rest = n - got;
+      const std::uint32_t taken =
+          may_refill && slab > rest
+              ? ua.allocate_batch(index_, cls, blocks + got, slab)
+              : allocate_batch(cls, blocks + got, rest);
+      if (taken > rest) stock(cls, taken, blocks + n, taken - rest);
+      got += taken < rest ? taken : rest;
+    }
+    if (mags) {
+      st.add(UAlloc::mag_stat(cls, UAlloc::kMagHits), hits);
+      st.add(UAlloc::mag_stat(cls, UAlloc::kMagMisses), n - hits);
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      handed[i] = i < got ? reinterpret_cast<std::uintptr_t>(blocks[i]) : 0;
+    }
   }
-  if (void* p = mag.pop()) {
-    parent_->count_hit(cls);
-    return p;
-  }
-  // Stock stolen between the broadcast and our pop — rare, harmless.
-  parent_->count_miss(cls);
-  return nullptr;
+  void* p = reinterpret_cast<void*>(
+      gpu::warp_scatter(ctx, g, g.is_leader() ? handed : nullptr));
+  // The take fell short (the class's last blocks could not cover the
+  // group and no bin could grow): re-probing one block at a time gives
+  // the pool's final blocks to threads instead of stranding them behind
+  // warp-sized demands.
+  if (p == nullptr) allocate_batch(cls, &p, 1);
+  return p;
 }
 
 void* Arena::refill_gated(std::uint32_t cls) {
@@ -155,95 +181,59 @@ void* Arena::refill(std::uint32_t cls, std::uint32_t max_batches) {
     const std::uint32_t got =
         parent_->allocate_batch(index_, cls, blocks, pol.slab);
     if (got == 0) break;
-    auto& st = parent_->st_.local();
-    st.add(UAlloc::mag_stat(cls, UAlloc::kMagRefills));
-    st.add(UAlloc::mag_stat(cls, UAlloc::kMagRefillBlocks), got);
-    std::uint32_t keep = 0;
-    if (first == nullptr) {
-      first = blocks[0];
-      keep = 1;
-    }
-    if (got > keep) {
-      // Link the surplus outside the magazine lock, splice in O(1).
-      for (std::uint32_t i = keep; i + 1 < got; ++i) {
-        *static_cast<void**>(blocks[i]) = blocks[i + 1];
-      }
-      const std::uint32_t cnt =
-          mag.push_chain(blocks[keep], blocks[got - 1], got - keep);
-      // Frees may have piled on while the batch claim waited; keep the
-      // capacity bound honest (and stop deepening into it).
-      if (cnt > pol.capacity) {
-        parent_->spill(mag, cls, 0);
-        break;
-      }
-    }
+    const std::uint32_t keep = first == nullptr ? 1 : 0;
+    if (first == nullptr) first = blocks[0];
+    if (!stock(cls, got, blocks + keep, got - keep)) break;
     // A short batch means the pool is tight; don't pound it for depth.
     if (got < pol.slab) break;
   }
   return first;
 }
 
+bool Arena::stock(std::uint32_t cls, std::uint32_t taken, void** surplus,
+                  std::uint32_t n) {
+  auto& st = parent_->st_.local();
+  st.add(UAlloc::mag_stat(cls, UAlloc::kMagRefills));
+  st.add(UAlloc::mag_stat(cls, UAlloc::kMagRefillBlocks), taken);
+  if (n == 0) return true;
+  // Link the surplus outside the magazine lock, splice in O(1).
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    *static_cast<void**>(surplus[i]) = surplus[i + 1];
+  }
+  Magazine& mag = magazines_[cls];
+  // Frees may have piled on while the batch claim waited; keep the
+  // capacity bound honest (and stop deepening into it).
+  if (mag.push_chain(surplus[0], surplus[n - 1], n) <=
+      kMagazinePolicy[cls].capacity) {
+    return true;
+  }
+  parent_->spill(mag, cls, 0);
+  return false;
+}
+
 std::uint32_t Arena::allocate_batch(std::uint32_t cls, void** out,
                                     std::uint32_t want) {
-  const std::uint32_t cap = parent_->class_capacity(cls);
-  const std::uint32_t n = want < cap ? want : cap;
-  return take_granted(cls, grant(cls, n), 0, n, out);
-}
-
-void* Arena::allocate_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
-  const gpu::CoalescedGroup g = gpu::coalesce_warp(ctx, classes_[cls].get());
-  if (g.size() == 1) return nullptr;
-  std::uint64_t v = kGrantFailed;
-  if (g.is_leader()) {
-    TOMA_CTR_INC("ualloc.coalesced_groups");
-    TOMA_CTR_ADD("ualloc.coalesced_threads", g.size());
-    v = grant(cls, g.size());
-  }
-  v = gpu::warp_broadcast(ctx, g, v);
-  // Each member takes one block of the group's grant: a claim from the
-  // listed bins, or block `rank` of the bin grown for the group. A failed
-  // grow leaves every member to the single-block take: the group claim is
-  // all-or-nothing, so at the exhaustion frontier the last (group size -
-  // 1) free blocks could never cover a full group — re-probing one block
-  // at a time gives the pool's final blocks to threads instead of
-  // stranding them behind warp-sized demands.
-  void* p = nullptr;
-  take_granted(cls, v, g.rank(), 1, &p);
-  return p;
-}
-
-std::uint64_t Arena::grant(std::uint32_t cls, std::uint32_t n) {
   SizeClassState& cs = *classes_[cls];
   const std::uint32_t cap = parent_->class_capacity(cls);
-  TOMA_DASSERT(n >= 1 && n <= cap);
+  const std::uint32_t n = want < cap ? want : cap;
+  TOMA_DASSERT(n >= 1 && n <= kMagazineMaxSlab);
   // Stage 1: accounting. Either n claimable blocks are guaranteed to exist
   // (kAcquired) or we are elected to produce a fresh bin (kMustGrow) —
   // one bin for all n, blocks [0, n) pre-taken.
   if (cs.blocks.wait(n, cap) == sync::BulkSemaphore::WaitResult::kAcquired) {
     TOMA_CTR_INC("ualloc.bin_hit");
-    return kGrantClaim;
+    claim_blocks(cls, n, out);
+    return n;
   }
   TOMA_CTR_INC("ualloc.bin_miss");
   TOMA_TRACE("ualloc.grow_bin", cls);
   BinHeader* bin = create_bin(cls, n);
   if (bin == nullptr) {
     cs.blocks.signal(0, cap - n);  // growth failed; let waiters re-decide
-    return kGrantFailed;
+    return 0;
   }
-  return reinterpret_cast<std::uint64_t>(bin);
-}
-
-std::uint32_t Arena::take_granted(std::uint32_t cls, std::uint64_t granted,
-                                  std::uint32_t first, std::uint32_t n,
-                                  void** out) {
-  if (granted == kGrantFailed) return 0;
-  if (granted == kGrantClaim) {
-    claim_blocks(cls, n, out);
-    return n;
-  }
-  auto* bin = reinterpret_cast<BinHeader*>(granted);
   for (std::uint32_t i = 0; i < n; ++i) {
-    out[i] = parent_->block_addr(bin, first + i);
+    out[i] = parent_->block_addr(bin, i);
   }
   parent_->st_.add(UAlloc::kAllocs, n);
   return n;
@@ -1000,6 +990,8 @@ UAllocStats UAlloc::stats() const {
   s.magazine_flushes = m.flushes;
   s.magazine_cached = m.cached;
   s.arena_fallbacks = st_.sum(kArenaFallbacks);
+  s.coalesced_groups = st_.sum(kCoalescedGroups);
+  s.coalesced_threads = st_.sum(kCoalescedThreads);
   return s;
 }
 

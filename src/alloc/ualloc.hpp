@@ -253,11 +253,12 @@ class Arena {
 
   /// Take up to `want` (<= kMagazineMaxSlab) blocks of `cls` from the
   /// bins in ONE bulk-semaphore transaction: the one way blocks leave the
-  /// bins (a single block is want = 1, a magazine refill one slab).
-  /// Returns the number of blocks written to `out` — `min(want,
-  /// capacity)` on success, 0 when this arena is out of memory. Either a
-  /// batched claim over the listed bins or one freshly grown bin whose
-  /// first slots are the caller's.
+  /// bins (a single block is want = 1, a magazine refill one slab, a warp
+  /// group its members' blocks). Returns the number of blocks written to
+  /// `out` — `min(want, capacity)` on success, 0 when this arena is out of
+  /// memory. Stage 1 is the semaphore wait; stage 2 either a batched claim
+  /// over the listed bins or one freshly grown bin whose first slots are
+  /// the caller's (a failed grow is signalled to the semaphore).
   std::uint32_t allocate_batch(std::uint32_t cls, void** out,
                                std::uint32_t want);
 
@@ -274,16 +275,22 @@ class Arena {
  private:
   friend class UAlloc;
 
-  /// Miss on a refill class, in-kernel: warp-mates that missed the same
-  /// magazine form one group, the leader fetches one slab for everyone
-  /// (without the refill gate: gating it would strand its whole group on
-  /// the per-warp semaphore path), and the members pop the restocked
-  /// magazine. nullptr sends the caller to the per-block path.
-  void* refill_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx);
+  /// In-kernel miss shared by warp-mates (paper §2.2: requests of
+  /// warp-mates invoking the allocator concurrently are transparently
+  /// coalesced). The leader of `g` takes every member's block the way a
+  /// lane takes its own: magazine stock first, then ONE batch for the
+  /// rest — on a refill class that may refill, a slab of `max(rest,
+  /// slab)` blocks taken as refill() takes one, the surplus stocked — and
+  /// hands each member its own block. A member the take could not cover
+  /// falls back to the single-block take, so the pool's last blocks still
+  /// reach lanes one at a time.
+  void* allocate_grouped(std::uint32_t cls, bool may_refill,
+                         gpu::ThreadCtx& ctx, const gpu::CoalescedGroup& g);
 
-  /// Miss on a refill class, solo (host threads, singleton groups):
-  /// refill under the magazine's single-refiller gate. A caller that finds
-  /// the gate held gets nullptr and takes the per-block path.
+  /// Miss on a refill class, solo (host threads, singleton groups,
+  /// coalescing off): refill under the magazine's single-refiller gate. A
+  /// caller that finds the gate held gets nullptr and takes the per-block
+  /// path.
   void* refill_gated(std::uint32_t cls);
 
   /// Slab refill: fetch up to `max_batches` slabs (stopping at the
@@ -292,31 +299,11 @@ class Arena {
   /// block can still succeed where a slab could not.
   void* refill(std::uint32_t cls, std::uint32_t max_batches);
 
-  /// Warp-coalesced path (paper §2.2: requests of warp-mates invoking the
-  /// allocator concurrently are transparently coalesced): the group's
-  /// leader runs stage 1 ONCE for the whole group and broadcasts the
-  /// grant, so on the grow path ONE new bin serves every member. nullptr
-  /// sends the caller to the single-block take (a singleton group, or a
-  /// group whose grow failed). Only used in-kernel for classes whose bins
-  /// hold at least a warp's worth of blocks.
-  void* allocate_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx);
-
-  /// Stage 1 of a take of `n` (<= capacity) blocks of `cls`: one
-  /// bulk-semaphore wait. Returns kGrantClaim when the caller holds `n`
-  /// units to claim from the listed bins; the address of a new bin whose
-  /// blocks [0, n) are the caller's when it was elected to grow; or
-  /// kGrantFailed when that growth failed (its failure already signalled
-  /// to the semaphore). One word, so a warp's leader can broadcast it.
-  std::uint64_t grant(std::uint32_t cls, std::uint32_t n);
-  static constexpr std::uint64_t kGrantFailed = 0;
-  static constexpr std::uint64_t kGrantClaim = 1;
-
-  /// Stage 2 of a take granted `granted`: claim `n` blocks from the
-  /// listed bins, or take blocks [first, first + n) of the granted bin.
-  /// Returns the number of blocks written to `out` (0 for kGrantFailed).
-  std::uint32_t take_granted(std::uint32_t cls, std::uint64_t granted,
-                             std::uint32_t first, std::uint32_t n,
-                             void** out);
+  /// Count one slab refill of `taken` blocks and splice its surplus,
+  /// `surplus[0, n)`, into the magazine of `cls`. False when frees had
+  /// filled the magazine meanwhile and the splice spilled it.
+  bool stock(std::uint32_t cls, std::uint32_t taken, void** surplus,
+             std::uint32_t n);
 
   /// Claim `n` (<= kMagazineMaxSlab) blocks from listed bins of `cls`
   /// (caller holds `n` semaphore units). Writes block addresses to `out`;
@@ -324,10 +311,10 @@ class Arena {
   /// success). Makes no heap allocation.
   void claim_blocks(std::uint32_t cls, std::uint32_t n, void** out);
 
-  /// The grow path of grant(): carve a bin slot, initialise the header
-  /// with blocks [0, pre_claimed) already taken, list the bin and publish
-  /// capacity - pre_claimed claimable units. nullptr on OOM (the caller
-  /// owns the semaphore failure signal).
+  /// The grow path of allocate_batch(): carve a bin slot, initialise the
+  /// header with blocks [0, pre_claimed) already taken, list the bin and
+  /// publish capacity - pre_claimed claimable units. nullptr on OOM (the
+  /// caller owns the semaphore failure signal).
   BinHeader* create_bin(std::uint32_t cls, std::uint32_t pre_claimed);
 
   /// Claim a bin slot in some chunk of this arena, growing a chunk from
@@ -347,8 +334,9 @@ class Arena {
 
 /// Magazine counters over a range of size classes (UAlloc::magazine_stats).
 struct MagazineStats {
-  std::uint64_t hits = 0;           // allocations served by a magazine pop
-  std::uint64_t misses = 0;         // pops on an empty magazine
+  std::uint64_t hits = 0;           // blocks served from a magazine (a
+                                    // lane's own pop or its group leader's)
+  std::uint64_t misses = 0;         // allocations a magazine missed
   std::uint64_t refills = 0;        // slab refill transactions
   std::uint64_t refill_blocks = 0;  // blocks fetched by refills
   std::uint64_t topups = 0;         // proactive low-stock restocks (on hits)
@@ -384,6 +372,8 @@ struct UAllocStats {
   std::uint64_t magazine_cached = 0;
   std::uint64_t arena_fallbacks = 0;   // allocations served by a non-home
                                        // arena after the home arena OOM'd
+  std::uint64_t coalesced_groups = 0;   // in-kernel warp-group takes
+  std::uint64_t coalesced_threads = 0;  // lanes in those groups
 };
 
 class UAlloc {
@@ -447,7 +437,8 @@ class UAlloc {
     return static_cast<std::uint32_t>(kBinDataSize / size_of_class(cls));
   }
 
-  /// Ablation knob: disable the warp-coalesced allocation path.
+  /// Ablation knob: disable the warp-coalesced allocation path (every
+  /// in-kernel group take; each lane then misses on its own).
   void set_coalescing(bool on) { coalesce_ = on; }
 
   /// The one switch for the magazines (default: heap_defaults()). Turning
@@ -627,6 +618,8 @@ class UAlloc {
     kBinRelists,
     kListRetries,
     kArenaFallbacks,
+    kCoalescedGroups,
+    kCoalescedThreads,
     kNumPlainStats
   };
   static constexpr const char* kStatNames[kNumPlainStats] = {
@@ -640,6 +633,8 @@ class UAlloc {
       "ualloc.bin_relist",
       "ualloc.list_retry",
       "ualloc.arena_fallback",
+      "ualloc.coalesced_groups",
+      "ualloc.coalesced_threads",
   };
   /// The magazine counters, one set per size class (MagazineStats minus
   /// the `cached` census); exported summed over the classes.

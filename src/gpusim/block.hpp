@@ -117,12 +117,12 @@ struct WarpCtx {
   std::atomic<std::uint32_t> rv_acks{0};
   std::atomic<std::uint64_t> rv_epoch{0};
 
-  // Broadcast slot (see warp_broadcast in warp.hpp). bc_owner serializes
-  // slot use across (possibly overlapping) groups; bc_token publishes a
-  // prepared value to the owning group's members.
+  // Hand-off slot (see warp_scatter in warp.hpp). bc_owner serializes
+  // slot use across (possibly overlapping) groups; bc_token publishes the
+  // leader's per-member values to the owning group's members.
   std::atomic<std::uint64_t> bc_owner{0};
   std::atomic<std::uint64_t> bc_token{0};
-  std::atomic<std::uint64_t> bc_value{0};
+  std::atomic<const std::uint64_t*> bc_values{nullptr};
   std::atomic<std::uint32_t> bc_acks{0};
 
   void reset_rendezvous() {
@@ -133,7 +133,7 @@ struct WarpCtx {
     rv_acks.store(0, std::memory_order_relaxed);
     bc_owner.store(0, std::memory_order_relaxed);
     bc_token.store(0, std::memory_order_relaxed);
-    bc_value.store(0, std::memory_order_relaxed);
+    bc_values.store(nullptr, std::memory_order_relaxed);
     bc_acks.store(0, std::memory_order_relaxed);
   }
 };

@@ -1,5 +1,7 @@
 #include "gpusim/stream.hpp"
 
+#include <atomic>
+
 namespace toma::gpu {
 
 namespace {

@@ -3,13 +3,10 @@
 // Operations submitted to one stream are ordered by submission; distinct
 // streams are unordered until a synchronization point. The simulator's
 // kernel launches are synchronous, so a Stream carries no execution state
-// of its own — it is an *identity* (a process-unique id the asynchronous
-// allocator front-end keys its per-stream deferred batches by) plus a
-// ticket pair that tracks how many submitted operations have reached a
-// sync point, mirroring CUDA's event/fence progress queries.
+// of its own: it is an *identity*, a process-unique id the asynchronous
+// allocator front-end keys its per-stream deferred batches by.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace toma::gpu {
@@ -24,36 +21,8 @@ class Stream {
 
   std::uint32_t id() const { return id_; }
 
-  /// Draw the next submission ticket (monotonic within the stream).
-  /// Returns the 1-based position of the submitted operation.
-  std::uint64_t ticket() {
-    return next_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  /// Tickets drawn so far.
-  std::uint64_t submitted() const {
-    return next_.load(std::memory_order_relaxed);
-  }
-
-  /// Mark every ticket <= `t` complete (monotonic: lower values no-op).
-  void complete_to(std::uint64_t t) {
-    std::uint64_t cur = completed_.load(std::memory_order_relaxed);
-    while (cur < t && !completed_.compare_exchange_weak(
-                          cur, t, std::memory_order_release)) {
-    }
-  }
-
-  std::uint64_t completed() const {
-    return completed_.load(std::memory_order_acquire);
-  }
-
-  /// No submitted operation is outstanding.
-  bool idle() const { return completed() >= submitted(); }
-
  private:
   std::uint32_t id_;
-  std::atomic<std::uint64_t> next_{0};
-  std::atomic<std::uint64_t> completed_{0};
 };
 
 /// The process-wide default stream (CUDA's stream 0 analogue): what the

@@ -92,15 +92,15 @@ CoalescedGroup coalesce_warp(ThreadCtx& ctx, const void* tag) {
   }
 }
 
-std::uint64_t warp_broadcast(ThreadCtx& ctx, const CoalescedGroup& g,
-                             std::uint64_t value) {
-  if (g.size() == 1) return value;
+std::uint64_t warp_scatter(ThreadCtx& ctx, const CoalescedGroup& g,
+                           const std::uint64_t* values) {
+  if (g.size() == 1) return values[0];
   WarpCtx& w = ctx.warp();
   if (g.is_leader()) {
-    // Acquire the warp's broadcast slot: groups overlap in time (a new
-    // rendezvous window can open while a previous group is still
-    // broadcasting), so the leader must own the slot before touching it,
-    // or it would strand the previous group's members.
+    // Acquire the warp's hand-off slot: groups overlap in time (a new
+    // rendezvous window can open while a previous group is still handing
+    // off), so the leader must own the slot before touching it, or it
+    // would strand the previous group's members.
     std::uint64_t expected = 0;
     while (!w.bc_owner.compare_exchange_weak(expected, g.token(),
                                              std::memory_order_acq_rel,
@@ -110,24 +110,26 @@ std::uint64_t warp_broadcast(ThreadCtx& ctx, const CoalescedGroup& g,
         return w.bc_owner.load(std::memory_order_acquire) == 0;
       });
     }
-    w.bc_value.store(value, std::memory_order_relaxed);
+    w.bc_values.store(values, std::memory_order_relaxed);
     w.bc_acks.store(0, std::memory_order_relaxed);
     w.bc_token.store(g.token(), std::memory_order_release);  // publish
-    // Wait for every member to consume before releasing the slot, so a
-    // subsequent group on this warp can broadcast safely.
+    // Wait for every member to read its entry before releasing the slot:
+    // `values` must outlive the reads, and a subsequent group on this warp
+    // can then hand off safely.
     const std::uint32_t members = g.size() - 1;
     ctx.wait_until([&w, members] {
       return w.bc_acks.load(std::memory_order_acquire) == members;
     });
     w.bc_token.store(0, std::memory_order_relaxed);
     w.bc_owner.store(0, std::memory_order_release);
-    return value;
+    return values[0];
   }
   const std::uint64_t token = g.token();
   ctx.wait_until([&w, token] {
     return w.bc_token.load(std::memory_order_acquire) == token;
   });
-  const std::uint64_t v = w.bc_value.load(std::memory_order_relaxed);
+  const std::uint64_t v =
+      w.bc_values.load(std::memory_order_relaxed)[g.rank()];
   w.bc_acks.fetch_add(1, std::memory_order_acq_rel);
   return v;
 }

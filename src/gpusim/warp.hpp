@@ -56,20 +56,14 @@ class CoalescedGroup {
 /// indefinitely; returns a singleton group if no peers show up.
 CoalescedGroup coalesce_warp(ThreadCtx& ctx, const void* tag);
 
-/// Broadcast a 64-bit value from the group's leader to every member (the
-/// simulator analogue of __shfl_sync from lane 0). EVERY member of `g`
-/// must call this exactly once with the same group; the leader's `value`
-/// is returned to all. At most one broadcast may be in flight per warp,
-/// which the group protocol guarantees (a warp hosts one live group per
-/// rendezvous window).
-std::uint64_t warp_broadcast(ThreadCtx& ctx, const CoalescedGroup& g,
-                             std::uint64_t value);
-
-/// Pointer-typed convenience over warp_broadcast.
-template <typename T>
-T* warp_broadcast_ptr(ThreadCtx& ctx, const CoalescedGroup& g, T* value) {
-  return reinterpret_cast<T*>(warp_broadcast(
-      ctx, g, reinterpret_cast<std::uint64_t>(value)));
-}
+/// Hand each member of `g` its own 64-bit value (the simulator analogue of
+/// a __shfl_sync in which lane `rank` reads slot `rank` of the leader's
+/// registers). The leader passes `values`, one entry per member indexed
+/// by rank; the other members pass nullptr. Every member, the leader
+/// included, returns `values[rank()]`. EVERY member of `g` must call this
+/// exactly once with the same group. The leader returns only after every
+/// member has read its own entry, so `values` may live on its stack.
+std::uint64_t warp_scatter(ThreadCtx& ctx, const CoalescedGroup& g,
+                           const std::uint64_t* values);
 
 }  // namespace toma::gpu

@@ -1,7 +1,7 @@
 // Exact per-shard statistics, and their export as registry counters.
 //
 // A stats owner (GpuAllocator, UAlloc, TBuddy, Pool, StreamFrontEnd,
-// BackingStore) keeps its exact counters in a ShardedStats
+// BackingStore, HeapSan) keeps its exact counters in a ShardedStats
 // (obs/counter.hpp): one cache-line-aligned block per obs shard
 // (obs/context.hpp: the SM inside a kernel, the host thread's ordinal
 // outside one). An event is one relaxed fetch_add on a line only the

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/telemetry.hpp"
 #include "util/assert.hpp"
 
 namespace toma::san {
@@ -71,8 +70,7 @@ void* HeapSan::on_alloc(void* base, std::size_t capacity,
 }
 
 bool HeapSan::verify_redzones(const void* user_ptr, const Record& rec) {
-  st_redzone_checks_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("san.redzone_check");
+  st_.add(kRedzoneChecks);
   const std::size_t rz = cfg_.redzone_bytes;
   const auto* base = static_cast<const std::uint8_t*>(rec.base);
   const auto* user = static_cast<const std::uint8_t*>(user_ptr);
@@ -104,8 +102,7 @@ bool HeapSan::verify_redzones(const void* user_ptr, const Record& rec) {
 }
 
 bool HeapSan::verify_quarantined(const void* user_ptr, const Record& rec) {
-  st_poison_checks_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("san.poison_check");
+  st_.add(kPoisonChecks);
   const auto* base = static_cast<const std::uint8_t*>(rec.base);
   const auto* user = static_cast<const std::uint8_t*>(user_ptr);
   const std::uint8_t* end = base + rec.capacity;
@@ -159,8 +156,7 @@ HeapSan::FreeResult HeapSan::on_free(void* user_ptr) {
   verify_redzones(user_ptr, rec);  // a reported OOB still frees normally
   std::memset(user_ptr, kFreePoison, rec.user_size);
 
-  st_pushes_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("san.quarantine.push");
+  st_.add(kPushes);
   {
     Guard g(q_mu_);
     quarantine_.push_back(user_ptr);
@@ -277,8 +273,7 @@ std::size_t HeapSan::evict_down_to(std::size_t max_blocks,
       q_bytes_.store(q_bytes_plain_, std::memory_order_relaxed);
     }
     verify_quarantined(victim, rec);
-    st_evictions_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("san.quarantine.evict");
+    st_.add(kEvictions);
     release_(rec.base);
     ++evicted;
   }
@@ -288,8 +283,7 @@ std::size_t HeapSan::evict_down_to(std::size_t max_blocks,
 std::size_t HeapSan::flush_quarantine() {
   const std::size_t evicted = evict_down_to(0, 0);
   if (evicted > 0) {
-    st_flushes_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("san.quarantine.flush");
+    st_.add(kFlushes);
   }
   return evicted;
 }
@@ -319,11 +313,11 @@ HeapSanStats HeapSan::stats() const {
   s.live_bytes = live_bytes_.load(std::memory_order_relaxed);
   s.quarantined_blocks = q_blocks_.load(std::memory_order_relaxed);
   s.quarantined_bytes = q_bytes_.load(std::memory_order_relaxed);
-  s.quarantine_pushes = st_pushes_.load(std::memory_order_relaxed);
-  s.quarantine_evictions = st_evictions_.load(std::memory_order_relaxed);
-  s.quarantine_flushes = st_flushes_.load(std::memory_order_relaxed);
-  s.redzone_checks = st_redzone_checks_.load(std::memory_order_relaxed);
-  s.poison_checks = st_poison_checks_.load(std::memory_order_relaxed);
+  s.quarantine_pushes = st_.sum(kPushes);
+  s.quarantine_evictions = st_.sum(kEvictions);
+  s.quarantine_flushes = st_.sum(kFlushes);
+  s.redzone_checks = st_.sum(kRedzoneChecks);
+  s.poison_checks = st_.sum(kPoisonChecks);
   return s;
 }
 

@@ -35,6 +35,7 @@
 #include <functional>
 #include <unordered_map>
 
+#include "obs/stats.hpp"
 #include "san/report.hpp"
 #include "sync/spin_mutex.hpp"
 
@@ -207,16 +208,29 @@ class HeapSan {
   std::deque<const void*> quarantine_;  // user pointers, FIFO
   std::size_t q_bytes_plain_ = 0;       // slot bytes held; guarded by q_mu_
 
+  // Live and quarantine gauges: engaged() reads them on every free.
   std::atomic<std::uint64_t> live_blocks_{0};
   std::atomic<std::uint64_t> live_bytes_{0};
   std::atomic<std::uint64_t> q_blocks_{0};
   std::atomic<std::uint64_t> q_bytes_{0};
-  std::atomic<std::uint64_t> st_pushes_{0};
-  std::atomic<std::uint64_t> st_evictions_{0};
-  std::atomic<std::uint64_t> st_flushes_{0};
-  std::atomic<std::uint64_t> st_redzone_checks_{0};
-  std::atomic<std::uint64_t> st_poison_checks_{0};
   std::atomic<std::uint64_t> alloc_seq_{0};
+
+  // --- exact statistics (obs/stats.hpp) ------------------------------------
+  enum Stat : std::uint32_t {
+    kRedzoneChecks,
+    kPoisonChecks,
+    kPushes,
+    kEvictions,
+    kFlushes,
+    kNumStats
+  };
+  static constexpr const char* kStatNames[kNumStats] = {
+      "san.redzone_check",    "san.poison_check",    "san.quarantine.push",
+      "san.quarantine.evict", "san.quarantine.flush",
+  };
+  obs::ShardedStats<kNumStats> st_;
+  obs::StatsSource stats_source_{
+      [this](obs::CounterTotals& out) { obs::collect(st_, out, kStatNames); }};
 };
 
 }  // namespace toma::san

@@ -1,18 +1,10 @@
 #include "vmm/backing.hpp"
 
-#include <cstdlib>
+#include <sys/mman.h>
 
 #include "obs/telemetry.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define TOMA_VMM_MMAP 1
-#include <sys/mman.h>
-#include <unistd.h>
-#else
-#define TOMA_VMM_MMAP 0
-#endif
 
 namespace toma::vmm {
 
@@ -108,7 +100,6 @@ BackingStore::BackingStore(const BackingConfig& cfg)
                      std::memory_order_relaxed);
   }
 
-#if TOMA_VMM_MMAP
   // Reserve twice the span PROT_NONE, then trim to a reserve_bytes-aligned
   // window — mmap only guarantees page alignment, and every consumer of
   // the pool relies on base % pool_bytes == 0 (block addresses inherit
@@ -126,15 +117,6 @@ BackingStore::BackingStore(const BackingConfig& cfg)
     ::munmap(reinterpret_cast<void*>(aligned + reserve_bytes_), tail);
   }
   base_ = reinterpret_cast<void*>(aligned);
-  os_backed_ = true;
-#else
-  // No mmap on this platform: commit the whole span eagerly and let
-  // map/unmap degrade to chunk-table bookkeeping. Elasticity is lost but
-  // the accounting (and everything built on it) behaves identically.
-  base_ = std::aligned_alloc(reserve_bytes_, reserve_bytes_);
-  TOMA_ASSERT_MSG(base_ != nullptr, "vmm reservation failed");
-  os_backed_ = false;
-#endif
 
   for (std::uint32_t i = 0; i < cfg.initial_chunks; ++i) {
     const bool ok = map_chunk(i);
@@ -143,11 +125,7 @@ BackingStore::BackingStore(const BackingConfig& cfg)
 }
 
 BackingStore::~BackingStore() {
-#if TOMA_VMM_MMAP
   if (base_ != nullptr) ::munmap(base_, reserve_bytes_);
-#else
-  std::free(base_);
-#endif
 }
 
 bool BackingStore::map_chunk(std::uint32_t idx) {
@@ -156,13 +134,9 @@ bool BackingStore::map_chunk(std::uint32_t idx) {
   if (mapped_chunks_.load(std::memory_order_relaxed) >= max_chunks_) {
     return false;
   }
-#if TOMA_VMM_MMAP
-  if (os_backed_) {
-    const int rc =
-        ::mprotect(chunk_addr(idx), chunk_bytes_, PROT_READ | PROT_WRITE);
-    TOMA_ASSERT_MSG(rc == 0, "vmm chunk map (mprotect) failed");
-  }
-#endif
+  const int rc =
+      ::mprotect(chunk_addr(idx), chunk_bytes_, PROT_READ | PROT_WRITE);
+  TOMA_ASSERT_MSG(rc == 0, "vmm chunk map (mprotect) failed");
   mapped_[idx] = 1;
   mapped_chunks_.fetch_add(1, std::memory_order_relaxed);
   // Any forward entries whose old addresses live here described blocks in
@@ -192,16 +166,12 @@ void* BackingStore::map_next() {
 void BackingStore::unmap_chunk(std::uint32_t idx) {
   TOMA_ASSERT(idx < chunk_count_);
   TOMA_ASSERT_MSG(mapped_[idx] != 0, "unmap of an unmapped chunk");
-#if TOMA_VMM_MMAP
-  if (os_backed_) {
-    // DONTNEED returns the physical pages; the PROT_NONE re-protection
-    // turns any stale-pointer touch into a fault instead of a silent
-    // read of a zero page.
-    ::madvise(chunk_addr(idx), chunk_bytes_, MADV_DONTNEED);
-    const int rc = ::mprotect(chunk_addr(idx), chunk_bytes_, PROT_NONE);
-    TOMA_ASSERT_MSG(rc == 0, "vmm chunk unmap (mprotect) failed");
-  }
-#endif
+  // DONTNEED returns the physical pages; the PROT_NONE re-protection
+  // turns any stale-pointer touch into a fault instead of a silent read
+  // of a zero page.
+  ::madvise(chunk_addr(idx), chunk_bytes_, MADV_DONTNEED);
+  const int rc = ::mprotect(chunk_addr(idx), chunk_bytes_, PROT_NONE);
+  TOMA_ASSERT_MSG(rc == 0, "vmm chunk unmap (mprotect) failed");
   mapped_[idx] = 0;
   mapped_chunks_.fetch_sub(1, std::memory_order_relaxed);
   set_state(idx, ChunkState::kRetired);

@@ -203,7 +203,6 @@ class BackingStore {
   std::size_t chunk_bytes_ = 0;
   std::uint32_t chunk_count_ = 0;
   std::uint32_t max_chunks_ = 0;
-  bool os_backed_ = false;  // mmap reservation vs. plain-heap fallback
 
   std::vector<std::uint8_t> mapped_;  // chunk table: 1 = mapped
   // Per-chunk ChunkState; a separate atomic array (not bits in mapped_)

@@ -35,13 +35,11 @@ TEST(StreamAsync, FreeIsDeferredUntilSync) {
   EXPECT_EQ(pool.stats().alloc.frees, 0u);
   EXPECT_EQ(pool.stats().stream.pending, 1u);
   EXPECT_EQ(pool.bytes_in_use(), 128u);
-  EXPECT_FALSE(s.idle());
 
   EXPECT_EQ(pool.sync(s), 1u);
   EXPECT_EQ(pool.stats().alloc.frees, 1u);
   EXPECT_EQ(pool.stats().stream.pending, 0u);
   EXPECT_EQ(pool.bytes_in_use(), 0u);
-  EXPECT_TRUE(s.idle());
   EXPECT_TRUE(pool.check_consistency());
 }
 
@@ -212,7 +210,6 @@ TEST(StreamAsync, ReleaseStreamForgetsSlot) {
   pool.free_async(p, s);
   EXPECT_EQ(pool.release_stream(s), 1u);
   EXPECT_EQ(pool.stats().stream.pending, 0u);
-  EXPECT_TRUE(s.idle());
 }
 
 TEST(StreamAsync, DrainBatchesAreCounted) {
@@ -243,7 +240,6 @@ TEST(StreamAsync, SmallFreesRouteThroughMagazineNotPendingList) {
   pool.free_async(p, s);
   EXPECT_EQ(pool.stats().stream.pending, 0u);
   EXPECT_EQ(pool.bytes_in_use(), 0u);
-  EXPECT_TRUE(s.idle());
   EXPECT_GE(pool.stats().alloc.lane.cached, 1u);
 
   // The next small malloc_async picks the block up from the magazine in

@@ -25,6 +25,37 @@ class UAllocTest : public ::testing::Test {
   UAlloc ua_;
 };
 
+// One warp of 32 lanes allocating `size` once each from a fresh
+// one-arena UAlloc. Checks the 32 blocks are distinct and free cleanly;
+// returns the stats after the take and, in `stocked`, what the class's
+// magazine then held.
+UAllocStats one_warp_take(std::size_t size, bool coalesce, bool magazines,
+                          std::uint32_t* stocked = nullptr) {
+  constexpr std::size_t kPool = 4 * kChunkSize;
+  test::AlignedPool pool(kPool);
+  TBuddy buddy(pool.get(), kPool);
+  UAlloc ua(buddy, /*num_arenas=*/1);
+  ua.set_magazines(magazines);
+  ua.set_coalescing(coalesce);
+  std::vector<void*> got(32);
+  gpu::Device dev(test::small_device());
+  dev.launch_linear(32, 32, [&](gpu::ThreadCtx& t) {
+    got[t.global_rank()] = ua.allocate(size);
+  });
+  const std::set<void*> unique(got.begin(), got.end());
+  EXPECT_EQ(unique.size(), 32u) << "duplicate blocks";
+  EXPECT_EQ(unique.count(nullptr), 0u);
+  const UAllocStats st = ua.stats();
+  if (stocked != nullptr) {
+    *stocked = ua.arena(0).magazine_count(size_class_of(size));
+  }
+  for (void* p : got) {
+    if (p != nullptr) ua.free(p);
+  }
+  EXPECT_TRUE(ua.check_consistency());
+  return st;
+}
+
 TEST_F(UAllocTest, GeometryConstants) {
   EXPECT_EQ(bin_capacity(size_class_of(8)), 512u);
   EXPECT_EQ(bin_capacity(size_class_of(16)), 256u);
@@ -262,6 +293,14 @@ TEST_F(UAllocTest, CoalescedWarpAllocationsAreDistinct) {
     ASSERT_NE(p, nullptr);
     EXPECT_TRUE(unique.insert(p).second) << "duplicate block";
   }
+  // Lanes met in groups larger than one, and each lane's visit counted
+  // one magazine hit (its own pop or its leader's) or one miss.
+  const UAllocStats st = ua_.stats();
+  EXPECT_GT(st.coalesced_groups, 0u);
+  EXPECT_GT(st.coalesced_threads, st.coalesced_groups);
+  if (ua_.magazines_enabled()) {
+    EXPECT_EQ(st.magazine_hits + st.magazine_misses, kThreads);
+  }
   for (auto& s : slots) ua_.free(s.load());
   EXPECT_TRUE(ua_.check_consistency());
 }
@@ -280,8 +319,21 @@ TEST_F(UAllocTest, CoalescingTogglesOff) {
     ua_.free(p);
   });
   EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(ua_.stats().coalesced_groups, 0u);
   EXPECT_TRUE(ua_.check_consistency());
   ua_.set_coalescing(true);
+  // The switch reaches every group take, refill classes included; on,
+  // every class whose bin holds a warp (8-128 B) groups its warp-mates,
+  // with magazines on or off.
+  for (const bool mags : {true, false}) {
+    for (std::size_t size = kMinAlloc; size <= kMaxUAllocSize; size *= 2) {
+      SCOPED_TRACE(testing::Message() << size << " B, magazines " << mags);
+      EXPECT_EQ(one_warp_take(size, false, mags).coalesced_groups, 0u);
+      const bool groups = bin_capacity(size_class_of(size)) >= 32;
+      EXPECT_EQ(one_warp_take(size, true, mags).coalesced_groups > 0,
+                groups);
+    }
+  }
 }
 
 TEST_F(UAllocTest, CoalescedMixedWithIndividual) {
@@ -551,6 +603,28 @@ TEST_F(UAllocTest, TrimFlushesMagazines) {
   EXPECT_TRUE(ua_.check_consistency());
 }
 
+TEST(UAllocCoalescing, WarpMissOnEmptyMagazineIsOneGroupTake) {
+  // A full warp that misses an empty 64 B magazine meets once: its leader
+  // takes one slab (one new bin of 64 blocks) in one transaction, hands
+  // each lane its own block and stocks the other 32. Every lane counts
+  // one miss; the take counts one refill of all 64 blocks.
+  std::uint32_t stocked = 0;
+  const UAllocStats st = one_warp_take(64, /*coalesce=*/true,
+                                       /*magazines=*/true, &stocked);
+  EXPECT_EQ(st.coalesced_groups, 1u);
+  EXPECT_EQ(st.coalesced_threads, 32u);
+  EXPECT_EQ(st.bins_created, 1u);
+  EXPECT_EQ(st.magazine_refills, 1u);
+  EXPECT_EQ(st.magazine_refill_blocks, 64u);
+  EXPECT_EQ(st.magazine_misses, 32u);
+  EXPECT_EQ(st.magazine_hits, 0u);
+  EXPECT_EQ(stocked, 32u) << "the slab's surplus was not stocked";
+  // Switched off, the same warp forms no group: each lane misses alone.
+  EXPECT_EQ(one_warp_take(64, /*coalesce=*/false, /*magazines=*/true)
+                .coalesced_groups,
+            0u);
+}
+
 TEST(UAllocArenaFallback, SingleChunkPoolServesAllArenas) {
   // Regression for the fig7 8 B anomaly: with a pool of exactly one chunk
   // and two arenas, whichever arena won the chunk race was the only one
@@ -579,20 +653,20 @@ TEST(UAllocArenaFallback, SingleChunkPoolServesAllArenas) {
 }
 
 TEST(UAllocExhaustion, WarpGroupsHandTheLastBlocksToLanes) {
-  // A warp group's grant is all-or-nothing: a group that finds fewer free
+  // A warp group's take is all-or-nothing: a group that finds fewer free
   // blocks than lanes and cannot grow a bin gets none. Its lanes must then
   // take one block at a time, or the class's last blocks strand behind
-  // warp-sized demands. Magazines off, one arena, a one-chunk pool: one
-  // warp of 24 lanes (24 does not divide the pool's 1984 blocks of 128 B;
-  // capacity 32, so the class coalesces) must take exactly as many blocks
-  // as one host thread does.
+  // warp-sized demands. One arena, a one-chunk pool: one warp of 24 lanes
+  // (24 does not divide the pool's 1984 blocks of 128 B; capacity 32, so
+  // the class coalesces) must take exactly as many blocks as one host
+  // thread does, with magazines off and on (128 B never refills).
   constexpr std::size_t kPool = kChunkSize;
   constexpr std::size_t kSize = 128;
-  const auto fill = [&](bool in_kernel) {
+  const auto fill = [&](bool in_kernel, bool magazines = false) {
     test::AlignedPool pool(kPool);
     TBuddy buddy(pool.get(), kPool);
     UAlloc ua(buddy, /*num_arenas=*/1);
-    ua.set_magazines(false);
+    ua.set_magazines(magazines);
     std::vector<void*> held(kPool / kSize);
     std::atomic<std::size_t> n{0};
     const auto take_all = [&] {
@@ -613,6 +687,8 @@ TEST(UAllocExhaustion, WarpGroupsHandTheLastBlocksToLanes) {
   const std::size_t solo = fill(false);
   EXPECT_EQ(solo, std::size_t{kDataBins} * 32);
   EXPECT_EQ(fill(true), solo) << "warp groups stranded the last blocks";
+  EXPECT_EQ(fill(true, /*magazines=*/true), solo)
+      << "warp groups stranded the last blocks behind the magazine";
 }
 
 }  // namespace

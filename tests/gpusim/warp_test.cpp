@@ -105,54 +105,81 @@ TEST(CoalescedGroup, SingletonFactory) {
   EXPECT_NE(CoalescedGroup::singleton(0).token(), 0u);
 }
 
-TEST(WarpBroadcast, LeaderValueReachesAllMembers) {
+// The leader's value for member `rank` of group `g`, distinct per rank.
+std::uint64_t value_for(const CoalescedGroup& g, std::uint32_t rank,
+                        int round = 0) {
+  return g.token() + static_cast<std::uint64_t>(round) * 64 + rank;
+}
+
+TEST(WarpScatter, EachMemberReceivesItsOwnValue) {
   Device dev(test::small_device());
   std::atomic<int> bad{0};
+  std::atomic<int> grouped{0};
   int tag;
   dev.launch(Dim3{4}, Dim3{64}, [&](ThreadCtx& t) {
     CoalescedGroup g = coalesce_warp(t, &tag);
-    // Leader contributes a group-specific value; members must receive it.
-    const std::uint64_t mine = g.is_leader() ? g.token() : 0xdead;
-    const std::uint64_t got = warp_broadcast(t, g, mine);
-    if (got != g.token()) bad.fetch_add(1);
+    if (g.size() > 1) grouped.fetch_add(1);
+    // Only the leader's array counts; a member's own guess must not leak.
+    std::uint64_t mine[64];
+    for (std::uint32_t r = 0; r < g.size(); ++r) {
+      mine[r] = g.is_leader() ? value_for(g, r) : 0xdead;
+    }
+    const std::uint64_t got =
+        warp_scatter(t, g, g.is_leader() ? mine : nullptr);
+    if (got != value_for(g, g.rank())) bad.fetch_add(1);
   });
   EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(grouped.load(), 0) << "no lane was handed a value by a leader";
 }
 
-TEST(WarpBroadcast, SingletonReturnsOwnValue) {
+TEST(WarpScatter, SingletonReturnsOwnValue) {
   Device dev(test::small_device());
   std::atomic<int> bad{0};
   dev.launch(Dim3{1}, Dim3{1}, [&](ThreadCtx& t) {
     CoalescedGroup g = CoalescedGroup::singleton(9);
-    if (warp_broadcast(t, g, 1234) != 1234) bad.fetch_add(1);
+    const std::uint64_t v = 1234;
+    if (warp_scatter(t, g, &v) != 1234) bad.fetch_add(1);
   });
   EXPECT_EQ(bad.load(), 0);
 }
 
-TEST(WarpBroadcast, RepeatedBroadcastsOnSameWarp) {
+TEST(WarpScatter, RepeatedScattersOnSameWarp) {
   Device dev(test::small_device());
   std::atomic<int> bad{0};
   int tag;
   dev.launch(Dim3{1}, Dim3{32}, [&](ThreadCtx& t) {
     for (int round = 0; round < 6; ++round) {
       CoalescedGroup g = coalesce_warp(t, &tag);
+      std::uint64_t mine[32];
+      for (std::uint32_t r = 0; r < g.size(); ++r) {
+        mine[r] = value_for(g, r, round);
+      }
       const std::uint64_t v =
-          warp_broadcast(t, g, g.is_leader() ? g.token() + round : 0);
-      if (v != g.token() + round) bad.fetch_add(1);
+          warp_scatter(t, g, g.is_leader() ? mine : nullptr);
+      if (v != value_for(g, g.rank(), round)) bad.fetch_add(1);
     }
   });
   EXPECT_EQ(bad.load(), 0);
 }
 
-TEST(WarpBroadcast, PointerConvenience) {
+TEST(WarpScatter, PointersReachTheirOwnRank) {
   Device dev(test::small_device());
   std::atomic<int> bad{0};
   int tag;
-  int payload = 7;
+  int payload[64];
+  for (int i = 0; i < 64; ++i) payload[i] = i;
   dev.launch(Dim3{1}, Dim3{64}, [&](ThreadCtx& t) {
     CoalescedGroup g = coalesce_warp(t, &tag);
-    int* got = warp_broadcast_ptr(t, g, g.is_leader() ? &payload : nullptr);
-    if (got != &payload || *got != 7) bad.fetch_add(1);
+    std::uint64_t mine[64];
+    for (std::uint32_t r = 0; r < g.size(); ++r) {
+      mine[r] = reinterpret_cast<std::uintptr_t>(&payload[r]);
+    }
+    const int* got = reinterpret_cast<const int*>(
+        warp_scatter(t, g, g.is_leader() ? mine : nullptr));
+    if (got != &payload[g.rank()] ||
+        *got != static_cast<int>(g.rank())) {
+      bad.fetch_add(1);
+    }
   });
   EXPECT_EQ(bad.load(), 0);
 }

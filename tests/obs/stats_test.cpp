@@ -103,8 +103,10 @@ TEST(StatsSource, AllocatorsAreTheSourceOfTheirCounters) {
   const Snapshot before = registry().snapshot();
   auto a = std::make_unique<alloc::GpuAllocator>(cfg);
   alloc::GpuAllocator b(cfg);
+  a->set_heapsan(true);
   for (int i = 0; i < 3; ++i) a->free(a->malloc(64));
   for (int i = 0; i < 4; ++i) b.free(b.malloc(8192));
+  a->trim();  // drains a's quarantine: evictions, poison checks, a flush
   Snapshot d = registry().snapshot().diff_since(before);
   EXPECT_EQ(counter(d, "alloc.malloc"), 7u);
   EXPECT_EQ(counter(d, "alloc.free"), 7u);
@@ -112,10 +114,30 @@ TEST(StatsSource, AllocatorsAreTheSourceOfTheirCounters) {
       a->stats().buddy.splits + b.stats().buddy.splits;
   EXPECT_GT(splits, 0u);
   EXPECT_EQ(counter(d, "tbuddy.split"), splits);
+  // HeapSan is the source of its san.* counters.
+  const san::HeapSanStats sa = a->stats().heapsan;
+  const san::HeapSanStats sb = b.stats().heapsan;
+  EXPECT_EQ(sa.quarantine_pushes, 3u);
+  EXPECT_EQ(sa.quarantine_evictions, 3u);
+  EXPECT_EQ(sa.quarantine_flushes, 1u);
+  const auto expect_san = [&](const Snapshot& snap) {
+    EXPECT_EQ(counter(snap, "san.redzone_check"),
+              sa.redzone_checks + sb.redzone_checks);
+    EXPECT_EQ(counter(snap, "san.poison_check"),
+              sa.poison_checks + sb.poison_checks);
+    EXPECT_EQ(counter(snap, "san.quarantine.push"),
+              sa.quarantine_pushes + sb.quarantine_pushes);
+    EXPECT_EQ(counter(snap, "san.quarantine.evict"),
+              sa.quarantine_evictions + sb.quarantine_evictions);
+    EXPECT_EQ(counter(snap, "san.quarantine.flush"),
+              sa.quarantine_flushes + sb.quarantine_flushes);
+  };
+  expect_san(d);
   a.reset();
   d = registry().snapshot().diff_since(before);
   EXPECT_EQ(counter(d, "alloc.malloc"), 7u) << "a destroyed owner folds";
   EXPECT_EQ(counter(d, "tbuddy.split"), splits);
+  expect_san(d);
   b.free(b.malloc(16));
   d = registry().snapshot().diff_since(before);
   EXPECT_EQ(counter(d, "alloc.malloc"), 8u);
