@@ -49,7 +49,6 @@ Out run(const Options& opt, bool defrag_on) {
   alloc::HeapConfig cfg;
   cfg.pool_bytes = 256u << 20;  // VA reservation; mapping grows on demand
   cfg.num_arenas = 1;
-  cfg.vmm = true;
   // Finer granules than the pool/64 auto-chunk: compaction can only
   // round the footprint to whole chunks, and the interesting signal is
   // how closely mapped tracks live.

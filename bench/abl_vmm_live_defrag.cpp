@@ -80,7 +80,6 @@ Out run(const Options& opt, alloc::DefragMode mode, const char* name) {
   alloc::HeapConfig cfg;
   cfg.pool_bytes = 256u << 20;  // VA reservation; mapping grows on demand
   cfg.num_arenas = 1;
-  cfg.vmm = true;
   cfg.chunk_bytes = 1u << 20;
   cfg.defrag_mode = mode;
   // Retain-all during the run (the throughput-oriented default): trimming

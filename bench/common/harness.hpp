@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "alloc/allocator.hpp"  // HeapConfig{}.vmm for the run meta
 #include "gpusim/gpusim.hpp"
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
@@ -212,7 +211,6 @@ inline void stamp_run_meta(const Options& opt, util::Table& table) {
   table.set_meta("hardware_concurrency",
                  std::to_string(std::thread::hardware_concurrency()));
   table.set_meta("telemetry", TOMA_TELEMETRY ? "on" : "off");
-  table.set_meta("vmm", alloc::HeapConfig{}.vmm ? "on" : "off");
 }
 
 inline void finish_table(const Options& opt, util::Table& table) {

@@ -91,11 +91,14 @@ Result run_case(gpu::Device& dev, const Options& opt, const SizeCase& c,
 
 int main_impl(int argc, char** argv) {
   // Local pre-scan: --only=BYTES restricts the sweep to one size case,
-  // and --ours-only skips the two baseline allocators (iterating/profiling
-  // a single row without the 17-case three-allocator sweep). Stripped
+  // --ours-only skips the two baseline allocators (iterating/profiling
+  // a single row without the 17-case three-allocator sweep), and
+  // --fixed-pool gives our allocator the baselines' fixed nominal pool
+  // (one chunk, mapped at creation) instead of the elastic one. Stripped
   // before the shared parser sees them.
   std::size_t only = 0;
   bool ours_only = false;
+  bool fixed_pool = false;
   {
     int w = 1;
     for (int i = 1; i < argc; ++i) {
@@ -103,6 +106,8 @@ int main_impl(int argc, char** argv) {
         only = static_cast<std::size_t>(std::atoll(argv[i] + 7));
       } else if (std::strcmp(argv[i], "--ours-only") == 0) {
         ours_only = true;
+      } else if (std::strcmp(argv[i], "--fixed-pool") == 0) {
+        fixed_pool = true;
       } else {
         argv[w++] = argv[i];
       }
@@ -124,6 +129,7 @@ int main_impl(int argc, char** argv) {
                     "scatter (ops/s)", "scatter fail%", "ours (ops/s)",
                     "ours fail%", "ours/cuda", "ours mapped (MB)",
                     "tb grows", "tb retries", "ua binmiss"});
+  table.set_meta("pool", fixed_pool ? "fixed" : "elastic");
 
   for (const SizeCase& c : build_cases(opt.full, opt.quick)) {
     if (only != 0 && c.alloc_size != only) continue;
@@ -166,7 +172,11 @@ int main_impl(int argc, char** argv) {
       alloc::HeapConfig hc;
       hc.num_arenas = dev.num_sms();
       hc.pool_bytes = c.pool_bytes;
-      if (hc.vmm) {
+      if (fixed_pool) {
+        // The paper's heap: the nominal pool as one chunk, so structural
+        // overhead near exhaustion fails allocations (the fail% ladder).
+        hc.chunk_bytes = c.pool_bytes;
+      } else {
         // Elastic backing (the default): map the nominal budget up
         // front and reserve a second pool's worth of address space, so
         // near-exhaustion structural overhead (bin headers, tails,

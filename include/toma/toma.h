@@ -89,12 +89,14 @@ typedef struct toma_pool_config {
                              * or hardware concurrency). Process-wide:
                              * the last pool created with a nonzero
                              * value wins                                */
-  int vmm;                  /* elastic chunked backing: pool_bytes is a
-                             * VA reservation, physical chunks map on
-                             * demand (grow on exhaustion, unmap at
-                             * trim). -1 = library default
-                             * (TOMA_HEAP_DEFAULTS), 0 = fixed-size
-                             * pool, 1 = on                              */
+  int vmm;                  /* -1 or 1 = elastic chunked backing:
+                             * pool_bytes is a VA reservation, physical
+                             * chunks map on demand (grow on
+                             * exhaustion, unmap at trim) with the
+                             * geometry below. 0 = fixed-size pool: all
+                             * of pool_bytes mapped at creation as one
+                             * chunk that never grows or shrinks (the
+                             * three fields below are ignored)           */
   size_t chunk_bytes;       /* backing-chunk granule: power-of-two
                              * multiple of 256 KiB dividing pool_bytes;
                              * 0 = auto (pool/64, clamped to
@@ -249,10 +251,10 @@ typedef struct toma_defrag_stats {
 /* One bounded incremental compaction slice: evacuate at most
  * `budget_bytes` (0 = library default) from the sparsest backing chunk,
  * concurrent with allocator traffic. Returns TOMA_OK and fills *stats
- * (when non-NULL) with the pool's cumulative defrag counters;
- * TOMA_ERR_INVALID on a pool without elastic (vmm) backing. Requires
- * relocation hooks with prepare; steps without them only advance
- * retirement of already-evacuated chunks. */
+ * (when non-NULL) with the pool's cumulative defrag counters; a
+ * fixed-size (vmm = 0) pool has no chunk to evacuate and moves nothing.
+ * Requires relocation hooks with prepare; steps without them only
+ * advance retirement of already-evacuated chunks. */
 toma_status_t toma_pool_defrag(toma_pool_t pool, size_t budget_bytes,
                                toma_defrag_stats_t* stats);
 

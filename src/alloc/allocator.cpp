@@ -1,6 +1,5 @@
 #include "alloc/allocator.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <algorithm>
 #include <cstdint>
@@ -32,11 +31,9 @@ constexpr std::uint32_t kSizeClassBuckets = 16;
 GpuAllocator::GpuAllocator(const HeapConfig& cfg)
     : pool_bytes_(cfg.pool_bytes),
       quota_(cfg.quota_bytes),
-      stats_source_([this, elastic = cfg.vmm, last = std::size_t{0},
-                     freed = std::uint64_t{0}](
+      stats_source_([this, last = std::size_t{0}, freed = std::uint64_t{0}](
                         obs::CounterTotals& out) mutable {
         obs::collect(st_, out, kStatNames);
-        if (!elastic) return;
         // A monotonic pair whose difference is bytes_in_use(): every drop
         // in live bytes since the previous snapshot counts as freed.
         const std::size_t now = in_use_.load(std::memory_order_relaxed);
@@ -46,34 +43,25 @@ GpuAllocator::GpuAllocator(const HeapConfig& cfg)
         out[kLiveByteStatNames[1]] += freed;
       }) {
   TOMA_ASSERT_MSG(cfg.valid(), "invalid HeapConfig");
-  if (cfg.vmm) {
-    // Elastic pool: pool_bytes is a VA reservation; only initial_chunks
-    // granules are physically mapped. The buddy starts *empty* — each
-    // mapped chunk is injected as a free block, so unmapped VA is simply
-    // memory the tree has never seen (permanently Busy, no semaphore
-    // units) and allocation can never wander into a faulting page.
-    const std::size_t cb = vmm_chunk_bytes_for(pool_bytes_, cfg.chunk_bytes);
-    vmm_chunk_order_ = util::log2_floor(cb / kPageSize);
-    vmm_initial_chunks_ = cfg.initial_chunks;
-    vmm_ = std::make_unique<vmm::BackingStore>(
-        vmm::BackingConfig{pool_bytes_, cb, cfg.initial_chunks,
-                           cfg.max_chunks});
-    pool_ = vmm_->base();
-    buddy_ = std::make_unique<TBuddy>(pool_, pool_bytes_, kPageSize,
-                                      /*initially_empty=*/true);
-  } else {
-    // The pool must be aligned to its own size so every buddy block is
-    // aligned to its block size (which the free() routing relies on).
-    pool_ = std::aligned_alloc(pool_bytes_, pool_bytes_);
-    TOMA_ASSERT_MSG(pool_ != nullptr, "pool reservation failed");
-    buddy_ = std::make_unique<TBuddy>(pool_, pool_bytes_, kPageSize);
-  }
+  // pool_bytes is a VA reservation (aligned to its own size, so every
+  // buddy block is aligned to its block size, which the free() routing
+  // relies on); only initial_chunks granules are physically mapped. The
+  // buddy starts *empty* — each mapped chunk is injected as a free block,
+  // so unmapped VA is simply memory the tree has never seen (permanently
+  // Busy, no semaphore units) and allocation can never wander into a
+  // faulting page. A fixed-size pool is the one-chunk case: its chunk is
+  // the whole pool, injected as the root block.
+  const std::size_t cb = vmm_chunk_bytes_for(pool_bytes_, cfg.chunk_bytes);
+  vmm_chunk_order_ = util::log2_floor(cb / kPageSize);
+  vmm_initial_chunks_ = cfg.initial_chunks;
+  vmm_ = std::make_unique<vmm::BackingStore>(vmm::BackingConfig{
+      pool_bytes_, cb, cfg.initial_chunks, cfg.max_chunks});
+  buddy_ = std::make_unique<TBuddy>(vmm_->base(), pool_bytes_, kPageSize,
+                                    /*initially_empty=*/true);
   buddy_->set_quicklist(cfg.quicklist);
-  if (vmm_ != nullptr) {
-    for (std::uint32_t i = 0; i < vmm_->chunk_count(); ++i) {
-      if (vmm_->is_mapped(i)) {
-        buddy_->inject_block(vmm_->chunk_addr(i), vmm_chunk_order_);
-      }
+  for (std::uint32_t i = 0; i < vmm_->chunk_count(); ++i) {
+    if (vmm_->is_mapped(i)) {
+      buddy_->inject_block(vmm_->chunk_addr(i), vmm_chunk_order_);
     }
   }
   // An incremental pool's read sections are armed before its first op;
@@ -100,9 +88,6 @@ GpuAllocator::~GpuAllocator() {
   san_.reset();
   ualloc_.reset();
   buddy_.reset();
-  // An elastic pool's mapping belongs to the backing store (munmap'd by
-  // its destructor); only the fixed-size path malloc'd the pool.
-  if (vmm_ == nullptr) std::free(pool_);
 }
 
 std::size_t GpuAllocator::effective_size(std::size_t size) {
@@ -159,7 +144,6 @@ void GpuAllocator::EvacState::hold(void* p, const UAlloc& ua) {
 }
 
 void* GpuAllocator::resolve_forward(void* p, bool consume) const {
-  if (vmm_ == nullptr) return p;
   const vmm::ForwardTable& ft = vmm_->forward();
   if (ft.empty()) return p;
   if (!consume) return ft.resolve(p);
@@ -215,6 +199,11 @@ GpuAllocator::GrowOutcome GpuAllocator::grow_backing(std::uint64_t& epoch) {
     // more — concurrent growers cooperate instead of over-mapping.
     epoch = cur;
     return GrowOutcome::kRetry;
+  }
+  // At the ceiling no quota would let the pool grow: the failure is
+  // exhaustion. (A one-chunk pool is always here.)
+  if (vmm_->mapped_chunks() >= vmm_->max_chunks()) {
+    return GrowOutcome::kExhausted;
   }
   // The quota bounds the *resident footprint*, not the VA reservation:
   // growth stops once another chunk would push mapped bytes past the
@@ -272,14 +261,12 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     if (status != nullptr) *status = AllocStatus::kQuota;
     return nullptr;
   }
-  // With a backing store, the grow epoch as of the first attempt: a
-  // chunk another thread maps while this one is failing makes
-  // grow_backing retry the allocation in it rather than map one more.
-  // (TBuddy's exhaustion verdict fails a request at once and raises no
-  // promise that would make concurrent requesters wait, so at the
-  // growth frontier many fail together.)
-  std::uint64_t epoch =
-      has_vmm() ? grow_epoch_.load(std::memory_order_acquire) : 0;
+  // The grow epoch as of the first attempt: a chunk another thread maps
+  // while this one is failing makes grow_backing retry the allocation in
+  // it rather than map one more. (TBuddy's exhaustion verdict fails a
+  // request at once and raises no promise that would make concurrent
+  // requesters wait, so at the growth frontier many fail together.)
+  std::uint64_t epoch = grow_epoch_.load(std::memory_order_acquire);
   void* p = route_alloc(rounded);
   if (p == nullptr &&
       ualloc_->release_cached(0, kMagazineRefillClasses) > 0) {
@@ -296,7 +283,7 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     p = route_alloc(rounded);
   }
   bool grow_quota_denied = false;
-  if (p == nullptr && has_vmm()) {
+  if (p == nullptr) {
     // Grow-on-exhaustion: map backing chunks one at a time until the
     // routed request succeeds or growth hits the ceiling/quota. Runs
     // after every cache-flush retry — new physical memory is the last
@@ -320,7 +307,7 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     in_use_.fetch_sub(charge, std::memory_order_relaxed);
     st_.add(kFailed);
     if (grow_quota_denied) {
-      // Not true exhaustion: the reservation has room, but mapping more
+      // Not true exhaustion: the ceiling has room, but mapping more
       // would exceed the tenant's resident-footprint quota.
       st_.add(kQuotaRejects);
       TOMA_TRACE("alloc.quota", size);
@@ -436,7 +423,6 @@ std::size_t GpuAllocator::usable_size(void* p) const {
 }
 
 std::size_t GpuAllocator::shrink_backing() {
-  if (!has_vmm()) return 0;
   sync::LockGuard<sync::SpinMutex> g(grow_mu_);
   // Quicklist-parked frees must coalesce first, or a fully-free chunk can
   // hide as scattered sub-blocks the extraction below cannot see.
@@ -492,7 +478,6 @@ void GpuAllocator::set_relocation_hooks(RelocationHooks hooks) {
 }
 
 std::size_t GpuAllocator::defrag() {
-  if (!has_vmm()) return 0;
   sync::LockGuard<sync::SpinMutex> defrag_lock(defrag_mu_);
   st_.add(kDefragPasses);
   // Quiescent-point preamble: every cached block must re-enter the bin
@@ -601,7 +586,6 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
 }
 
 std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
-  if (!has_vmm()) return 0;
   if (!defrag_mu_.try_lock()) return 0;  // another thread is mid-step
   if (!hooks_.prepare && active_ == nullptr && forwarding_.empty()) {
     // Incremental evacuation needs a veto-capable host (see
@@ -880,7 +864,7 @@ GpuAllocatorStats GpuAllocator::stats() const {
   s.ualloc = ualloc_->stats();
   s.lane = ualloc_->magazine_stats(0, kMagazineRefillClasses);
   s.heapsan = san_->stats();
-  if (vmm_ != nullptr) s.vmm = vmm_->stats();
+  s.vmm = vmm_->stats();
   s.mapped_bytes = mapped_bytes();
   s.defrag_passes = st_.sum(kDefragPasses);
   s.defrag_steps = st_.sum(kDefragSteps);

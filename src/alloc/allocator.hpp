@@ -120,11 +120,11 @@ struct HeapConfig {
   bool magazines = heap_defaults().magazines;
   bool quicklist = heap_defaults().quicklist;
 
-  // --- elastic virtual backing (docs/INTERNALS.md §8) ----------------------
-  /// Back the pool with an elastic chunked mapping: `pool_bytes` becomes a
-  /// VA reservation, physical chunks map on demand (grow on exhaustion,
-  /// unmap at trim). OFF = the fixed-size eagerly-committed pool.
-  bool vmm = heap_defaults().vmm;
+  // --- chunked backing (docs/INTERNALS.md §8) -----------------------------
+  // `pool_bytes` is a VA reservation; physical chunks map on demand (grow
+  // on exhaustion, unmap at trim). chunk_bytes = pool_bytes is the
+  // fixed-size pool: one chunk, mapped at creation, that never grows,
+  // shrinks or moves a block.
   /// Backing-chunk granule (power-of-two multiple of kChunkSize dividing
   /// pool_bytes); 0 = auto (pool/64 clamped to [256 KB, 4 MB]).
   std::size_t chunk_bytes = 0;
@@ -144,7 +144,6 @@ struct HeapConfig {
           num_arenas >= 1)) {
       return false;
     }
-    if (!vmm) return true;
     const std::size_t cb = vmm_chunk_bytes_for(pool_bytes, chunk_bytes);
     if (!util::is_pow2(cb) || cb < kChunkSize || cb > pool_bytes) {
       return false;
@@ -161,7 +160,7 @@ struct GpuAllocatorStats {
   UAllocStats ualloc;
   MagazineStats lane;  // the 8..64 B (slab-refill) slice of the magazines
   san::HeapSanStats heapsan;
-  vmm::BackingStats vmm;  // zeroed when the pool is fixed-size
+  vmm::BackingStats vmm;  // the chunk table (one chunk when fixed-size)
   std::uint64_t mallocs = 0;
   std::uint64_t failed_mallocs = 0;
   std::uint64_t frees = 0;
@@ -170,8 +169,8 @@ struct GpuAllocatorStats {
   std::uint64_t quota_rejects = 0;     // failed_mallocs due to the quota
   std::size_t bytes_in_use = 0;        // live bytes at block granularity
   std::size_t quota_bytes = 0;         // 0 = unlimited
-  std::size_t mapped_bytes = 0;        // resident footprint (= pool size
-                                       // when fixed)
+  std::size_t mapped_bytes = 0;        // resident footprint: mapped
+                                       // chunks (the pool when fixed-size)
   std::uint64_t defrag_passes = 0;     // quiescent defrag() runs
   std::uint64_t defrag_steps = 0;      // defrag_step() calls that ran
   std::uint64_t defrag_moved_bytes = 0;  // bytes evacuated (both drivers)
@@ -254,12 +253,10 @@ class GpuAllocator {
 
   std::size_t pool_bytes() const { return pool_bytes_; }
 
-  /// Physically mapped bytes right now: the resident footprint. Equals
-  /// pool_bytes() for a fixed-size pool; tracks chunk grow/shrink under
-  /// the elastic backing.
-  std::size_t mapped_bytes() const {
-    return vmm_ != nullptr ? vmm_->mapped_bytes() : pool_bytes_;
-  }
+  /// Physically mapped bytes right now: the resident footprint. Tracks
+  /// chunk grow/shrink; a fixed-size (one-chunk) pool maps pool_bytes()
+  /// for its whole life.
+  std::size_t mapped_bytes() const { return vmm_->mapped_bytes(); }
 
   // --- quota ---------------------------------------------------------------
   // Live bytes are charged at block granularity (the rounded class/order
@@ -295,12 +292,10 @@ class GpuAllocator {
   void set_heapsan(bool on) { san_->set_enabled(on); }
   bool heapsan_enabled() const { return san_->enabled(); }
 
-  // --- elastic backing (grow / shrink / defrag) ----------------------------
+  // --- chunked backing (grow / shrink / defrag) ----------------------------
+  // Growth stops at cfg.max_chunks, shrink and defrag at
+  // cfg.initial_chunks: a one-chunk pool never does any of the three.
 
-  /// Was this pool constructed on the elastic backing store (cfg.vmm)?
-  /// Only such a pool grows, shrinks and defragments; cfg.max_chunks caps
-  /// its mapping.
-  bool has_vmm() const { return vmm_ != nullptr; }
   vmm::BackingStore& backing() { return *vmm_; }
 
   /// Unmap whole free backing chunks back to the OS, never shrinking the
@@ -321,7 +316,7 @@ class GpuAllocator {
   /// prepare hook but honours one (vetoed blocks stay put); hosts holding
   /// raw pointers register at least a commit hook. HeapSan shadow records
   /// and flight-recorder interning follow moved blocks. Returns bytes
-  /// moved. No-op unless has_vmm().
+  /// moved.
   std::size_t defrag();
 
   /// One bounded slice of *incremental* compaction, safe concurrently
@@ -331,9 +326,9 @@ class GpuAllocator {
   /// is active, then evacuate at most `budget_bytes` (0 = the
   /// kVmmDefragStepBytes default) of live blocks through the two-phase
   /// hooks. Returns bytes moved this call. Returns 0 immediately when
-  /// another thread is mid-step (try-lock), on a fixed-size pool, or when no
-  /// prepare hook is registered (incremental compaction requires one —
-  /// see RelocationHooks).
+  /// another thread is mid-step (try-lock) or when no prepare hook is
+  /// registered (incremental compaction requires one — see
+  /// RelocationHooks).
   std::size_t defrag_step(std::size_t budget_bytes = 0);
 
   /// Register the two-phase relocation hooks (replaces any previous
@@ -390,8 +385,9 @@ class GpuAllocator {
   /// One grow step under the grow mutex. kRetry: another thread grew
   /// since `epoch` was observed — retry the allocation before mapping
   /// more. kGrew: one chunk mapped and injected. kExhausted: growth
-  /// ceiling (max_chunks). kQuotaDenied: mapping another chunk would push
-  /// the resident footprint past the quota.
+  /// ceiling (max_chunks), whatever the quota. kQuotaDenied: below the
+  /// ceiling, but mapping another chunk would push the resident
+  /// footprint past the quota.
   enum class GrowOutcome : std::uint8_t {
     kRetry,
     kGrew,
@@ -483,8 +479,7 @@ class GpuAllocator {
                         const std::set<std::uint32_t>* no_landing);
 
   std::size_t pool_bytes_;
-  void* pool_;
-  std::unique_ptr<vmm::BackingStore> vmm_;  // null = fixed-size pool
+  std::unique_ptr<vmm::BackingStore> vmm_;
   std::uint32_t vmm_chunk_order_ = 0;       // buddy order of one chunk
   std::uint32_t vmm_initial_chunks_ = 0;    // shrink floor
   std::atomic<std::uint64_t> grow_epoch_{0};
@@ -537,8 +532,8 @@ class GpuAllocator {
       "vmm.defrag.moved_bytes", "vmm.defrag.forwarded",
       "vmm.defrag.pin_stalls",
   };
-  /// An elastic pool's live-byte flow, derived from in_use_ at each
-  /// snapshot (the fragmentation gauge's numerator is their difference).
+  /// The pool's live-byte flow, derived from in_use_ at each snapshot
+  /// (the fragmentation gauge's numerator is their difference).
   static constexpr const char* kLiveByteStatNames[2] = {
       "vmm.live_bytes.charged", "vmm.live_bytes.freed"};
   mutable obs::ShardedStats<kNumStats> st_;

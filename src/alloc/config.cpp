@@ -18,7 +18,6 @@ constexpr DefaultKey kDefaultKeys[] = {
     {"magazines", &HeapDefaults::magazines},
     {"quicklist", &HeapDefaults::quicklist},
     {"stream_async", &HeapDefaults::stream_async},
-    {"vmm", &HeapDefaults::vmm},
 };
 
 }  // namespace
@@ -42,7 +41,7 @@ std::optional<HeapDefaults> parse_heap_defaults(const char* spec,
       if (error != nullptr) {
         *error = "bad item \"" + std::string(item) +
                  "\": want key=0|1, key one of heapsan, magazines, "
-                 "quicklist, stream_async, vmm";
+                 "quicklist, stream_async";
       }
       return std::nullopt;
     }

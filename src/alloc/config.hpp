@@ -271,7 +271,6 @@ struct HeapDefaults {
   bool magazines = true;
   bool quicklist = true;
   bool stream_async = true;
-  bool vmm = true;
 
   bool operator==(const HeapDefaults&) const = default;
 };

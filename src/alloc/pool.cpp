@@ -409,14 +409,6 @@ std::size_t PoolManager::release_stream(gpu::Stream& s) {
   return n;
 }
 
-std::vector<std::string> PoolManager::names() const {
-  std::lock_guard<std::mutex> g(mu_);
-  std::vector<std::string> out;
-  out.reserve(pools_.size());
-  for (const auto& [name, pool] : pools_) out.push_back(name);
-  return out;
-}
-
 std::size_t PoolManager::pool_count() const {
   std::lock_guard<std::mutex> g(mu_);
   return pools_.size();

@@ -134,8 +134,7 @@ class Pool {
   /// Bytes stranded outside both live allocations and the buddy tree
   /// (magazine/quicklist caches, partial bins, quarantine) — what the
   /// release threshold compares against. Measured against the *mapped*
-  /// footprint: unmapped VA of an elastic pool is not stranded, it was
-  /// never resident.
+  /// footprint: unmapped VA is not stranded, it was never resident.
   std::size_t stranded_bytes() const;
 
   /// Defragmentation driver (cfg.defrag_mode). kSync runs the
@@ -143,10 +142,10 @@ class Pool {
   /// sync points; kIncremental runs bounded defrag_step() slices
   /// piggybacked on the async surface (one per kVmmDefragOpInterval ops),
   /// at sync points, and on explicit defrag_step() calls: always on a
-  /// thread that called into this pool. Only meaningful on a vmm-backed
-  /// pool. kIncremental additionally requires two-phase relocation hooks
-  /// with a prepare callback (set_relocation_hooks) — steps are no-ops
-  /// until one is registered.
+  /// thread that called into this pool. A one-chunk (fixed-size) pool
+  /// has no victim to evacuate. kIncremental additionally requires
+  /// two-phase relocation hooks with a prepare callback
+  /// (set_relocation_hooks) — steps are no-ops until one is registered.
   DefragMode defrag_mode() const { return defrag_mode_; }
 
   /// One bounded incremental compaction slice (GpuAllocator::defrag_step);
@@ -256,7 +255,6 @@ class PoolManager {
   /// Drain + forget `s`'s slot on every pool (stream destruction).
   std::size_t release_stream(gpu::Stream& s);
 
-  std::vector<std::string> names() const;
   std::size_t pool_count() const;
 
  private:

@@ -91,7 +91,7 @@ class TBuddy {
   /// Manage `pool_bytes` (a power of two multiple of `page_size`) starting
   /// at `pool` (aligned to pool_bytes). Metadata lives on the host heap.
   /// With `initially_empty` the tree starts with *no* available memory
-  /// (every node Busy, no semaphore units): the elastic backing store
+  /// (every node Busy, no semaphore units): GpuAllocator's backing store
   /// injects each mapped chunk via inject_block(), so unmapped regions are
   /// simply absent from the accounting and can never be handed out.
   TBuddy(void* pool, std::size_t pool_bytes, std::size_t page_size = 4096,
@@ -155,7 +155,7 @@ class TBuddy {
   }
 
   /// Donate a block (page_size << order bytes at `p`, aligned to its own
-  /// size) to the tree as free memory. Used by the elastic backing store
+  /// size) to the tree as free memory. Used by GpuAllocator's backing store
   /// after mapping a chunk: the block enters through the merging free
   /// path, so contiguous injected chunks coalesce into maximal blocks.
   /// No allocation/free statistics are touched.

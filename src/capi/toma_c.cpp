@@ -66,10 +66,16 @@ HeapConfig to_cpp(const toma_pool_config_t& c) {
   apply_toggle(cfg.magazines, c.magazines);
   apply_toggle(cfg.quicklist, c.quicklist);
   cfg.slo_latency_ns = c.slo_latency_ns;
-  apply_toggle(cfg.vmm, c.vmm);
   cfg.chunk_bytes = c.chunk_bytes;
   if (c.initial_chunks != 0) cfg.initial_chunks = c.initial_chunks;
   cfg.max_chunks = c.max_chunks;
+  if (c.vmm == 0) {
+    // The fixed-size pool: the whole reservation as one chunk, mapped at
+    // creation; the elastic geometry above is ignored.
+    cfg.chunk_bytes = cfg.pool_bytes;
+    cfg.initial_chunks = 1;
+    cfg.max_chunks = 0;
+  }
   // defrag_mode -1 keeps the library default (off). Range validation
   // happens in toma_pool_create before this conversion runs.
   if (c.defrag_mode >= 0) {
@@ -306,7 +312,6 @@ toma_status_t toma_pool_set_relocation_hooks(
 toma_status_t toma_pool_defrag(toma_pool_t pool, size_t budget_bytes,
                                toma_defrag_stats_t* stats) {
   Pool& p = pool_or_default(pool);
-  if (!p.allocator().has_vmm()) return TOMA_ERR_INVALID;
   p.defrag_step(budget_bytes);
   if (stats != nullptr) {
     const GpuAllocatorStats s = p.allocator().stats();

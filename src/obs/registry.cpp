@@ -132,7 +132,7 @@ std::map<std::string, double> Snapshot::derived_rates() const {
     out[base + ".hit_rate"] =
         static_cast<double>(hits) / static_cast<double>(total);
   }
-  // Elastic-backing gauges, derived from the monotonic map/unmap and
+  // Backing-store gauges, derived from the monotonic map/unmap and
   // charge/free byte counters so a snapshot diff stays meaningful:
   //   vmm.mapped_bytes    — resident footprint right now
   //   vmm.fragmentation   — live / mapped (1.0 = perfectly dense)

@@ -8,16 +8,6 @@
 
 namespace toma::vmm {
 
-const char* chunk_state_name(ChunkState s) {
-  switch (s) {
-    case ChunkState::kLive: return "live";
-    case ChunkState::kEvacuating: return "evacuating";
-    case ChunkState::kForwarding: return "forwarding";
-    case ChunkState::kRetired: return "retired";
-  }
-  return "?";
-}
-
 void ForwardTable::insert(void* old_p, void* new_p) {
   sync::LockGuard<sync::SpinMutex> g(mu_);
   // Path-compress an existing chain r -> old_p into r -> new_p: the block

@@ -2,13 +2,15 @@
 // reservation — the host-side analogue of the CUDA VMM API
 // (cuMemAddressReserve / cuMemMap / cuMemUnmap).
 //
-// A pool built on a BackingStore reserves its whole address range up
-// front (PROT_NONE, so stray touches fault) but maps physical chunks on
-// demand: the pool *appears* fixed-size to every pointer-arithmetic
-// consumer (TBuddy's node addressing, UAlloc's chunk-mask decode, the
-// alignment-based free routing), while the resident footprint follows
-// actual usage. Growth maps the lowest unmapped chunk; shrink returns a
+// Every GpuAllocator pool is built on a BackingStore. It reserves the
+// pool's whole address range up front (PROT_NONE, so stray touches
+// fault) but maps physical chunks on demand: the pool *appears*
+// fixed-size to every pointer-arithmetic consumer (TBuddy's node
+// addressing, UAlloc's chunk-mask decode, the alignment-based free
+// routing), while the resident footprint follows actual usage. Growth maps the lowest unmapped chunk; shrink returns a
 // chunk's pages to the OS (madvise(MADV_DONTNEED)) and re-protects them.
+// A fixed-size pool is the one-chunk case: chunk_bytes = reserve_bytes,
+// mapped at construction, so there is nothing to grow or shrink.
 //
 // The store itself is a chunk table, not an allocator: *which* chunks are
 // safe to map or unmap is the owner's problem (GpuAllocator only unmaps
@@ -48,8 +50,6 @@ enum class ChunkState : std::uint8_t {
   kForwarding = 2,
   kRetired = 3,
 };
-
-const char* chunk_state_name(ChunkState s);
 
 /// Forwarding table for moved blocks: old user address -> new user
 /// address, alive only while some chunk is in kForwarding. A reverse
@@ -121,9 +121,8 @@ class BackingStore {
   BackingStore(const BackingStore&) = delete;
   BackingStore& operator=(const BackingStore&) = delete;
 
-  /// Base of the reservation; aligned to reserve_bytes (the same
-  /// alignment contract std::aligned_alloc(pool_bytes, pool_bytes) gave
-  /// the fixed-size path, which the free() routing relies on).
+  /// Base of the reservation; aligned to reserve_bytes, so every buddy
+  /// block is aligned to its own size (the free() routing relies on it).
   void* base() const { return base_; }
   std::size_t reserve_bytes() const { return reserve_bytes_; }
   std::size_t chunk_bytes() const { return chunk_bytes_; }

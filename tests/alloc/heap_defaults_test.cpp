@@ -26,15 +26,13 @@ constexpr Key kKeys[] = {
     {"magazines", &HeapDefaults::magazines},
     {"quicklist", &HeapDefaults::quicklist},
     {"stream_async", &HeapDefaults::stream_async},
-    {"vmm", &HeapDefaults::vmm},
 };
 
 TEST(HeapDefaults, UnsetOrEmptyGivesTheBuiltInDefaults) {
   const HeapDefaults builtin{.heapsan = false,
                              .magazines = true,
                              .quicklist = true,
-                             .stream_async = true,
-                             .vmm = true};
+                             .stream_async = true};
   EXPECT_EQ(HeapDefaults{}, builtin);
   EXPECT_EQ(parse_heap_defaults(nullptr), builtin);
   EXPECT_EQ(parse_heap_defaults(""), builtin);
@@ -61,8 +59,9 @@ TEST(HeapDefaults, EachKeyFlipsOnlyItsOwnDefault) {
 TEST(HeapDefaults, MalformedItemsAreRejected) {
   for (const char* bad :
        {"magazine=0", "MAGAZINES=0", "magazines=2", "magazines=on",
-        "magazines= 1", "magazines", "magazines=", "=1", ",", "vmm=0,",
-        ",vmm=0", "vmm=0,,heapsan=1", "vmm=0;heapsan=1", "vmm=0,bogus=1"}) {
+        "magazines= 1", "magazines", "magazines=", "=1", ",", "quicklist=0,",
+        ",quicklist=0", "quicklist=0,,heapsan=1", "quicklist=0;heapsan=1",
+        "quicklist=0,bogus=1", "vmm=0"}) {
     std::string error;
     EXPECT_FALSE(parse_heap_defaults(bad, &error).has_value()) << bad;
     EXPECT_NE(error.find("bad item"), std::string::npos) << bad;
@@ -75,7 +74,6 @@ TEST(HeapDefaults, HeapConfigStartsFromTheProcessDefaults) {
   EXPECT_EQ(cfg.heapsan, d.heapsan);
   EXPECT_EQ(cfg.magazines, d.magazines);
   EXPECT_EQ(cfg.quicklist, d.quicklist);
-  EXPECT_EQ(cfg.vmm, d.vmm);
 }
 
 TEST(HeapDefaults, ExplicitHeapConfigFieldsWin) {
@@ -84,13 +82,11 @@ TEST(HeapDefaults, ExplicitHeapConfigFieldsWin) {
   cfg.heapsan = !d.heapsan;
   cfg.magazines = !d.magazines;
   cfg.quicklist = !d.quicklist;
-  cfg.vmm = !d.vmm;
   Pool pool("heap-defaults-explicit", cfg);
   GpuAllocator& ga = pool.allocator();
   EXPECT_EQ(ga.heapsan_enabled(), !d.heapsan);
   EXPECT_EQ(ga.ualloc().magazines_enabled(), !d.magazines);
   EXPECT_EQ(ga.buddy().quicklist_enabled(), !d.quicklist);
-  EXPECT_EQ(ga.has_vmm(), !d.vmm);
   EXPECT_EQ(pool.async_enabled(), d.stream_async);  // not a HeapConfig field
 }
 
@@ -111,19 +107,16 @@ TEST(HeapDefaults, CConfigTogglesWinAndMinusOneFollows) {
   EXPECT_EQ(dflt.allocator().ualloc().magazines_enabled(), d.magazines);
   EXPECT_EQ(dflt.allocator().buddy().quicklist_enabled(), d.quicklist);
   EXPECT_EQ(dflt.async_enabled(), d.stream_async);
-  EXPECT_EQ(dflt.allocator().has_vmm(), d.vmm);
 
   cfg.heapsan = d.heapsan ? 0 : 1;
   cfg.magazines = d.magazines ? 0 : 1;
   cfg.quicklist = d.quicklist ? 0 : 1;
   cfg.stream_async = d.stream_async ? 0 : 1;
-  cfg.vmm = d.vmm ? 0 : 1;
   Pool& forced = create_c_pool("heap-defaults-c-forced", cfg);
   EXPECT_EQ(forced.allocator().heapsan_enabled(), !d.heapsan);
   EXPECT_EQ(forced.allocator().ualloc().magazines_enabled(), !d.magazines);
   EXPECT_EQ(forced.allocator().buddy().quicklist_enabled(), !d.quicklist);
   EXPECT_EQ(forced.async_enabled(), !d.stream_async);
-  EXPECT_EQ(forced.allocator().has_vmm(), !d.vmm);
 
   EXPECT_TRUE(PoolManager::instance().destroy("heap-defaults-c-default"));
   EXPECT_TRUE(PoolManager::instance().destroy("heap-defaults-c-forced"));

@@ -467,7 +467,7 @@ TEST(Magazine, SiblingSweepPopsStockButNeverRefills) {
                              .num_arenas = 2,
                              .heapsan = false,
                              .magazines = true,
-                             .vmm = false});
+                             .chunk_bytes = 512 * 1024});
   std::vector<void*> held = exhaust_from_sm0(dev, ga);
   ASSERT_GT(held.size(), 1000u);
   ASSERT_EQ(ga.stats().ualloc.magazine_cached, 0u);
@@ -523,7 +523,7 @@ TEST(Magazine, PressureFlushMakesAnotherSmsStockReachable) {
                              .num_arenas = 2,
                              .heapsan = false,
                              .magazines = true,
-                             .vmm = false});
+                             .chunk_bytes = 512 * 1024});
   std::vector<void*> held = exhaust_from_sm0(dev, ga);
   ASSERT_GT(held.size(), 1000u);
 

@@ -257,7 +257,6 @@ TEST(HostStress, VmmShrinkRace) {
   alloc::HeapConfig cfg;
   cfg.pool_bytes = 16 * 1024 * 1024;
   cfg.num_arenas = 2;
-  cfg.vmm = true;
   alloc::GpuAllocator ga(cfg);
   std::atomic<bool> stop{false};
   test::run_os_threads(5, [&](unsigned tid) {
@@ -341,7 +340,6 @@ TEST(HostStress, DefragConcurrentChurn) {
   alloc::HeapConfig cfg;
   cfg.pool_bytes = 32 * 1024 * 1024;
   cfg.num_arenas = 2;
-  cfg.vmm = true;
   alloc::GpuAllocator ga(cfg);
 
   struct Registry {

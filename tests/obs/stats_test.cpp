@@ -147,7 +147,6 @@ TEST(StatsSource, LiveBytesFollowBytesInUseOnElasticPools) {
   alloc::HeapConfig cfg;
   cfg.pool_bytes = 16 << 20;
   cfg.num_arenas = 2;
-  cfg.vmm = true;
   cfg.heapsan = false;
   alloc::GpuAllocator ga(cfg);
   const auto live = [] {

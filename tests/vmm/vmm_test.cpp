@@ -13,6 +13,7 @@
 #include "gpusim/gpusim.hpp"
 #include "obs/recorder.hpp"
 #include "support/test_support.hpp"
+#include "toma/toma.h"
 #include "util/bitops.hpp"
 #include "vmm/backing.hpp"
 
@@ -30,7 +31,6 @@ HeapConfig elastic_cfg() {
   HeapConfig cfg;
   cfg.pool_bytes = kPool;
   cfg.num_arenas = 1;
-  cfg.vmm = true;  // explicit: these tests are meaningless without it
   return cfg;
 }
 
@@ -45,8 +45,8 @@ TEST(BackingStore, MapsAndUnmapsChunks) {
       .initial_chunks = 1,
       .max_chunks = 0,
   });
-  // The reservation must carry the aligned_alloc(pool, pool) alignment
-  // contract — the alignment-based free routing depends on it.
+  // The reservation must be aligned to its own size — the
+  // alignment-based free routing depends on it.
   EXPECT_TRUE(util::is_aligned(bs.base(), bs.reserve_bytes()));
   EXPECT_EQ(bs.chunk_count(), 16u);
   EXPECT_EQ(bs.max_chunks(), 16u);
@@ -89,7 +89,6 @@ TEST(BackingStore, MapNextStopsAtMaxChunks) {
 
 TEST(Vmm, PoolStartsSmallAndGrowsOnDemand) {
   GpuAllocator ga(elastic_cfg());
-  ASSERT_TRUE(ga.has_vmm());
   EXPECT_EQ(ga.mapped_bytes(), kChunkSize);
   EXPECT_EQ(ga.pool_bytes(), kPool);
 
@@ -138,6 +137,41 @@ TEST(Vmm, OomOnlyAfterMaxChunks) {
   EXPECT_EQ(ga.stats().vmm.mapped_chunks, 2u);
   EXPECT_EQ(ga.stats().vmm.max_chunks, 2u);
   for (void* p : held) ga.free(p);
+}
+
+TEST(Vmm, FailureAtTheCeilingIsOomWhateverTheQuota) {
+  // At its growth ceiling no quota would let a pool map another chunk,
+  // so a malloc that fails there is exhaustion — kOom, no quota reject —
+  // even with the quota at the ceiling. The same holds for a two-chunk
+  // elastic pool and a one-chunk (fixed-size) one.
+  HeapConfig capped = elastic_cfg();
+  capped.max_chunks = 2;
+  capped.quota_bytes = 2 * kChunkSize;
+  HeapConfig one_chunk = elastic_cfg();
+  one_chunk.pool_bytes = 2 * kChunkSize;
+  one_chunk.chunk_bytes = one_chunk.pool_bytes;
+  one_chunk.quota_bytes = one_chunk.pool_bytes;
+  for (const HeapConfig& cfg : {capped, one_chunk}) {
+    GpuAllocator ga(cfg);
+    const std::size_t kib = test::request_for_slot(ga, 1024);
+    std::vector<void*> held;
+    AllocStatus st = AllocStatus::kOk;
+    for (;;) {
+      void* p = ga.malloc(kib, &st);
+      if (p == nullptr) break;
+      held.push_back(p);
+    }
+    // Two UAlloc chunks of 62 three-block 1 KiB bins: 372 KiB live, well
+    // under the quota, so live-byte admission passed every request.
+    EXPECT_EQ(held.size(), 2u * alloc::kDataBins *
+                               alloc::bin_capacity(alloc::size_class_of(1024)));
+    EXPECT_LT(ga.bytes_in_use(), cfg.quota_bytes);
+    EXPECT_EQ(st, AllocStatus::kOom);
+    EXPECT_EQ(ga.stats().quota_rejects, 0u);
+    EXPECT_EQ(ga.mapped_bytes(), 2 * kChunkSize);
+    for (void* p : held) ga.free(p);
+    EXPECT_TRUE(ga.check_consistency());
+  }
 }
 
 TEST(Vmm, ShrinkReturnsWholeFreeChunks) {
@@ -743,12 +777,12 @@ TEST(Vmm, DefragHonoursPrepareVetoes) {
 }
 
 TEST(Vmm, FixedPoolIsUnaffected) {
-  HeapConfig cfg;
+  // chunk_bytes = pool_bytes is the fixed-size pool: one chunk, mapped at
+  // creation, which never grows, shrinks or yields a defrag victim.
+  HeapConfig cfg = elastic_cfg();
   cfg.pool_bytes = 4 * 1024 * 1024;
-  cfg.num_arenas = 1;
-  cfg.vmm = false;
+  cfg.chunk_bytes = cfg.pool_bytes;
   GpuAllocator ga(cfg);
-  EXPECT_FALSE(ga.has_vmm());
   EXPECT_EQ(ga.mapped_bytes(), cfg.pool_bytes);
   EXPECT_EQ(ga.shrink_backing(), 0u);
   EXPECT_EQ(ga.defrag(), 0u);
@@ -758,6 +792,46 @@ TEST(Vmm, FixedPoolIsUnaffected) {
   ga.free(p);
   ga.trim();  // retire the carved UAlloc chunk so the tree re-coalesces
   EXPECT_EQ(ga.buddy().largest_free_block(), cfg.pool_bytes);
+}
+
+TEST(Vmm, CConfigVmmZeroIsAOneChunkPool) {
+  // The C config's vmm = 0: all of pool_bytes mapped at creation, never
+  // grown, even by an exhausting malloc; defrag finds nothing to move.
+  toma_pool_config_t cfg = toma_pool_config_default();
+  cfg.pool_bytes = 4 * 1024 * 1024;
+  cfg.num_arenas = 1;
+  cfg.vmm = 0;
+  toma_pool_t pool = nullptr;
+  ASSERT_EQ(toma_pool_create("vmm-c-fixed", &cfg, &pool), TOMA_OK);
+  GpuAllocator& ga =
+      alloc::PoolManager::instance().find("vmm-c-fixed")->allocator();
+  EXPECT_EQ(ga.mapped_bytes(), cfg.pool_bytes);
+
+  const std::size_t quarter_mib = test::request_for_slot(ga, 256 * 1024);
+  std::vector<void*> held;
+  toma_status_t st = TOMA_OK;
+  for (;;) {
+    void* p = toma_malloc(pool, quarter_mib, &st);
+    if (p == nullptr) break;
+    held.push_back(p);
+  }
+  EXPECT_EQ(held.size(), 16u);
+  EXPECT_EQ(st, TOMA_ERR_OOM);
+  EXPECT_EQ(ga.mapped_bytes(), cfg.pool_bytes);
+  EXPECT_EQ(ga.stats().vmm.grows, 0u);
+
+  // With a prepare hook the slice runs, and finds no victim.
+  const toma_relocation_hooks_t hooks = {
+      [](void*, void*, size_t, void*) { return 1; },
+      [](void*, void*, size_t, void*) {}, nullptr, nullptr};
+  ASSERT_EQ(toma_pool_set_relocation_hooks(pool, &hooks), TOMA_OK);
+  for (std::size_t i = 0; i < held.size(); i += 2) toma_free(pool, held[i]);
+  toma_defrag_stats_t ds{};
+  EXPECT_EQ(toma_pool_defrag(pool, 0, &ds), TOMA_OK);
+  EXPECT_EQ(ds.steps, 1u);
+  EXPECT_EQ(ds.moved_bytes, 0u);
+  for (std::size_t i = 1; i < held.size(); i += 2) toma_free(pool, held[i]);
+  EXPECT_EQ(toma_pool_destroy(pool), TOMA_OK);
 }
 
 TEST(Vmm, PoolSyncRunsDefragWhenEnabled) {
