@@ -46,7 +46,8 @@ Out run(gpu::Device& dev, const Options& opt, const Profile& prof,
   std::size_t pool_bytes =
       util::round_up_pow2(threads * kDepth * max_size * 4);
   if (pool_bytes < (64u << 20)) pool_bytes = 64u << 20;
-  auto ga = std::make_unique<alloc::GpuAllocator>(pool_bytes, opt.num_sms);
+  auto ga = std::make_unique<alloc::GpuAllocator>(
+      alloc::HeapConfig{.pool_bytes = pool_bytes, .num_arenas = opt.num_sms});
   ga->set_heapsan(sanitize);
 
   const double secs = time_launch(

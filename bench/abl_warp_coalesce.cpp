@@ -17,7 +17,8 @@ namespace {
 
 double run(gpu::Device& dev, const Options& opt, std::uint64_t threads,
            std::size_t size, bool coalesce) {
-  auto ga = std::make_unique<alloc::GpuAllocator>(128u << 20, dev.num_sms());
+  auto ga = std::make_unique<alloc::GpuAllocator>(
+      alloc::HeapConfig{.pool_bytes = 128u << 20, .num_arenas = dev.num_sms()});
   ga->ualloc().set_coalescing(coalesce);
   const std::uint32_t block = opt.block_sizes.front();
   return time_launch(dev, threads, block,

@@ -3,8 +3,7 @@
  * This is the only header external applications should include. It is
  * plain C99 (compiles as C or C++), exposes opaque handles only, and is
  * implemented on top of the C++ Pool/PoolManager/StreamFrontEnd layers
- * (src/alloc). See docs/API.md for the full tour and the migration
- * table from the legacy device_malloc/device_free globals.
+ * (src/alloc). See docs/API.md for the full tour.
  *
  * Quick start:
  *
@@ -22,8 +21,8 @@
  *   toma_pool_destroy(pool);
  *
  * Passing a NULL pool to any allocation call means "the default pool"
- * (created on first use; shared with the legacy device_malloc). Passing
- * a NULL stream means the process-wide default stream.
+ * (the process-wide heap, created on first use). Passing a NULL stream
+ * means the process-wide default stream.
  */
 #ifndef TOMA_TOMA_H
 #define TOMA_TOMA_H
@@ -141,8 +140,8 @@ toma_status_t toma_pool_destroy(toma_pool_t pool);
 /* Look up a pool by name; NULL when absent. */
 toma_pool_t toma_pool_find(const char* name);
 
-/* The default pool (created on first use with library defaults; the same
- * heap the legacy device_malloc uses). */
+/* The default pool (the process-wide heap, created on first use with
+ * library defaults). */
 toma_pool_t toma_default_pool(void);
 
 /* --- synchronous allocation ---------------------------------------------- */

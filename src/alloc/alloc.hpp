@@ -3,7 +3,6 @@
 
 #include "alloc/allocator.hpp"
 #include "alloc/config.hpp"
-#include "alloc/device_heap.hpp"
 #include "alloc/pool.hpp"
 #include "alloc/stream.hpp"
 #include "alloc/tbuddy.hpp"

@@ -77,10 +77,6 @@ GpuAllocator::GpuAllocator(const HeapConfig& cfg)
   obs::install_postmortem_hook();
 }
 
-GpuAllocator::GpuAllocator(std::size_t pool_bytes, std::uint32_t num_arenas)
-    : GpuAllocator(HeapConfig{.pool_bytes = pool_bytes,
-                              .num_arenas = num_arenas}) {}
-
 GpuAllocator::~GpuAllocator() {
   // Verify redzones/poison and report leaks while the allocators are still
   // alive: teardown drains the quarantine through the real free paths.
@@ -128,7 +124,7 @@ bool GpuAllocator::evac_park(void* p) {
   if (evac_chunk_.load(std::memory_order_acquire) != evac) return false;
   TOMA_DASSERT(active_ != nullptr && active_->chunk == evac);
   active_->hold(p, *ualloc_);
-  TOMA_CTR_INC("vmm.defrag.parked");
+  st_.add(kDefragParked);
   return true;
 }
 
@@ -562,7 +558,7 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
     std::uint32_t didx;
     BinHeader* dbin = ualloc_->decode_block(dest, &didx);
     ualloc_->free_decoded(dbin, didx, dest);
-    TOMA_CTR_INC("vmm.defrag.vetoed");
+    st_.add(kDefragVetoed);
     return MoveResult::kVetoed;
   }
   // The whole slot moves, redzones included, so a sanitized payload's
@@ -687,7 +683,7 @@ bool GpuAllocator::select_victim(QuiescentRun* run) {
   // released and re-initialized (see UAlloc::set_evac_range).
   char* lo = static_cast<char*>(vmm_->chunk_addr(best));
   ualloc_->set_evac_range(lo, lo + chunk_bytes);
-  TOMA_CTR_INC("vmm.defrag.victims");
+  st_.add(kDefragVictims);
   return true;
 }
 
@@ -782,7 +778,7 @@ void GpuAllocator::begin_forwarding() {
   // are the grace period's; chunks forwarded before the same flip share it.
   active_->cookie = rcu_.start_poll();
   forwarding_.push_back(std::move(active_));
-  TOMA_CTR_INC("vmm.defrag.forwarding");
+  st_.add(kDefragForwarding);
 }
 
 bool GpuAllocator::step_retire(std::uint32_t max_retries) {
@@ -836,7 +832,7 @@ bool GpuAllocator::step_retire(std::uint32_t max_retries) {
         if (ci == head.chunk &&
             vmm_->mapped_chunks() > vmm_initial_chunks_) {
           vmm_->unmap_chunk(ci);  // -> kRetired
-          TOMA_CTR_INC("vmm.defrag.retired");
+          st_.add(kDefragRetired);
         } else {
           buddy_->inject_block(c, vmm_chunk_order_);
           if (ci == head.chunk) {
@@ -849,7 +845,7 @@ bool GpuAllocator::step_retire(std::uint32_t max_retries) {
       // Tenants reclaimed the chunk's space faster than we could claim
       // it (or vetoed blocks still live there): back into service.
       vmm_->set_state(head.chunk, vmm::ChunkState::kLive);
-      TOMA_CTR_INC("vmm.defrag.abandoned");
+      st_.add(kDefragAbandoned);
       done = true;
     }
   }

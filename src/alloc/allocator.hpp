@@ -183,10 +183,6 @@ struct GpuAllocatorStats {
 class GpuAllocator {
  public:
   explicit GpuAllocator(const HeapConfig& cfg);
-
-  /// Legacy positional form; equivalent to
-  /// HeapConfig{.pool_bytes = pool_bytes, .num_arenas = num_arenas}.
-  GpuAllocator(std::size_t pool_bytes, std::uint32_t num_arenas);
   ~GpuAllocator();
 
   GpuAllocator(const GpuAllocator&) = delete;
@@ -522,6 +518,12 @@ class GpuAllocator {
     kDefragMovedBytes,
     kDefragForwarded,
     kDefragPinStalls,
+    kDefragParked,
+    kDefragVetoed,
+    kDefragVictims,
+    kDefragForwarding,
+    kDefragRetired,
+    kDefragAbandoned,
     kNumStats
   };
   static constexpr const char* kStatNames[kNumStats] = {
@@ -530,7 +532,10 @@ class GpuAllocator {
       "alloc.realloc_inplace",  "alloc.quota_reject",
       "vmm.defrag_passes",      "vmm.defrag.steps",
       "vmm.defrag.moved_bytes", "vmm.defrag.forwarded",
-      "vmm.defrag.pin_stalls",
+      "vmm.defrag.pin_stalls",  "vmm.defrag.parked",
+      "vmm.defrag.vetoed",      "vmm.defrag.victims",
+      "vmm.defrag.forwarding",  "vmm.defrag.retired",
+      "vmm.defrag.abandoned",
   };
   /// The pool's live-byte flow, derived from in_use_ at each snapshot
   /// (the fragmentation gauge's numerator is their difference).

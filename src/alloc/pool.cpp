@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "alloc/device_heap.hpp"
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
@@ -41,24 +40,19 @@ Pool::Pool(std::string name, const HeapConfig& cfg)
       defrag_mode_(cfg.defrag_mode),
       slo_ns_(cfg.slo_latency_ns),
       stats_source_([this](obs::CounterTotals& out) {
-        out[kStatNames[kSyncs]] += st_.sum(kSyncs);
-        out[kStatNames[kThresholdTrims]] += st_.sum(kThresholdTrims);
-        out[pool_series(kStatNames[kSloViolations], name_)] +=
-            st_.sum(kSloViolations);
+        for (std::uint32_t f = 0; f < kNumStats; ++f) {
+          out[f == kSloViolations ? pool_series(kStatNames[f], name_)
+                                  : kStatNames[f]] += st_.sum(f);
+        }
       }) {
 #if TOMA_TELEMETRY
   h_malloc_ns_ =
       &obs::registry().histogram(pool_series("pool.malloc_ns", name_));
   h_free_ns_ = &obs::registry().histogram(pool_series("pool.free_ns", name_));
 #endif
-  TOMA_CTR_INC("pool.create");
 }
 
-Pool::~Pool() {
-  streams_.sync_all();
-  if (device_heap() == &alloc_) set_device_heap(nullptr);
-  TOMA_CTR_INC("pool.destroy");
-}
+Pool::~Pool() { streams_.sync_all(); }
 
 void Pool::begin_op(obs::OpTimer& timer, obs::Histogram* h, bool sampled) {
 #if TOMA_TELEMETRY
@@ -209,7 +203,7 @@ void Pool::free_async(void* p, gpu::Stream& s) {
   if (!async_enabled() || alloc_.heapsan().engaged()) {
     // Degenerate (paper-faithful) mode: the ordering contract holds
     // trivially because the free completes before free_async returns.
-    TOMA_CTR_INC("pool.stream.passthrough");
+    st_.add(kPassthroughs);
     alloc_.free(p, timer);
   } else if (alloc_.ualloc().magazines_enabled() &&
              !util::is_aligned(p, kPageSize) &&
@@ -219,7 +213,7 @@ void Pool::free_async(void* p, gpu::Stream& s) {
     // trivially) and the block lands in the freeing SM's magazine, where
     // the next small malloc_async picks it up in O(1) instead of scanning
     // the stream's pending list.
-    TOMA_CTR_INC("pool.stream.magazine_route");
+    st_.add(kMagazineRoutes);
     alloc_.free(p, timer);
   } else {
     streams_.free_async(p, s);
@@ -372,17 +366,10 @@ bool PoolManager::destroy(const std::string& name) {
 }
 
 Pool& PoolManager::default_pool(const HeapConfig& cfg) {
-  Pool* pool;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    auto [it, inserted] = pools_.try_emplace(kDefaultName);
-    if (inserted) it->second = std::make_unique<Pool>(kDefaultName, cfg);
-    pool = it->second.get();
-  }
-  // Back the legacy device_malloc/device_free globals unless the
-  // application installed its own heap first.
-  install_device_heap_if_absent(&pool->allocator());
-  return *pool;
+  std::lock_guard<std::mutex> g(mu_);
+  auto [it, inserted] = pools_.try_emplace(kDefaultName);
+  if (inserted) it->second = std::make_unique<Pool>(kDefaultName, cfg);
+  return *it->second;
 }
 
 std::size_t PoolManager::sync_stream(gpu::Stream& s) {

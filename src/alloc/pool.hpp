@@ -9,8 +9,8 @@
 // with AllocStatus::kQuota while the others keep allocating at full
 // speed) and its own release threshold governing how much cached memory a
 // sync point may retain (the cudaMemPool release-threshold analogue).
-// PoolManager owns the pools by name; the legacy device_malloc/free
-// globals are thin wrappers over the manager's "default" pool.
+// PoolManager owns the pools by name; its "default" pool is the
+// process-wide heap that the C API's NULL pool names.
 #pragma once
 
 #include <atomic>
@@ -46,9 +46,7 @@ struct PoolStats {
 class Pool {
  public:
   Pool(std::string name, const HeapConfig& cfg);
-  /// Drains every pending async free, then tears the allocator down. If
-  /// this pool's allocator is the installed device heap it is
-  /// uninstalled first.
+  /// Drains every pending async free, then tears the allocator down.
   ~Pool();
 
   Pool(const Pool&) = delete;
@@ -64,7 +62,8 @@ class Pool {
   // call in 64 per entry point, sharing the allocator's clock reads),
   // SLO-violation accounting, and flight-recorder hooks (obs/recorder.hpp)
   // when a recording session is active. The device-side hot path
-  // (device_malloc -> GpuAllocator) bypasses all of this by design.
+  // (kernel code calling GpuAllocator directly) bypasses all of this by
+  // design.
   void* malloc(std::size_t size, AllocStatus* status = nullptr);
   void free(void* p);
   void* calloc(std::size_t n, std::size_t size,
@@ -205,17 +204,20 @@ class Pool {
     kSyncs,
     kThresholdTrims,
     kSloViolations,
+    kPassthroughs,
+    kMagazineRoutes,
     kNumStats
   };
   static constexpr const char* kStatNames[kNumStats] = {
-      "pool.sync", "pool.threshold_trim", "pool.slo_violation"};
+      "pool.sync",          "pool.threshold_trim",
+      "pool.slo_violation", "pool.stream.passthrough",
+      "pool.stream.magazine_route"};
   obs::ShardedStats<kNumStats> st_;
   obs::StatsSource stats_source_;  // last: unregisters first
 };
 
 /// Process-wide registry of named pools. Leaky singleton (like the obs
-/// registry) so the default pool backing the legacy device heap survives
-/// static teardown.
+/// registry) so the default pool survives static teardown.
 class PoolManager {
  public:
   static constexpr const char* kDefaultName = "default";
@@ -232,17 +234,15 @@ class PoolManager {
   /// Look up a pool by name; nullptr when absent.
   Pool* find(const std::string& name) const;
 
-  /// Destroy a pool by name. The default pool refuses (the legacy
-  /// device-heap wrappers depend on it); returns false then and for
-  /// unknown names. Outstanding allocations from the pool must have been
-  /// freed (destruction with live blocks is a use-after-free in waiting,
-  /// exactly as with a raw GpuAllocator).
+  /// Destroy a pool by name. The default pool refuses (the C API hands
+  /// out its handle and its NULL pool names it); returns false then and
+  /// for unknown names. Outstanding allocations from the pool must have
+  /// been freed (destruction with live blocks is a use-after-free in
+  /// waiting, exactly as with a raw GpuAllocator).
   bool destroy(const std::string& name);
 
   /// The "default" pool, created on first use with `cfg` (first call
-  /// wins) and installed as the process device heap when none is
-  /// installed — device_malloc and toma_malloc(nullptr, ...) then share
-  /// one pool.
+  /// wins): the pool toma_malloc(nullptr, ...) allocates from.
   Pool& default_pool(const HeapConfig& cfg = {});
 
   /// Is the default pool created already? (Introspection for tests.)

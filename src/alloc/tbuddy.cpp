@@ -4,6 +4,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 
 #include "gpusim/this_thread.hpp"
 #include "obs/telemetry.hpp"
@@ -31,6 +32,8 @@ TBuddy::TBuddy(void* pool, std::size_t pool_bytes, std::size_t page_size,
   max_order_ = util::log2_floor(pages);
   TOMA_ASSERT_MSG(pages <= sync::BulkSemaphore::kMaxValue,
                   "pool too large for semaphore accounting");
+  static_assert(sync::BulkSemaphore::kMaxValue < (1ull << kSemOrders),
+                "every order below the semaphore bound has its stats");
 
   node_state_.assign(node_count(), kBusy);
   order_of_page_.assign(pages, kNoAllocation);
@@ -141,10 +144,9 @@ void TBuddy::lock_node(std::uint32_t i) {
         b.compare_exchange_weak(cur, cur | kLockBit,
                                 std::memory_order_acquire,
                                 std::memory_order_relaxed)) {
-      TOMA_CTR_INC("tbuddy.lock_acquire");
       return;
     }
-    TOMA_CTR_INC("tbuddy.lock_contended");
+    st_.add(kLockContended);
     sync::spin_until([b] {
       return (b.load(std::memory_order_acquire) & kLockBit) == 0;
     });
@@ -347,7 +349,7 @@ void* TBuddy::take(std::uint32_t order) {
       // order one splits, lower-order ones merge up), but only once
       // flushed.
       if (flush_quicklists() != 0) {
-        TOMA_CTR_INC("tbuddy.quicklist.pressure_flush");
+        st_.add(kPressureFlushes);
         continue;
       }
       // Nothing was cached, unless a grower popped it after the scan: it
@@ -362,7 +364,7 @@ void* TBuddy::take(std::uint32_t order) {
     // mergeable blocks. Flush everything through the real free path and
     // re-decide; a zero-block flush proves exhaustion.
     if (flush_quicklists() == 0) return nullptr;
-    TOMA_CTR_INC("tbuddy.quicklist.pressure_flush");
+    st_.add(kPressureFlushes);
   }
 }
 
@@ -389,7 +391,7 @@ void* TBuddy::allocate_from_tree(std::uint32_t order) {
   const auto res = sems_[order]->wait(1, 2);
   wait_timer.stop();
   if (res == sync::BulkSemaphore::WaitResult::kAcquired) {
-    TOMA_CTRV_INC("tbuddy.sem_acquired", 24, order);
+    st_.add(sem_stat(kSemAcquired, order));
     const std::uint32_t node = find_and_claim(order);
     st_.add(kAllocs);
     void* p = node_addr(node);
@@ -401,7 +403,7 @@ void* TBuddy::allocate_from_tree(std::uint32_t order) {
   // order-(n+1) block; keep one, publish the other. The recursive call
   // goes through take(), so the parent order's quicklist, the exhaustion
   // verdict and the pressure flush serve the split too.
-  TOMA_CTRV_INC("tbuddy.sem_grow", 24, order);
+  st_.add(sem_stat(kSemGrow, order));
   TOMA_TRACE("tbuddy.grow", order);
   if (order == max_order_) {
     sems_[order]->signal(0, 1);  // cannot grow past the root: true OOM
@@ -657,6 +659,18 @@ TBuddyStats TBuddy::stats() const {
   s.cas_claims = st_.sum(kCasClaims);
   s.lock_claims = st_.sum(kLockClaims);
   return s;
+}
+
+void TBuddy::collect(obs::CounterTotals& out) const {
+  for (std::uint32_t f = 0; f < kNumPlainStats; ++f) {
+    if (kStatNames[f] != nullptr) out[kStatNames[f]] += st_.sum(f);
+  }
+  for (std::uint32_t f = 0; f < kNumSemStats; ++f) {
+    for (std::uint32_t h = 0; h < kSemOrders; ++h) {
+      out[std::string(kSemStatNames[f]) + "[" + std::to_string(h) + "]"] +=
+          st_.sum(sem_stat(static_cast<SemStat>(f), h));
+    }
+  }
 }
 
 bool TBuddy::check_consistency() const {

@@ -321,9 +321,11 @@ class TBuddy {
     kQlFlushes,
     kCasClaims,
     kLockClaims,
-    kNumStats
+    kLockContended,
+    kPressureFlushes,
+    kNumPlainStats
   };
-  static constexpr const char* kStatNames[kNumStats] = {
+  static constexpr const char* kStatNames[kNumPlainStats] = {
       nullptr,
       nullptr,
       "tbuddy.split",
@@ -336,10 +338,26 @@ class TBuddy {
       "tbuddy.quicklist.flush",
       "tbuddy.claim.cas_fast",
       "tbuddy.claim.lock_slow",
+      "tbuddy.lock_contended",
+      "tbuddy.quicklist.pressure_flush",
   };
+  /// The per-order semaphore outcomes, one field per order, exported as
+  /// `name[order]`. The 24-bit C field of a BulkSemaphore bounds the
+  /// pages, and so max_order_, below kSemOrders.
+  static constexpr std::uint32_t kSemOrders = 24;
+  enum SemStat : std::uint32_t { kSemAcquired, kSemGrow, kNumSemStats };
+  static constexpr const char* kSemStatNames[kNumSemStats] = {
+      "tbuddy.sem_acquired", "tbuddy.sem_grow"};
+  static constexpr std::size_t sem_stat(SemStat f, std::uint32_t order) {
+    return kNumPlainStats + f * kSemOrders + order;
+  }
+  static constexpr std::size_t kNumStats =
+      kNumPlainStats + kNumSemStats * kSemOrders;
+  void collect(obs::CounterTotals& out) const;
+
   obs::ShardedStats<kNumStats> st_;
   obs::StatsSource stats_source_{
-      [this](obs::CounterTotals& out) { obs::collect(st_, out, kStatNames); }};
+      [this](obs::CounterTotals& out) { collect(out); }};
 };
 
 }  // namespace toma::alloc

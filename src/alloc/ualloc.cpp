@@ -221,11 +221,11 @@ std::uint32_t Arena::allocate_batch(std::uint32_t cls, void** out,
   // (kAcquired) or we are elected to produce a fresh bin (kMustGrow) —
   // one bin for all n, blocks [0, n) pre-taken.
   if (cs.blocks.wait(n, cap) == sync::BulkSemaphore::WaitResult::kAcquired) {
-    TOMA_CTR_INC("ualloc.bin_hit");
+    parent_->st_.add(UAlloc::kBinHits);
     claim_blocks(cls, n, out);
     return n;
   }
-  TOMA_CTR_INC("ualloc.bin_miss");
+  parent_->st_.add(UAlloc::kBinMisses);
   TOMA_TRACE("ualloc.grow_bin", cls);
   BinHeader* bin = create_bin(cls, n);
   if (bin == nullptr) {
@@ -926,7 +926,6 @@ void* UAlloc::block_addr(BinHeader* bin, std::uint32_t idx) const {
   if (logical < kBinDataSize) {
     return reinterpret_cast<char*>(bin) + kBinHeaderSize + logical;
   }
-  TOMA_CTR_INC("ualloc.tail_use");
   // The block lives in the bin's tail, inside header bin 0 or 1.
   char* cbase = chunk_base(bin);
   const std::uint32_t bi = bin->bin_index;

@@ -620,6 +620,8 @@ class UAlloc {
     kArenaFallbacks,
     kCoalescedGroups,
     kCoalescedThreads,
+    kBinHits,
+    kBinMisses,
     kNumPlainStats
   };
   static constexpr const char* kStatNames[kNumPlainStats] = {
@@ -635,6 +637,8 @@ class UAlloc {
       "ualloc.arena_fallback",
       "ualloc.coalesced_groups",
       "ualloc.coalesced_threads",
+      "ualloc.bin_hit",
+      "ualloc.bin_miss",
   };
   /// The magazine counters, one set per size class (MagazineStats minus
   /// the `cached` census); exported summed over the classes.

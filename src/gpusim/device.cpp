@@ -44,7 +44,17 @@ void LaunchState::record_error(std::exception_ptr e) {
   if (!first_error) first_error = e;
 }
 
-Device::Device(DeviceConfig cfg) : cfg_(cfg), stack_pool_(cfg.stack_bytes) {
+Device::Device(DeviceConfig cfg)
+    : cfg_(cfg),
+      stack_pool_(cfg.stack_bytes),
+      stats_source_([this](obs::CounterTotals& out) {
+        const DeviceStats s = stats();
+        const std::uint64_t v[] = {s.fiber_resumes, s.sched_rounds,
+                                   s.warp_parks,    s.warp_unparks,
+                                   s.warp_steals,   s.wait_skips,
+                                   s.blocks_executed};
+        obs::collect(v, out, kStatNames);
+      }) {
   TOMA_ASSERT(cfg_.num_sms > 0);
   TOMA_ASSERT(cfg_.warp_size > 0);
   TOMA_ASSERT(cfg_.max_threads_per_sm >= cfg_.warp_size);
@@ -82,10 +92,6 @@ void Device::launch(Dim3 grid, Dim3 block, const Kernel& kernel) {
   if (nw == 0) nw = default_num_workers(cfg_.num_sms);
   nw = std::min(nw, cfg_.num_sms);
 
-  LaunchStats launch_stats;
-  launch_stats.blocks = ls.total_blocks;
-  launch_stats.threads = ls.total_blocks * ls.threads_per_block;
-
   Scheduler sched(*this, ls, nw);
   ls.sched = &sched;
   if (nw == 1) {
@@ -98,13 +104,9 @@ void Device::launch(Dim3 grid, Dim3 block, const Kernel& kernel) {
     }
     for (auto& t : workers) t.join();
   }
-  const Scheduler::Totals t = sched.totals();
-  launch_stats.fiber_resumes = t.fiber_resumes;
-  launch_stats.sched_rounds = t.warp_steps;
-  launch_stats.warp_parks = t.parks;
-  launch_stats.warp_unparks = t.unparks;
-  launch_stats.warp_steals = t.steals;
-  launch_stats.wait_skips = t.wait_skips;
+  LaunchStats launch_stats = sched.totals();
+  launch_stats.blocks = ls.total_blocks;
+  launch_stats.threads = ls.total_blocks * ls.threads_per_block;
   ls.sched = nullptr;
 
   {

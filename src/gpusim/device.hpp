@@ -21,6 +21,7 @@
 #include "gpusim/config.hpp"
 #include "gpusim/kernel.hpp"
 #include "gpusim/stack.hpp"
+#include "obs/stats.hpp"
 
 namespace toma::gpu {
 
@@ -75,7 +76,9 @@ struct LaunchStats {
 };
 
 /// Aggregate execution counters. Every field is cumulative across
-/// launches; `last_launch` holds the most recent launch's share.
+/// launches; `last_launch` holds the most recent launch's share. The
+/// scheduler counts and `blocks_executed` are exported as the `gpusim.*`
+/// registry counters.
 struct DeviceStats {
   std::uint64_t launches = 0;
   std::uint64_t blocks_executed = 0;
@@ -126,8 +129,17 @@ class Device {
   std::vector<std::unique_ptr<Sm>> sms_;
   std::vector<std::uint64_t>* sched_log_ = nullptr;
 
+  // The collector reads stats_ under stats_mu_; nothing calls into the
+  // registry while holding it.
   mutable std::mutex stats_mu_;
   DeviceStats stats_;
+
+  static constexpr const char* kStatNames[7] = {
+      "gpusim.fiber_resumes", "gpusim.warp.steps",
+      "gpusim.warp.parks",    "gpusim.warp.unparks",
+      "gpusim.warp.steals",   "gpusim.warp.wait_skips",
+      "gpusim.blocks_admitted"};
+  obs::StatsSource stats_source_;  // last: unregisters first
 };
 
 }  // namespace toma::gpu

@@ -222,22 +222,16 @@ void Scheduler::run_worker(std::uint32_t worker_id) {
     step_warp(me, *w);
   }
   tl_worker_ = nullptr;
-  TOMA_CTR_ADD("gpusim.warp.steps", me.steps);
-  TOMA_CTR_ADD("gpusim.warp.parks", me.parks);
-  TOMA_CTR_ADD("gpusim.warp.unparks", me.unparks);
-  TOMA_CTR_ADD("gpusim.warp.steals", me.steals);
-  TOMA_CTR_ADD("gpusim.warp.wait_skips", me.wait_skips);
-  TOMA_CTR_ADD("gpusim.fiber_resumes", me.resumes);
 }
 
-Scheduler::Totals Scheduler::totals() const {
-  Totals t;
+LaunchStats Scheduler::totals() const {
+  LaunchStats t;
   for (const auto& w : workers_) {
     t.fiber_resumes += w->resumes;
-    t.warp_steps += w->steps;
-    t.parks += w->parks;
-    t.unparks += w->unparks;
-    t.steals += w->steals;
+    t.sched_rounds += w->steps;
+    t.warp_parks += w->parks;
+    t.warp_unparks += w->unparks;
+    t.warp_steals += w->steals;
     t.wait_skips += w->wait_skips;
   }
   return t;

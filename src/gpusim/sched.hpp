@@ -45,19 +45,10 @@ namespace toma::gpu {
 
 class Device;
 struct LaunchState;
+struct LaunchStats;
 
 class Scheduler {
  public:
-  /// Per-launch counter totals (aggregated over workers after the join).
-  struct Totals {
-    std::uint64_t fiber_resumes = 0;
-    std::uint64_t warp_steps = 0;
-    std::uint64_t parks = 0;
-    std::uint64_t unparks = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t wait_skips = 0;
-  };
-
   Scheduler(Device& dev, LaunchState& ls, std::uint32_t num_workers);
   ~Scheduler();
 
@@ -73,8 +64,10 @@ class Scheduler {
   /// kernel fibers via ThreadCtx::barrier_released.
   void unpark_block(BlockRun& br, std::uint32_t skip_warp);
 
-  /// Valid after every run_worker returned.
-  Totals totals() const;
+  /// The launch's scheduler counts, summed over the workers (the
+  /// LaunchStats fields past `blocks` and `threads`). Valid after every
+  /// run_worker returned.
+  LaunchStats totals() const;
 
  private:
   struct alignas(64) Worker {

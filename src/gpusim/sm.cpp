@@ -97,7 +97,6 @@ BlockRun* Sm::admit_one(LaunchState& ls) {
     auto br = obtain_block_run();
     br->prepare(dev_, ls, rank, id_);
     resident_threads_ += br->nthreads;
-    TOMA_CTR_INC("gpusim.blocks_admitted");
     TOMA_TRACE_BEGIN("block", rank);
     resident_.push_back(std::move(br));
     return resident_.back().get();

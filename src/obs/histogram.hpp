@@ -167,8 +167,10 @@ class Histogram {
   Shard shards_[kHistShards];
 };
 
-/// Fixed-width histogram array under one name ("name[i]"); same clamping
-/// rule as CounterVec.
+/// Fixed-width histogram array under one name ("name[i]"), for per-class
+/// breakdowns whose index is only known at runtime. Out-of-range indices
+/// clamp to the last element, so an unexpected index never writes out of
+/// bounds.
 class HistogramVec {
  public:
   explicit HistogramVec(std::uint32_t width) : hists_(width) {

@@ -5,8 +5,7 @@
 #include <cstring>
 #include <unordered_map>
 
-#include "obs/registry.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/stats.hpp"
 #include "util/assert.hpp"
 #include "util/hints.hpp"
 
@@ -27,13 +26,6 @@ struct TOMA_CACHELINE_ALIGNED RecLock {
   void unlock() { f.clear(std::memory_order_release); }
 };
 
-void count_drop() {
-  // Monotonic process-wide loss counter; lives in the registry so every
-  // metrics export shows recorder loss (unlike dropped(), it survives
-  // re-starts). No-op with telemetry compiled out.
-  TOMA_CTR_INC("obs.record.dropped");
-}
-
 }  // namespace
 
 struct Recorder::Impl {
@@ -53,15 +45,24 @@ struct Recorder::Impl {
   std::unordered_map<std::uint32_t, std::uint32_t> stream_ids;
   std::unordered_map<const void*, std::uint32_t> blocks;
 
+  // Monotonic process-wide loss count: unlike `dropped` it survives
+  // re-starts, and its collector shows recorder loss in every metrics
+  // export (obs.record.dropped).
+  std::atomic<std::uint64_t> dropped_total{0};
+  static constexpr const char* kStatNames[1] = {"obs.record.dropped"};
+  StatsSource stats_source{[this](CounterTotals& out) {
+    const std::uint64_t v[] = {dropped_total.load(std::memory_order_relaxed)};
+    collect(v, out, kStatNames);
+  }};
+
   // Append under mu; counts a drop when the buffer is at capacity.
-  // Returns false on drop.
-  bool push(const RecordEvent& e) {
+  void push(const RecordEvent& e) {
     if (events.size() >= capacity) {
       ++dropped;
-      return false;
+      dropped_total.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
     events.push_back(e);
-    return true;
   }
 
   std::uint32_t stream_id(std::uint32_t gpu_id, bool is_default) {
@@ -160,9 +161,8 @@ std::uint32_t Recorder::on_alloc(std::uint16_t pool, RecOp op,
   e.pool = pool;
   e.op = op;
   e.outcome = outcome;
-  const bool ok = im.push(e);
+  im.push(e);
   im.mu.unlock();
-  if (!ok) count_drop();
   return block;
 }
 
@@ -185,9 +185,8 @@ void Recorder::on_free(std::uint16_t pool, RecOp op, const void* p,
   e.pool = pool;
   e.op = op;
   e.outcome = kRecOk;
-  const bool ok = im.push(e);
+  im.push(e);
   im.mu.unlock();
-  if (!ok) count_drop();
 }
 
 void Recorder::on_realloc(std::uint16_t pool, const void* old_p,
@@ -218,9 +217,8 @@ void Recorder::on_realloc(std::uint16_t pool, const void* old_p,
   e.pool = pool;
   e.op = RecOp::kRealloc;
   e.outcome = outcome;
-  const bool ok = im.push(e);
+  im.push(e);
   im.mu.unlock();
-  if (!ok) count_drop();
 }
 
 void Recorder::on_move(const void* from, const void* to) {
@@ -248,9 +246,8 @@ void Recorder::on_sync(std::uint16_t pool, RecOp op,
   e.pool = pool;
   e.op = op;
   e.outcome = kRecOk;
-  const bool ok = im.push(e);
+  im.push(e);
   im.mu.unlock();
-  if (!ok) count_drop();
 }
 
 RecordedTrace Recorder::trace() const {

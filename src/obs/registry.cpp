@@ -18,23 +18,6 @@ std::string vec_name(const std::string& base, std::uint32_t i) {
 
 }  // namespace
 
-Counter& Registry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> g(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-CounterVec& Registry::counter_vec(const std::string& name,
-                                  std::uint32_t width) {
-  std::lock_guard<std::mutex> g(mu_);
-  auto& slot = counter_vecs_[name];
-  if (slot == nullptr) slot = std::make_unique<CounterVec>(width);
-  TOMA_ASSERT_MSG(slot->width() == width,
-                  "counter_vec re-registered with a different width");
-  return *slot;
-}
-
 Histogram& Registry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> g(mu_);
   auto& slot = histograms_[name];
@@ -72,14 +55,6 @@ Snapshot Registry::snapshot() const {
   Snapshot s;
   s.counters = folded_;
   for (const auto& [id, collect] : collectors_) collect(s.counters);
-  for (const auto& [name, c] : counters_) {
-    s.counters[name] += c->value();
-  }
-  for (const auto& [name, cv] : counter_vecs_) {
-    for (std::uint32_t i = 0; i < cv->width(); ++i) {
-      s.counters[vec_name(name, i)] = cv->get(i).value();
-    }
-  }
   for (const auto& [name, h] : histograms_) {
     s.histograms[name] = h->snapshot();
   }

@@ -1,14 +1,15 @@
-// The telemetry registry: named counters, counter vectors, histograms and
-// histogram vectors, plus snapshotting with diff and a text report (the
-// export formats are obs/export.hpp).
+// The telemetry registry: histograms and histogram vectors, the stats
+// owners' collectors that are the source of every counter, and
+// snapshotting with diff and a text report (the export formats are
+// obs/export.hpp).
 //
-// Handles returned by counter()/histogram() are stable for the registry's
-// lifetime (instruments are never deleted), which is what lets the macros
-// cache them in function-local statics. Counters that duplicate a stats
-// owner's exact statistics are not instruments: the owner registers a
+// Handles returned by histogram()/histogram_vec() are stable for the
+// registry's lifetime (instruments are never deleted), which is what lets
+// the macros cache them in function-local statics. Counters are not
+// instruments: each one is a field of a stats owner, which registers a
 // collector (obs/stats.hpp) that snapshots sum in. The process-wide
 // registry() is a leaky singleton so allocator destructors running during
-// static teardown can still bump counters and fold their collectors.
+// static teardown can still record and fold their collectors.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +19,6 @@
 #include <mutex>
 #include <string>
 
-#include "obs/counter.hpp"
 #include "obs/histogram.hpp"
 
 namespace toma::obs {
@@ -56,15 +56,14 @@ class Registry {
 
   /// Find-or-create. Thread-safe; O(log n) map lookup — call once per
   /// call site and cache the reference (the macros do).
-  Counter& counter(const std::string& name);
-  CounterVec& counter_vec(const std::string& name, std::uint32_t width);
   Histogram& histogram(const std::string& name);
   HistogramVec& histogram_vec(const std::string& name, std::uint32_t width);
 
   /// A stats owner's export: adds the owner's totals into `out` by name
   /// (obs/stats.hpp). Called under the registry lock, which is what keeps
   /// a snapshot from reading an owner mid-destruction; so it must not
-  /// call back into the registry.
+  /// call back into the registry, nor take a lock that its owner holds
+  /// while calling into the registry.
   using Collector = std::function<void(CounterTotals& out)>;
 
   /// Register a collector; every snapshot adds what it writes. Returns
@@ -75,8 +74,8 @@ class Registry {
   /// no snapshot calls it again.
   void remove_collector(std::uint64_t id);
 
-  /// Counters (named and collected), histograms, and the totals of
-  /// removed collectors.
+  /// Counters (collected, plus the totals of removed collectors) and
+  /// histograms.
   Snapshot snapshot() const;
 
  private:
@@ -84,8 +83,6 @@ class Registry {
   std::map<std::uint64_t, Collector> collectors_;
   std::uint64_t next_collector_ = 1;
   CounterTotals folded_;  // totals of removed collectors
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<CounterVec>> counter_vecs_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<HistogramVec>> histogram_vecs_;
 };

@@ -2,12 +2,11 @@
 //
 // Design rules (docs/OBSERVABILITY.md):
 //
-//   * Counters are cache-line sharded (one shard per simulated SM,
-//     aggregated on read) so instrumentation does not perturb the
-//     contention it measures.
+//   * Counters are not macros: each is a field of its owner's exact
+//     statistics (obs/stats.hpp), exported through the owner's collector.
 //   * Every macro resolves its registry handle once per call site via a
-//     function-local static, so the steady-state cost of a counter bump is
-//     one relaxed fetch_add on a shard this SM's worker thread owns.
+//     function-local static, so the steady-state cost of a histogram
+//     record is a few relaxed RMWs on a shard this SM's worker owns.
 //   * Per-operation latencies are sampled (obs/sample.hpp): a site times
 //     one call in 64 through an obs::OpTimer, and an untimed call reads
 //     no clock.
@@ -28,24 +27,6 @@
 #include "obs/trace.hpp"     // IWYU pragma: export
 
 #if TOMA_TELEMETRY
-
-/// Bump a named sharded counter by `n`.
-#define TOMA_CTR_ADD(name, n)                                             \
-  do {                                                                    \
-    static ::toma::obs::Counter& toma_obs_c_ =                            \
-        ::toma::obs::registry().counter(name);                            \
-    toma_obs_c_.add(n);                                                   \
-  } while (0)
-#define TOMA_CTR_INC(name) TOMA_CTR_ADD(name, 1)
-
-/// Bump element `idx` of a fixed-width counter vector (exported as
-/// "name[idx]"); out-of-range indices clamp to the last element.
-#define TOMA_CTRV_INC(name, width, idx)                                   \
-  do {                                                                    \
-    static ::toma::obs::CounterVec& toma_obs_cv_ =                        \
-        ::toma::obs::registry().counter_vec(name, width);                 \
-    toma_obs_cv_.at(idx).inc();                                           \
-  } while (0)
 
 /// Record `value` into a named log2-bucketed histogram.
 #define TOMA_HIST(name, value)                                            \
@@ -108,9 +89,6 @@
 
 #else  // !TOMA_TELEMETRY — every macro is a no-op; arguments unevaluated.
 
-#define TOMA_CTR_ADD(name, n) ((void)0)
-#define TOMA_CTR_INC(name) ((void)0)
-#define TOMA_CTRV_INC(name, width, idx) ((void)0)
 #define TOMA_HIST(name, value) ((void)0)
 #define TOMA_HISTV(name, width, idx, value) ((void)0)
 #define TOMA_NOW_NS() (std::uint64_t{0})

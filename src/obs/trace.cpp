@@ -6,7 +6,7 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/registry.hpp"
+#include "obs/stats.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 #include "util/hints.hpp"
@@ -42,6 +42,15 @@ struct TraceState {
   std::size_t mask = 0;  // capacity - 1
   std::mutex admin_mu;   // enable/disable/dump
   bool allocated = false;
+  // Monotonic twin of trace_dropped(): ring-wrap loss shows up in every
+  // metrics export (obs.trace.dropped), not only when someone polls the
+  // rings, and reset_trace() does not reset it.
+  std::atomic<std::uint64_t> dropped_total{0};
+  static constexpr const char* kStatNames[1] = {"obs.trace.dropped"};
+  StatsSource stats_source{[this](CounterTotals& out) {
+    const std::uint64_t v[] = {dropped_total.load(std::memory_order_relaxed)};
+    collect(v, out, kStatNames);
+  }};
 };
 
 TraceState& state() {
@@ -109,13 +118,7 @@ void trace_event_slow(const char* name, TracePhase phase, std::uint64_t arg) {
   r.slots[r.head & st.mask] = rec;
   ++r.head;
   r.mu.unlock();
-  if (overwrote) {
-    // Monotonic registry twin of trace_dropped(): ring-wrap loss shows up
-    // in every metrics export, not only when someone polls the rings.
-    // (Unlike trace_dropped() it is not reset by reset_trace().)
-    static Counter& dropped = registry().counter("obs.trace.dropped");
-    dropped.inc();
-  }
+  if (overwrote) st.dropped_total.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t trace_dropped() {

@@ -19,6 +19,12 @@ HeapSan::HeapSan(HeapSanConfig cfg, ReleaseFn release)
 
 HeapSan::~HeapSan() = default;
 
+void HeapSan::report(const BugReport& r) {
+  static_assert(static_cast<int>(BugKind::kLeak) == kNumStats - kReports - 1);
+  st_.add(kReports + static_cast<std::size_t>(r.kind));
+  san::report(r);
+}
+
 BugReport HeapSan::make_report(BugKind kind, const void* user_ptr,
                                const Record& rec) const {
   BugReport r;

@@ -185,6 +185,8 @@ class HeapSan {
 
   BugReport make_report(BugKind kind, const void* user_ptr,
                         const Record& rec) const;
+  /// Count `r` under its bug class, then hand it to san::report().
+  void report(const BugReport& r);
 
   /// Verify both redzones of a block; emits one kOob report (at the first
   /// bad byte) when violated. Returns true when clean.
@@ -222,11 +224,15 @@ class HeapSan {
     kPushes,
     kEvictions,
     kFlushes,
-    kNumStats
+    kReports,  // one per BugKind, in BugKind order
+    kNumStats = kReports + 5
   };
   static constexpr const char* kStatNames[kNumStats] = {
-      "san.redzone_check",    "san.poison_check",    "san.quarantine.push",
-      "san.quarantine.evict", "san.quarantine.flush",
+      "san.redzone_check",       "san.poison_check",
+      "san.quarantine.push",     "san.quarantine.evict",
+      "san.quarantine.flush",    "san.report.double_free",
+      "san.report.invalid_free", "san.report.oob",
+      "san.report.uaf",          "san.report.leak",
   };
   obs::ShardedStats<kNumStats> st_;
   obs::StatsSource stats_source_{

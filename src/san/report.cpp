@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "obs/postmortem.hpp"
-#include "obs/telemetry.hpp"
 
 namespace toma::san {
 
@@ -80,23 +79,6 @@ ReportHandler set_report_handler(ReportHandler handler) {
 }
 
 void report(const BugReport& r) {
-  switch (r.kind) {
-    case BugKind::kDoubleFree:
-      TOMA_CTR_INC("san.report.double_free");
-      break;
-    case BugKind::kInvalidFree:
-      TOMA_CTR_INC("san.report.invalid_free");
-      break;
-    case BugKind::kOob:
-      TOMA_CTR_INC("san.report.oob");
-      break;
-    case BugKind::kUaf:
-      TOMA_CTR_INC("san.report.uaf");
-      break;
-    case BugKind::kLeak:
-      TOMA_CTR_INC("san.report.leak");
-      break;
-  }
   g_handler.load(std::memory_order_acquire)(r);
 }
 

@@ -3,8 +3,9 @@
 // Every bug HeapSan detects is materialized as a BugReport carrying the
 // offending block's full shadow-table metadata (who allocated it, where,
 // when) plus the byte-level evidence (offset / expected / found) for
-// memory-content violations. san::report() bumps the san.report.* counter
-// for the bug class and hands the report to the installed handler.
+// memory-content violations. HeapSan counts each report under its bug
+// class (the san.report.* counters) and hands it to san::report(), which
+// passes it to the installed handler.
 //
 // The default handler prints the report, dumps the telemetry snapshot and
 // the faulting SM's trace ring (the same postmortem path fatal asserts
@@ -67,8 +68,8 @@ using ReportHandler = void (*)(const BugReport&);
 /// nullptr to restore the default print-dump-abort handler.
 ReportHandler set_report_handler(ReportHandler handler);
 
-/// Count and dispatch `r` to the installed handler. Returns only if the
-/// handler does (the default handler aborts for everything but kLeak).
+/// Dispatch `r` to the installed handler. Returns only if the handler
+/// does (the default handler aborts for everything but kLeak).
 void report(const BugReport& r);
 
 }  // namespace toma::san

@@ -74,14 +74,12 @@ class BulkSemaphore {
         if (word_.compare_exchange_weak(w, pack(c, e + (b - n), r),
                                         std::memory_order_acq_rel,
                                         std::memory_order_acquire)) {
-          TOMA_CTR_INC("sync.bsem.grow");
           return WaitResult::kMustGrow;
         }
       } else if (c >= n) {
         if (word_.compare_exchange_weak(w, pack(c - n, e, r),
                                         std::memory_order_acq_rel,
                                         std::memory_order_acquire)) {
-          TOMA_CTR_INC("sync.bsem.acquired");
           return WaitResult::kAcquired;
         }
       } else {
@@ -99,7 +97,6 @@ class BulkSemaphore {
         if (word_.compare_exchange_weak(w, pack(c, e, r + n),
                                         std::memory_order_acq_rel,
                                         std::memory_order_acquire)) {
-          TOMA_CTR_INC("sync.bsem.reserve");
           obs::OpTimer timer;
           if (TOMA_SITE_SAMPLED()) TOMA_OP_HIST("sync.bsem.wait_ns", timer);
           spin_until([this, n] {

@@ -39,7 +39,6 @@ class Collective {
   /// call this exactly once with the same group object value.
   void lock(const gpu::CoalescedGroup& g) {
     if (g.is_leader()) {
-      if (g.size() > 1) TOMA_CTR_INC("sync.cmutex.collective_acquire");
       obs::OpTimer timer;
       if (TOMA_SITE_SAMPLED()) TOMA_OP_HIST("sync.cmutex.acquire_ns", timer);
       base_.lock();

@@ -49,7 +49,6 @@ void SrcuDomain::synchronize() {
   writer_mu_.unlock();
 
   full_barriers_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("sync.rcu.full_barrier");
   run_callbacks(adopted);
 }
 
@@ -62,7 +61,6 @@ void SrcuDomain::barrier_conditional(RcuCallback* cb) {
   call(cb);
   if (pending_barriers_.load(std::memory_order_seq_cst) > 0) {
     delegated_barriers_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("sync.rcu.delegated_barrier");
     return;
   }
   synchronize();

@@ -38,6 +38,7 @@
 
 #include "gpusim/this_thread.hpp"
 #include "obs/context.hpp"
+#include "obs/stats.hpp"
 #include "sync/backoff.hpp"
 #include "sync/spin_mutex.hpp"
 #include "util/hints.hpp"
@@ -125,7 +126,8 @@ class SrcuDomain {
     return static_cast<std::int64_t>(reader_sum(idx & 1));
   }
   /// Completed full barriers and delegated (skipped) barriers; used by the
-  /// Figure 6 benchmark to report delegation rates.
+  /// Figure 6 benchmark to report delegation rates, and exported as
+  /// `sync.rcu.full_barrier` / `delegated_barrier`.
   std::uint64_t full_barriers() const {
     return full_barriers_.load(std::memory_order_relaxed);
   }
@@ -166,6 +168,13 @@ class SrcuDomain {
   TOMA_CACHELINE_ALIGNED std::atomic<RcuCallback*> queue_{nullptr};
   std::atomic<std::uint64_t> full_barriers_{0};
   std::atomic<std::uint64_t> delegated_barriers_{0};
+
+  static constexpr const char* kStatNames[2] = {
+      "sync.rcu.full_barrier", "sync.rcu.delegated_barrier"};
+  obs::StatsSource stats_source_{[this](obs::CounterTotals& out) {
+    const std::uint64_t v[] = {full_barriers(), delegated_barriers()};
+    obs::collect(v, out, kStatNames);
+  }};
 };
 
 /// RAII read-side critical section. Constructed from a null pointer it is

@@ -2,7 +2,6 @@
 
 #include <sys/mman.h>
 
-#include "obs/telemetry.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 
@@ -72,7 +71,9 @@ void ForwardTable::purge_range(const void* base, std::size_t len) {
 }
 
 BackingStore::BackingStore(const BackingConfig& cfg)
-    : reserve_bytes_(cfg.reserve_bytes), chunk_bytes_(cfg.chunk_bytes) {
+    : reserve_bytes_(cfg.reserve_bytes),
+      chunk_bytes_(cfg.chunk_bytes),
+      initial_chunks_(cfg.initial_chunks) {
   TOMA_ASSERT(util::is_pow2(reserve_bytes_));
   TOMA_ASSERT(util::is_pow2(chunk_bytes_));
   TOMA_ASSERT(chunk_bytes_ <= reserve_bytes_);
@@ -134,7 +135,6 @@ bool BackingStore::map_chunk(std::uint32_t idx) {
   // stale entry would alias a new allocation.
   if (!fwd_.empty()) fwd_.purge_range(chunk_addr(idx), chunk_bytes_);
   set_state(idx, ChunkState::kLive);
-  TOMA_CTR_ADD("vmm.map_bytes", chunk_bytes_);
   return true;
 }
 
@@ -166,7 +166,6 @@ void BackingStore::unmap_chunk(std::uint32_t idx) {
   mapped_chunks_.fetch_sub(1, std::memory_order_relaxed);
   set_state(idx, ChunkState::kRetired);
   st_.add(kShrinks);
-  TOMA_CTR_ADD("vmm.unmap_bytes", chunk_bytes_);
 }
 
 BackingStats BackingStore::stats() const {

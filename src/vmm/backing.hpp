@@ -144,10 +144,6 @@ class BackingStore {
   /// caller turns this into kOom). Caller serializes.
   void* map_next();
 
-  /// Map a specific chunk slot (construction-time initial mapping).
-  /// Returns false when already mapped or at the ceiling.
-  bool map_chunk(std::uint32_t idx);
-
   /// Return chunk `idx`'s pages to the OS and re-protect the range. The
   /// chunk must be mapped and must not be reachable from any allocator
   /// structure (the caller extracted it from TBuddy first).
@@ -197,11 +193,16 @@ class BackingStore {
   BackingStats stats() const;
 
  private:
+  /// Map chunk slot `idx` (the initial mapping, and map_next's). Returns
+  /// false when already mapped or at the ceiling.
+  bool map_chunk(std::uint32_t idx);
+
   void* base_ = nullptr;
   std::size_t reserve_bytes_ = 0;
   std::size_t chunk_bytes_ = 0;
   std::uint32_t chunk_count_ = 0;
   std::uint32_t max_chunks_ = 0;
+  std::uint32_t initial_chunks_ = 0;
 
   std::vector<std::uint8_t> mapped_;  // chunk table: 1 = mapped
   // Per-chunk ChunkState; a separate atomic array (not bits in mapped_)
@@ -214,9 +215,18 @@ class BackingStore {
   enum Stat : std::uint32_t { kGrows, kShrinks, kNumStats };
   static constexpr const char* kStatNames[kNumStats] = {"vmm.grow",
                                                         "vmm.shrink"};
+  /// Bytes mapped (the initial chunks and every grow) and unmapped (every
+  /// shrink): their difference is mapped_bytes().
+  static constexpr const char* kByteStatNames[2] = {"vmm.map_bytes",
+                                                    "vmm.unmap_bytes"};
   obs::ShardedStats<kNumStats> st_;
-  obs::StatsSource stats_source_{
-      [this](obs::CounterTotals& out) { obs::collect(st_, out, kStatNames); }};
+  obs::StatsSource stats_source_{[this](obs::CounterTotals& out) {
+    obs::collect(st_, out, kStatNames);
+    const std::uint64_t v[] = {
+        (initial_chunks_ + st_.sum(kGrows)) * chunk_bytes_,
+        st_.sum(kShrinks) * chunk_bytes_};
+    obs::collect(v, out, kByteStatNames);
+  }};
 };
 
 }  // namespace toma::vmm

@@ -16,7 +16,7 @@ namespace {
 
 class GpuAllocatorTest : public ::testing::Test {
  protected:
-  GpuAllocatorTest() : ga_(32 * 1024 * 1024, 2) {}
+  GpuAllocatorTest() : ga_({.pool_bytes = 32 * 1024 * 1024, .num_arenas = 2}) {}
   GpuAllocator ga_;
 };
 

@@ -160,7 +160,7 @@ void fuzz_worker(GpuAllocator& ga, ShadowModel& model, std::uint64_t seed,
 }
 
 TEST(FuzzModel, Sequential) {
-  GpuAllocator ga(32 * 1024 * 1024, 2);
+  GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024, .num_arenas = 2});
   ShadowModel model;
   fuzz_worker(ga, model, 0xF00D, 8000, 16, [] {});
   EXPECT_EQ(model.live_count(), 0u);
@@ -170,7 +170,7 @@ TEST(FuzzModel, Sequential) {
 }
 
 TEST(FuzzModel, OsThreads) {
-  GpuAllocator ga(32 * 1024 * 1024, 4);
+  GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024, .num_arenas = 4});
   ShadowModel model;
   test::run_os_threads(4, [&](unsigned tid) {
     fuzz_worker(ga, model, 0xBEEF + tid, 3000, 14,
@@ -184,7 +184,8 @@ TEST(FuzzModel, OsThreads) {
 
 TEST(FuzzModel, GpuKernel) {
   gpu::Device dev(test::small_device(4, 512, 1));
-  GpuAllocator ga(64 * 1024 * 1024, dev.num_sms());
+  GpuAllocator ga({.pool_bytes = 64 * 1024 * 1024,
+                   .num_arenas = dev.num_sms()});
   ShadowModel model;
   dev.launch_linear(512, 64, [&](gpu::ThreadCtx& t) {
     fuzz_worker(ga, model, 0xCAFE + t.global_rank(), 60, 13,
@@ -204,7 +205,7 @@ TEST(FuzzModel, ToggleMatrix) {
     for (const bool quicklist : {false, true}) {
       SCOPED_TRACE(testing::Message() << "magazines=" << magazines
                                       << " quicklist=" << quicklist);
-      GpuAllocator ga(32 * 1024 * 1024, 2);
+      GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024, .num_arenas = 2});
       ga.ualloc().set_magazines(magazines);
       ga.buddy().set_quicklist(quicklist);
       ShadowModel model;
@@ -222,7 +223,7 @@ TEST(FuzzModel, ToggleMatrix) {
 // Same model, HeapSan interposed: redzones, poison and the quarantine must
 // be invisible to a correct client (canaries intact, pool still coalesces).
 TEST(FuzzModel, SequentialHeapSan) {
-  GpuAllocator ga(32 * 1024 * 1024, 2);
+  GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024, .num_arenas = 2});
   ga.set_heapsan(true);
   ShadowModel model;
   fuzz_worker(ga, model, 0x5A17, 6000, 15, [] {});
@@ -235,7 +236,8 @@ TEST(FuzzModel, SequentialHeapSan) {
 
 TEST(FuzzModel, GpuKernelMultiWorker) {
   gpu::Device dev(test::small_device(4, 256, 2));
-  GpuAllocator ga(64 * 1024 * 1024, dev.num_sms());
+  GpuAllocator ga({.pool_bytes = 64 * 1024 * 1024,
+                   .num_arenas = dev.num_sms()});
   ShadowModel model;
   dev.launch_linear(256, 64, [&](gpu::ThreadCtx& t) {
     fuzz_worker(ga, model, 0xD00D + t.global_rank(), 40, 13,

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "alloc/device_heap.hpp"
 #include "gpusim/gpusim.hpp"
 #include "obs/telemetry.hpp"
 #include "support/test_support.hpp"
@@ -17,14 +16,6 @@ constexpr std::size_t kMiB = 1024 * 1024;
 
 HeapConfig small_cfg() {
   return HeapConfig{.pool_bytes = 4 * kMiB, .num_arenas = 2};
-}
-
-TEST(HeapConfig, DefaultsMatchLegacyConstructor) {
-  GpuAllocator legacy(4 * kMiB, 2);
-  GpuAllocator configured(small_cfg());
-  EXPECT_EQ(legacy.pool_bytes(), configured.pool_bytes());
-  EXPECT_EQ(legacy.quota_bytes(), 0u);
-  EXPECT_EQ(configured.quota_bytes(), 0u);
 }
 
 TEST(HeapConfig, Validity) {
@@ -226,45 +217,6 @@ TEST(Pool, SloTargetAndViolationAccounting) {
   void* p = pool.malloc(64);
   pool.free(p);
   EXPECT_EQ(pool.stats().slo_violations, frozen);
-}
-
-TEST(Pool, DtorUninstallsItsOwnDeviceHeap) {
-  GpuAllocator* prev = set_device_heap(nullptr);
-  {
-    auto pool = std::make_unique<Pool>("dh-owner", small_cfg());
-    set_device_heap(&pool->allocator());
-    EXPECT_EQ(device_heap(), &pool->allocator());
-    pool.reset();  // must not leave a dangling installed heap
-  }
-  EXPECT_EQ(device_heap(), nullptr);
-  set_device_heap(prev);
-}
-
-TEST(Pool, DeviceHeapScopeNestsOverPools) {
-  // A scoped heap override shadows the default pool's heap and restores
-  // it on exit — the test-fixture pattern pools must not break.
-  PoolManager& mgr = PoolManager::instance();
-  Pool& def = mgr.default_pool(small_cfg());
-  GpuAllocator* prev = set_device_heap(&def.allocator());
-
-  Pool scratch("dh-scope", small_cfg());
-  {
-    DeviceHeapScope scope(scratch.allocator());
-    EXPECT_EQ(device_heap(), &scratch.allocator());
-    void* p = device_malloc(test::request_for_slot(scratch.allocator(), 64));
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(scratch.bytes_in_use(), 64u);
-    {
-      DeviceHeapScope inner(def.allocator());
-      EXPECT_EQ(device_heap(), &def.allocator());
-    }
-    EXPECT_EQ(device_heap(), &scratch.allocator());
-    device_free(p);
-  }
-  EXPECT_EQ(device_heap(), &def.allocator());
-  test::flush_quarantine(scratch.allocator());
-  EXPECT_EQ(scratch.bytes_in_use(), 0u);
-  set_device_heap(prev);
 }
 
 TEST(Pool, KernelChurnThroughPool) {

@@ -18,7 +18,8 @@ TEST(Integration, LinkedListPerThread) {
   // Each thread builds a private linked list with malloc, walks it, then
   // frees it — dynamic data structures in device code.
   gpu::Device dev(test::small_device());
-  alloc::GpuAllocator ga(32 * 1024 * 1024, dev.num_sms());
+  alloc::GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024,
+                          .num_arenas = dev.num_sms()});
   struct Node {
     Node* next;
     std::uint64_t value;
@@ -59,7 +60,8 @@ TEST(Integration, ProducerConsumerHandoff) {
   // Producers allocate and publish; consumers (other blocks, possibly on
   // other SMs) verify content and free. Exercises cross-arena frees.
   gpu::Device dev(test::small_device(4, 256, 1));
-  alloc::GpuAllocator ga(32 * 1024 * 1024, dev.num_sms());
+  alloc::GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024,
+                          .num_arenas = dev.num_sms()});
   constexpr std::uint32_t kItems = 512;
   std::vector<std::atomic<void*>> mailbox(kItems);
   std::atomic<std::uint32_t> consumed{0};
@@ -93,7 +95,8 @@ TEST(Integration, BlockSharedScratchAllocation) {
   // One thread per block allocates a shared scratch buffer (the paper's
   // warp/block-coalesced pattern); the block barriers, uses it, frees it.
   gpu::Device dev(test::small_device());
-  alloc::GpuAllocator ga(32 * 1024 * 1024, dev.num_sms());
+  alloc::GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024,
+                          .num_arenas = dev.num_sms()});
   std::atomic<std::uint64_t> checks{0};
   dev.launch(gpu::Dim3{16}, gpu::Dim3{64}, [&](gpu::ThreadCtx& t) {
     auto** slot = static_cast<std::uint32_t**>(t.shared_mem());
@@ -122,7 +125,8 @@ TEST(Integration, PoolExhaustionBehaviour) {
   // because the buddy range has zero fragmentation.
   gpu::Device dev(test::small_device());
   constexpr std::size_t kPoolBytes = 8 * 1024 * 1024;
-  alloc::GpuAllocator ga(kPoolBytes, dev.num_sms());
+  alloc::GpuAllocator ga({.pool_bytes = kPoolBytes,
+                          .num_arenas = dev.num_sms()});
   // Under HeapSan a 4 KB request carries redzones and occupies the next
   // order up; size the thread count to the block's true pool footprint so
   // the pool is exactly exhausted in either mode.
@@ -153,7 +157,8 @@ TEST(Integration, PoolExhaustionBehaviour) {
 TEST(Integration, RepeatedLaunchesReuseState) {
   // The allocator survives many kernel launches with full recycling.
   gpu::Device dev(test::small_device());
-  alloc::GpuAllocator ga(16 * 1024 * 1024, dev.num_sms());
+  alloc::GpuAllocator ga({.pool_bytes = 16 * 1024 * 1024,
+                          .num_arenas = dev.num_sms()});
   for (int launch = 0; launch < 5; ++launch) {
     dev.launch_linear(512, 64, [&](gpu::ThreadCtx& t) {
       void* p = ga.malloc(8 << (t.global_rank() % 6));

@@ -22,7 +22,7 @@ namespace toma {
 namespace {
 
 TEST(HostStress, MixedSizeChurn) {
-  alloc::GpuAllocator ga(32 * 1024 * 1024, /*num_arenas=*/4);
+  alloc::GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024, .num_arenas = 4});
   test::run_os_threads(8, [&](unsigned tid) {
     util::Xorshift rng(tid * 7919 + 1);
     void* held[4] = {};
@@ -62,7 +62,7 @@ TEST(HostStress, CrossThreadFreeMailboxes) {
   // they never allocated. Every free lands in the *freeing* thread's
   // hash-chosen arena magazine (or spills), exercising the cross-owner
   // paths: chunk-header decode, remote bin publication, magazine bounds.
-  alloc::GpuAllocator ga(32 * 1024 * 1024, /*num_arenas=*/4);
+  alloc::GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024, .num_arenas = 4});
   constexpr unsigned kPairs = 4;
   constexpr int kPerThread = 3000;
   struct Mailbox {
@@ -213,7 +213,7 @@ TEST(HostStress, MagazineRefillToggleRace) {
   // refills and top-ups, so TSan watches the magazine lock and refill-gate
   // protocol and the claimed-while-cached handoff under preemptive
   // threads.
-  alloc::GpuAllocator ga(16 * 1024 * 1024, /*num_arenas=*/2);
+  alloc::GpuAllocator ga({.pool_bytes = 16 * 1024 * 1024, .num_arenas = 2});
   std::atomic<bool> stop{false};
   test::run_os_threads(5, [&](unsigned tid) {
     if (tid == 0) {  // toggler
@@ -297,7 +297,7 @@ TEST(HostStress, MagazineToggleRace) {
   // Flip the magazine switch while other threads churn: the toggle only
   // gates *entry* into the cache, so every configuration interleaving must
   // keep the accounting closed and the structures consistent.
-  alloc::GpuAllocator ga(16 * 1024 * 1024, /*num_arenas=*/2);
+  alloc::GpuAllocator ga({.pool_bytes = 16 * 1024 * 1024, .num_arenas = 2});
   std::atomic<bool> stop{false};
   test::run_os_threads(5, [&](unsigned tid) {
     if (tid == 0) {  // toggler

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "alloc/alloc.hpp"
@@ -19,13 +21,18 @@ namespace {
 // Many waves of mixed sizes on `workers` gpusim workers, then the
 // quiescent checks and the telemetry invariant.
 void many_waves_mixed_sizes(std::uint32_t workers) {
-  gpu::Device dev(test::small_device(4, 512, workers));
-  alloc::GpuAllocator ga(64 * 1024 * 1024, dev.num_sms());
-  constexpr std::uint64_t kThreads = 20000;
-  std::atomic<std::uint64_t> completed{0};
 #if TOMA_TELEMETRY
   const obs::Snapshot obs_before = obs::registry().snapshot();
 #endif
+  auto dev_owner =
+      std::make_unique<gpu::Device>(test::small_device(4, 512, workers));
+  gpu::Device& dev = *dev_owner;
+  const alloc::HeapConfig cfg{.pool_bytes = 64 * 1024 * 1024,
+                              .num_arenas = dev.num_sms()};
+  auto ga_owner = std::make_unique<alloc::GpuAllocator>(cfg);
+  alloc::GpuAllocator& ga = *ga_owner;
+  constexpr std::uint64_t kThreads = 20000;
+  std::atomic<std::uint64_t> completed{0};
 
   dev.launch_linear(kThreads, 128, [&](gpu::ThreadCtx& t) {
     if (t.global_rank() >= kThreads) return;
@@ -80,48 +87,81 @@ void many_waves_mixed_sizes(std::uint32_t workers) {
   }
 
 #if TOMA_TELEMETRY
-  // Telemetry invariant: the registry counters a stats owner exports
-  // must agree exactly with its stats() (obs/stats.hpp) — a misnamed or
-  // unexported field, or a shard the sums miss, shows up here. This
-  // allocator is the only one live during the launch, so the registry
-  // delta is all ours.
-  const obs::Snapshot obs_delta =
-      obs::registry().snapshot().diff_since(obs_before);
-  const auto ctr = [&](const char* name) -> std::uint64_t {
-    const auto it = obs_delta.counters.find(name);
-    return it == obs_delta.counters.end() ? 0 : it->second;
-  };
-  EXPECT_EQ(ctr("alloc.malloc"), st.mallocs);
-  EXPECT_EQ(ctr("alloc.free"), st.frees);
-  EXPECT_EQ(ctr("alloc.failed"), st.failed_mallocs);
-  EXPECT_EQ(ctr("ualloc.magazine.hit"), us.magazine_hits);
-  EXPECT_EQ(ctr("ualloc.magazine.miss"), us.magazine_misses);
-  EXPECT_EQ(ctr("ualloc.magazine.refill"), us.magazine_refills);
-  EXPECT_EQ(ctr("ualloc.magazine.refill_blocks"), us.magazine_refill_blocks);
-  EXPECT_EQ(ctr("ualloc.magazine.topup"), us.magazine_topups);
-  EXPECT_EQ(ctr("ualloc.magazine.spill"), us.magazine_spills);
-  EXPECT_EQ(ctr("ualloc.magazine.spill_blocks"), us.magazine_spill_blocks);
-  EXPECT_EQ(ctr("ualloc.magazine.flush"), us.magazine_flushes);
-  EXPECT_EQ(ctr("ualloc.bin_create"), us.bins_created);
-  EXPECT_EQ(ctr("ualloc.bin_retire"), us.bins_retired);
-  EXPECT_EQ(ctr("ualloc.chunk_fetch"), us.chunks_created);
-  EXPECT_EQ(ctr("ualloc.chunk_retire"), us.chunks_retired);
-  EXPECT_EQ(ctr("ualloc.bin_unlink"), us.bin_unlinks);
-  EXPECT_EQ(ctr("ualloc.bin_relist"), us.bin_relists);
-  EXPECT_EQ(ctr("ualloc.list_retry"), us.list_retries);
-  EXPECT_EQ(ctr("ualloc.arena_fallback"), us.arena_fallbacks);
+  // Telemetry invariant: every registry counter comes from a stats
+  // owner's collector (obs/stats.hpp), so each must agree exactly with
+  // the count its owner keeps — a misnamed or unexported field, a shard
+  // the sums miss, or a collector that is not registered shows up here.
+  // This device and allocator are the only ones live since obs_before,
+  // so the registry delta is all theirs.
+  const gpu::DeviceStats ds = dev.stats();
   const auto& bs = st.buddy;
-  EXPECT_EQ(ctr("tbuddy.quicklist.hit"), bs.quicklist_hits);
-  EXPECT_EQ(ctr("tbuddy.quicklist.miss"), bs.quicklist_misses);
-  EXPECT_EQ(ctr("tbuddy.quicklist.spill"), bs.quicklist_spills);
-  EXPECT_EQ(ctr("tbuddy.quicklist.flush"), bs.quicklist_flushes);
-  EXPECT_EQ(ctr("tbuddy.split"), bs.splits);
-  EXPECT_EQ(ctr("tbuddy.merge"), bs.merges);
-  EXPECT_EQ(ctr("tbuddy.descent_retry"), bs.descent_retries);
-  EXPECT_EQ(ctr("tbuddy.claim.cas_fast"), bs.cas_claims);
-  EXPECT_EQ(ctr("tbuddy.claim.lock_slow"), bs.lock_claims);
+  const vmm::BackingStats vs = ga.backing().stats();
+  std::uint64_t full_barriers = 0, delegated_barriers = 0;
+  for (std::uint32_t a = 0; a < ga.ualloc().num_arenas(); ++a) {
+    full_barriers += ga.ualloc().arena(a).rcu().full_barriers();
+    delegated_barriers += ga.ualloc().arena(a).rcu().delegated_barriers();
+  }
+  const std::pair<const char*, std::uint64_t> want[] = {
+      {"alloc.malloc", st.mallocs},
+      {"alloc.free", st.frees},
+      {"alloc.failed", st.failed_mallocs},
+      {"ualloc.magazine.hit", us.magazine_hits},
+      {"ualloc.magazine.miss", us.magazine_misses},
+      {"ualloc.magazine.refill", us.magazine_refills},
+      {"ualloc.magazine.refill_blocks", us.magazine_refill_blocks},
+      {"ualloc.magazine.topup", us.magazine_topups},
+      {"ualloc.magazine.spill", us.magazine_spills},
+      {"ualloc.magazine.spill_blocks", us.magazine_spill_blocks},
+      {"ualloc.magazine.flush", us.magazine_flushes},
+      {"ualloc.bin_create", us.bins_created},
+      {"ualloc.bin_retire", us.bins_retired},
+      {"ualloc.chunk_fetch", us.chunks_created},
+      {"ualloc.chunk_retire", us.chunks_retired},
+      {"ualloc.bin_unlink", us.bin_unlinks},
+      {"ualloc.bin_relist", us.bin_relists},
+      {"ualloc.list_retry", us.list_retries},
+      {"ualloc.arena_fallback", us.arena_fallbacks},
+      {"tbuddy.quicklist.hit", bs.quicklist_hits},
+      {"tbuddy.quicklist.miss", bs.quicklist_misses},
+      {"tbuddy.quicklist.spill", bs.quicklist_spills},
+      {"tbuddy.quicklist.flush", bs.quicklist_flushes},
+      {"tbuddy.split", bs.splits},
+      {"tbuddy.merge", bs.merges},
+      {"tbuddy.descent_retry", bs.descent_retries},
+      {"tbuddy.claim.cas_fast", bs.cas_claims},
+      {"tbuddy.claim.lock_slow", bs.lock_claims},
+      // The twins of counts the scheduler, the SRCU domains and the
+      // backing store keep. The pool's own SRCU domain runs no barrier
+      // without defrag (its grace periods are polls), so the arenas'
+      // domains are all of them.
+      {"gpusim.fiber_resumes", ds.fiber_resumes},
+      {"gpusim.warp.steps", ds.sched_rounds},
+      {"gpusim.warp.parks", ds.warp_parks},
+      {"gpusim.warp.unparks", ds.warp_unparks},
+      {"gpusim.warp.steals", ds.warp_steals},
+      {"gpusim.warp.wait_skips", ds.wait_skips},
+      {"gpusim.blocks_admitted", ds.blocks_executed},
+      {"sync.rcu.full_barrier", full_barriers},
+      {"sync.rcu.delegated_barrier", delegated_barriers},
+      {"vmm.map_bytes", vs.chunk_bytes * (cfg.initial_chunks + vs.grows)},
+      {"vmm.unmap_bytes", vs.chunk_bytes * vs.shrinks},
+  };
+  const auto expect_counters = [&](const char* when) {
+    const obs::Snapshot delta =
+        obs::registry().snapshot().diff_since(obs_before);
+    for (const auto& [name, value] : want) {
+      const auto it = delta.counters.find(name);
+      EXPECT_EQ(it == delta.counters.end() ? 0 : it->second, value)
+          << name << " " << when;
+    }
+    return delta;
+  };
+  const obs::Snapshot obs_delta = expect_counters("with the owners live");
   EXPECT_GT(us.chunks_created, 0u);
   EXPECT_GT(bs.splits, 0u);
+  EXPECT_GT(ds.fiber_resumes, 0u);
+  EXPECT_GT(full_barriers, 0u);
+  EXPECT_GT(vs.grows, 0u);
   // Latencies are sampled by each obs shard's call index (obs/sample.hpp):
   // every sampled malloc attempt records one sample in some size class,
   // every sampled free one sample, so each count follows exactly from
@@ -137,6 +177,12 @@ void many_waves_mixed_sizes(std::uint32_t workers) {
   }
   EXPECT_EQ(hist_samples, want_mallocs);
   EXPECT_EQ(obs_delta.histograms.at("alloc.free_ns").count, want_frees);
+
+  // Destroyed owners fold their last totals into the registry, so the
+  // counters keep them.
+  ga_owner.reset();
+  dev_owner.reset();
+  expect_counters("after the owners were destroyed");
 #endif
 }
 
@@ -148,7 +194,8 @@ TEST(Stress, SameSizeThundering) {
   // Every thread allocates the same size simultaneously: the worst case
   // for the class semaphore and bin lists.
   gpu::Device dev(test::small_device(4, 512, 1));
-  alloc::GpuAllocator ga(64 * 1024 * 1024, dev.num_sms());
+  alloc::GpuAllocator ga({.pool_bytes = 64 * 1024 * 1024,
+                          .num_arenas = dev.num_sms()});
   constexpr std::uint64_t kThreads = 30000;
   std::atomic<std::uint64_t> failed{0};
   dev.launch_linear(kThreads, 256, [&](gpu::ThreadCtx& t) {
@@ -173,7 +220,8 @@ TEST(Stress, MultiWorkerTrueParallelism) {
   // Two OS workers drive four SMs: exercises genuine data races under
   // whatever parallelism the host provides.
   gpu::Device dev(test::small_device(4, 256, 2));
-  alloc::GpuAllocator ga(32 * 1024 * 1024, dev.num_sms());
+  alloc::GpuAllocator ga({.pool_bytes = 32 * 1024 * 1024,
+                          .num_arenas = dev.num_sms()});
   std::atomic<std::uint64_t> completed{0};
   dev.launch_linear(8000, 128, [&](gpu::ThreadCtx& t) {
     if (t.global_rank() >= 8000) return;  // grid rounds up to whole blocks
@@ -195,7 +243,8 @@ TEST(Stress, AllocateHoldExhaustFreeRepeat) {
   // Saturating waves: allocate until OOM, then free everything; repeat.
   // Verifies the allocator fully recovers from exhaustion.
   gpu::Device dev(test::small_device(2, 512, 1));
-  alloc::GpuAllocator ga(8 * 1024 * 1024, dev.num_sms());
+  alloc::GpuAllocator ga({.pool_bytes = 8 * 1024 * 1024,
+                          .num_arenas = dev.num_sms()});
   for (int wave = 0; wave < 3; ++wave) {
     std::vector<std::atomic<void*>> held(4096);
     std::atomic<std::uint64_t> got{0};

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
@@ -68,9 +69,17 @@ class TempFile {
   std::string path_;
 };
 
+// Counters come from stats owners' collectors: register one that reports
+// fixed `totals`.
+void add_counters(Registry& r, CounterTotals totals) {
+  r.add_collector([totals = std::move(totals)](CounterTotals& out) {
+    for (const auto& [name, v] : totals) out[name] += v;
+  });
+}
+
 TEST(SnapshotExport, TextReportListsEverything) {
   Registry r;
-  r.counter("x.count").add(1234);
+  add_counters(r, {{"x.count", 1234}});
   r.histogram("x.lat_ns").record(100);
   const std::string text = r.snapshot().to_text();
   EXPECT_NE(text.find("x.count"), std::string::npos);
@@ -81,8 +90,8 @@ TEST(SnapshotExport, TextReportListsEverything) {
 
 TEST(SnapshotExport, JsonGolden) {
   Registry r;
-  r.counter("a.one").add(1);
-  r.counter("b \"quoted\"").add(2);  // name needing escaping
+  add_counters(r, {{"a.one", 1},
+                   {"b \"quoted\"", 2}});  // name needing escaping
   Histogram& h = r.histogram("lat");
   h.record(0);
   h.record(5);
@@ -106,12 +115,12 @@ TEST(SnapshotExport, JsonGolden) {
 
 TEST(SnapshotExport, DerivedHitRates) {
   Registry r;
-  r.counter("cache.hit").add(3);
-  r.counter("cache.miss").add(1);
-  r.counter("lonely.hit").add(5);      // no .miss partner: no rate
-  r.counter("other_hit").add(7);       // '_hit' suffix does not pair
-  r.counter("cold.hit").add(0);        // hit+miss == 0: no rate
-  r.counter("cold.miss").add(0);
+  add_counters(r, {{"cache.hit", 3},
+                   {"cache.miss", 1},
+                   {"lonely.hit", 5},  // no .miss partner: no rate
+                   {"other_hit", 7},   // '_hit' suffix does not pair
+                   {"cold.hit", 0},    // hit+miss == 0: no rate
+                   {"cold.miss", 0}});
   const Snapshot s = r.snapshot();
 
   const auto rates = s.derived_rates();
@@ -132,7 +141,7 @@ TEST(SnapshotExport, DerivedHitRates) {
 
 TEST(SnapshotExport, WriteJsonRoundTripsThroughDisk) {
   Registry r;
-  r.counter("disk.count").add(9);
+  add_counters(r, {{"disk.count", 9}});
   TempFile f("obs_export_test.json");
   ASSERT_TRUE(write_stable_json(r.snapshot(), f.path()));
   const std::string loaded = slurp(f.path());

@@ -1,9 +1,11 @@
-// Log2 histogram bucketing, quantile interpolation, snapshot diffing, and
-// concurrent recording.
+// Log2 histogram bucketing, quantile interpolation, snapshot diffing,
+// concurrent recording, and the registry's histogram handles and macros.
 #include "obs/histogram.hpp"
 
 #include <gtest/gtest.h>
 
+#include "obs/registry.hpp"
+#include "obs/telemetry.hpp"
 #include "support/test_support.hpp"
 
 namespace toma::obs {
@@ -131,13 +133,39 @@ TEST(Histogram, ConcurrentRecordsDontLose) {
   EXPECT_EQ(s.max, 701u);
 }
 
-TEST(HistogramVec, ClampsLikeCounterVec) {
+TEST(HistogramVec, ClampsOutOfRangeIndices) {
   HistogramVec v(2);
   v.at(0).record(1);
   v.at(7).record(2);  // clamps to index 1
   EXPECT_EQ(v.get(0).snapshot().count, 1u);
   EXPECT_EQ(v.get(1).snapshot().count, 1u);
 }
+
+TEST(Registry, HandlesAreStableAndFindOrCreate) {
+  Registry r;
+  Histogram& a = r.histogram("test.a");
+  Histogram& a2 = r.histogram("test.a");
+  EXPECT_EQ(&a, &a2);
+  HistogramVec& v = r.histogram_vec("test.v", 3);
+  EXPECT_EQ(&v, &r.histogram_vec("test.v", 3));
+  a.record(3);
+  v.at(2).record(5);
+  const Snapshot s = r.snapshot();
+  EXPECT_EQ(s.histograms.at("test.a").count, 1u);
+  EXPECT_EQ(s.histograms.at("test.v[2]").max, 5u);
+  EXPECT_TRUE(s.counters.empty()) << "no collector, no counter";
+}
+
+#if TOMA_TELEMETRY
+TEST(Macros, HistogramMacroHitsGlobalRegistry) {
+  const Snapshot before = registry().snapshot();
+  for (int i = 0; i < 5; ++i) TOMA_HIST("test.macro_hist", i);
+  TOMA_HISTV("test.macro_vec", 3, 1, 7);
+  const Snapshot delta = registry().snapshot().diff_since(before);
+  EXPECT_EQ(delta.histograms.at("test.macro_hist").count, 5u);
+  EXPECT_EQ(delta.histograms.at("test.macro_vec[1]").count, 1u);
+}
+#endif
 
 }  // namespace
 }  // namespace toma::obs

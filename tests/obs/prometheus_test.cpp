@@ -4,6 +4,7 @@
 // diffing over the pool.* counter namespace.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -316,13 +317,15 @@ TEST(StableJson, CarriesSchemaVersionAndSlo) {
 // --- snapshot diff over the pool.* namespace -------------------------------
 
 TEST(SnapshotDiff, PoolCounterNamespace) {
-  Registry& reg = registry();
-  Counter& syncs = reg.counter("pool.difftest.sync");
-  Counter& trims = reg.counter("pool.difftest.trim");
-  syncs.add(5);
+  std::atomic<std::uint64_t> syncs{5}, trims{0};
+  Registry reg;
+  reg.add_collector([&](CounterTotals& out) {
+    out["pool.difftest.sync"] += syncs.load();
+    out["pool.difftest.trim"] += trims.load();
+  });
   const Snapshot before = reg.snapshot();
-  syncs.add(3);
-  trims.add(2);
+  syncs += 3;
+  trims += 2;
   const Snapshot after = reg.snapshot();
   const Snapshot d = after.diff_since(before);
   EXPECT_EQ(d.counters.at("pool.difftest.sync"), 3u);

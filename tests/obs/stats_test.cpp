@@ -1,12 +1,14 @@
 // Exact per-shard statistics (obs/stats.hpp) and their export: shard
-// routing, registry collectors that sum live owners and fold destroyed
-// ones, and the allocator's stats as the source of its registry counters.
+// routing from kernels and host threads, totals under concurrent fibers
+// and OS threads, registry collectors that sum live owners and fold
+// destroyed ones, and each owner as the source of its registry counters.
 #include "obs/stats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "alloc/alloc.hpp"
@@ -54,6 +56,57 @@ TEST(ShardedStats, ConcurrentHostThreadsLoseNothing) {
   EXPECT_EQ(st.sum(0), 40000u);
 }
 
+TEST(ShardedStats, HostThreadsLandOnStableShards) {
+  ShardedStats<1> st;
+  test::run_os_threads(4, [&](unsigned) {
+    for (int i = 0; i < 1000; ++i) st.add(0);
+  });
+  EXPECT_EQ(st.sum(0), 4000u);
+  // Each host thread keeps one fixed shard, so the per-shard sums must
+  // be multiples of its per-thread contribution.
+  std::uint64_t shard_sum = 0;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(st.shard(s).get(0) % 1000, 0u);
+    shard_sum += st.shard(s).get(0);
+  }
+  EXPECT_EQ(shard_sum, 4000u);
+}
+
+TEST(ShardedStats, SequentialHostThreadsLandOnDistinctShards) {
+  // A host thread's shard is its first-use ordinal, so kShards threads
+  // started one after another cover every shard once. A hash of the OS
+  // thread id does not: glibc hands a joined thread's id to the next one.
+  std::set<std::uint32_t> shards;
+  for (std::uint32_t i = 0; i < kShards; ++i) {
+    std::uint32_t shard = 0;
+    std::thread([&] { shard = current_shard(); }).join();
+    shards.insert(shard);
+  }
+  EXPECT_EQ(shards.size(), kShards);
+}
+
+TEST(ShardedStats, ConcurrentFibersAndHostThreadsDontLose) {
+  ShardedStats<1> st;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> host_bumps{0};
+  std::thread host([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      st.add(0);
+      host_bumps.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  gpu::Device dev(test::small_device());
+  constexpr std::uint64_t kThreads = 2048;
+  dev.launch_linear(kThreads, 128, [&](gpu::ThreadCtx& t) {
+    st.add(0);
+    if ((t.global_rank() & 7) == 0) gpu::this_thread::yield();
+    st.add(0);
+  });
+  stop.store(true);
+  host.join();
+  EXPECT_EQ(st.sum(0), 2 * kThreads + host_bumps.load());
+}
+
 // A collector over a plain counter, standing in for a stats owner.
 Registry::Collector counting(const std::atomic<std::uint64_t>& n) {
   return [&n](CounterTotals& out) {
@@ -66,10 +119,24 @@ TEST(Registry, CollectorsOfLiveOwnersSum) {
   std::atomic<std::uint64_t> a{5}, b{7};
   r.add_collector(counting(a));
   r.add_collector(counting(b));
-  r.counter("owner.events").add(1);  // a named counter joins the sum
-  EXPECT_EQ(r.snapshot().counters.at("owner.events"), 13u);
+  EXPECT_EQ(r.snapshot().counters.at("owner.events"), 12u);
   b += 3;
-  EXPECT_EQ(r.snapshot().counters.at("owner.events"), 16u);
+  EXPECT_EQ(r.snapshot().counters.at("owner.events"), 15u);
+}
+
+TEST(Registry, SnapshotDiffSubtracts) {
+  Registry r;
+  std::atomic<std::uint64_t> x{10}, y{0};
+  r.add_collector([&](CounterTotals& out) {
+    out["d.x"] += x.load();
+    if (y.load() != 0) out["d.y"] += y.load();  // a name that appears later
+  });
+  const Snapshot before = r.snapshot();
+  x += 7;
+  y += 1;
+  const Snapshot delta = r.snapshot().diff_since(before);
+  EXPECT_EQ(delta.counters.at("d.x"), 7u);
+  EXPECT_EQ(delta.counters.at("d.y"), 1u);
 }
 
 TEST(Registry, RemovedCollectorFoldsSoCountersStayMonotonic) {

@@ -66,7 +66,8 @@ class HeapSanTest : public ::testing::Test {
   /// detection must work *through* magazines and quicklists.
   static std::unique_ptr<GpuAllocator> make_ga(
       std::size_t pool_bytes = 32 * 1024 * 1024, std::uint32_t arenas = 2) {
-    auto ga = std::make_unique<GpuAllocator>(pool_bytes, arenas);
+    auto ga = std::make_unique<GpuAllocator>(
+        HeapConfig{.pool_bytes = pool_bytes, .num_arenas = arenas});
     ga->set_heapsan(true);
     ga->ualloc().set_magazines(true);
     ga->buddy().set_quicklist(true);
@@ -338,6 +339,22 @@ TEST_F(HeapSanTest, ExportsSanCounters) {
   EXPECT_EQ(ctr("san.quarantine.flush"), 1u);
   EXPECT_GE(ctr("san.redzone_check"), 1u);
   EXPECT_GE(ctr("san.poison_check"), 1u);
+}
+
+TEST_F(HeapSanTest, DoubleFreeCountsOneReport) {
+  auto ga = make_ga();
+  void* p = ga->malloc(64);
+  ASSERT_NE(p, nullptr);
+  ga->free(p);
+  const obs::Snapshot before = obs::registry().snapshot();
+  ga->free(p);  // bug: second free of a quarantined block
+  const obs::Snapshot delta = obs::registry().snapshot().diff_since(before);
+  EXPECT_EQ(reports_of(san::BugKind::kDoubleFree), 1u);
+  EXPECT_EQ(delta.counters.at("san.report.double_free"), 1u);
+  for (const char* other : {"san.report.invalid_free", "san.report.oob",
+                            "san.report.uaf", "san.report.leak"}) {
+    EXPECT_EQ(delta.counters.at(other), 0u) << other;
+  }
 }
 #endif
 

@@ -64,11 +64,13 @@ TEST(BackingStore, MapsAndUnmapsChunks) {
   bs.unmap_chunk(1);
   EXPECT_FALSE(bs.is_mapped(1));
   EXPECT_EQ(bs.mapped_chunks(), 1u);
-  EXPECT_TRUE(bs.map_chunk(1));
-  EXPECT_FALSE(bs.map_chunk(1));  // already mapped
+  // The freed slot is the lowest unmapped one again.
+  EXPECT_EQ(bs.map_next(), bs.chunk_addr(1));
+  EXPECT_TRUE(bs.is_mapped(1));
+  EXPECT_EQ(bs.mapped_chunks(), 2u);
 
   const vmm::BackingStats st = bs.stats();
-  EXPECT_EQ(st.grows, 1u);  // map_next only; explicit map_chunk is setup
+  EXPECT_EQ(st.grows, 2u);  // map_next only; the initial chunk is setup
   EXPECT_EQ(st.shrinks, 1u);
   EXPECT_EQ(st.chunk_bytes, kChunkSize);
   EXPECT_EQ(st.reserve_bytes, 4u * 1024 * 1024);

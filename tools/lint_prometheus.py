@@ -15,12 +15,13 @@ sampled metric starts with each PREFIX — CI uses this to prove a subsystem
 (e.g. the magazine counters, toma_ualloc_magazine_*) actually exported.
 
 With --catalog=DOC (e.g. docs/OBSERVABILITY.md), checks that the metric
-catalog table in DOC names exactly the metrics the library registers: every
-name literal under src/ passed to TOMA_CTR_INC/ADD, TOMA_CTRV_INC,
-TOMA_HIST/HISTV, TOMA_OP_HIST/OP_HISTV or registry().counter/histogram
-(directly or through pool_series), and every name in a stats owner's
-collector table (a `k...StatNames[...] = {...}` array, obs/stats.hpp).
-Fails on a name missing from either side. In the table's first column,
+catalog table in DOC names exactly the metrics the library registers.
+Counter names come from the stats owners' collector tables (each
+`k...StatNames[...] = {...}` array under src/, obs/stats.hpp): every
+exported counter is a field of one owner. Histogram names are the name
+literals under src/ passed to TOMA_HIST/HISTV, TOMA_OP_HIST/OP_HISTV or
+registry().histogram (directly or through pool_series). Fails on a name
+missing from either side. In the table's first column,
 `a.b.c` / `d` is shorthand for a.b.c and a.b.d (a bare name inherits the
 first name's prefix); `[i]` and `{...}` suffixes are dropped.
 
@@ -153,9 +154,8 @@ def lint(path: str, require=()) -> int:
 
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
-SRC_METRIC_RE = re.compile(
-    r"(?:TOMA_(?:CTR_INC|CTR_ADD|CTRV_INC|HIST|HISTV|OP_HIST|OP_HISTV)"
-    r"|registry\(\)\.(?:counter|histogram))"
+SRC_HIST_RE = re.compile(
+    r"(?:TOMA_(?:HIST|HISTV|OP_HIST|OP_HISTV)|registry\(\)\.histogram)"
     r'\(\s*(?:pool_series\(\s*)?"([^"]+)"')
 # A collector's name table: the registry names of a stats owner's fields.
 STAT_TABLE_RE = re.compile(
@@ -169,7 +169,7 @@ def source_metrics(src_dir: pathlib.Path) -> set:
     for path in sorted(src_dir.rglob("*")):
         if path.suffix in (".cpp", ".hpp", ".h"):
             text = path.read_text("utf-8")
-            names.update(SRC_METRIC_RE.findall(text))
+            names.update(SRC_HIST_RE.findall(text))
             for table in STAT_TABLE_RE.findall(text):
                 names.update(STRING_RE.findall(table))
     return names
